@@ -44,6 +44,16 @@ func main() {
 	}
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a client that never finishes them cannot hold a
+// connection forever. Request bodies and responses stay unbounded: a
+// sweep job legitimately streams results for as long as it simulates.
+const readHeaderTimeout = 10 * time.Second
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 func run(addr, storePath string, workers int) error {
 	store, err := resultstore.Open(storePath, resultstore.Options{Salt: perf.VersionSalt()})
 	if err != nil {
@@ -53,7 +63,7 @@ func run(addr, storePath string, workers int) error {
 	bench.SetParallelism(workers)
 
 	srv := served.NewServer(served.Config{Workers: workers})
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(addr, srv.Handler())
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -22,7 +22,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ssRes, err := bench.RunSS(uarch.SS2Way(), ssIm)
+	ssRes, err := bench.Simulate(bench.CoreSS, uarch.SS2Way(), ssIm, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	stRes, err := bench.RunStraight(uarch.Straight2Way(), stIm)
+	stRes, err := bench.Simulate(bench.CoreStraight, uarch.Straight2Way(), stIm, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func main() {
 	rows := m.Figure17(&ssRes.Stats, &stRes.Stats, []float64{1.0, 2.5, 4.0})
 	fmt.Print(power.FormatRows(rows))
 
-	bs := m.Analyze(&ssRes.Stats, power.KindSS, 1.0)
-	bt := m.Analyze(&stRes.Stats, power.KindStraight, 1.0)
+	bs := m.Analyze(&ssRes.Stats, 1.0)
+	bt := m.Analyze(&stRes.Stats, 1.0)
 	fmt.Printf("\nAt baseline clock, STRAIGHT removes %.1f%% of the rename power,\n",
 		100*(1-bt.Rename/bs.Rename))
 	fmt.Printf("register file power changes by %+.1f%%, other modules by %+.1f%%\n",

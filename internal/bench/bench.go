@@ -7,9 +7,8 @@ import (
 
 	"straight/internal/backend/riscvbe"
 	"straight/internal/backend/straightbe"
-	"straight/internal/cores/cgcore"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
+	"straight/internal/cores"
+	"straight/internal/cores/engine"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/ir"
@@ -172,58 +171,16 @@ func BuildSTRAIGHT(w workloads.Workload, iters, maxDist int, mode CompilerMode) 
 
 const simCycleCap = 2_000_000_000
 
-// RunSS simulates an image on the superscalar core.
-func RunSS(cfg uarch.Config, im *program.Image) (*sscore.Result, error) {
-	return RunSSTraced(cfg, im, nil)
-}
-
-// RunSSTraced simulates an image on the superscalar core with an
+// Simulate runs an image to completion on the named cycle core, with an
 // optional pipeline tracer attached, and checks the resulting counters
-// for internal consistency.
-func RunSSTraced(cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*sscore.Result, error) {
-	opts := sscore.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: &interruptFlag}
-	res, err := sscore.New(cfg, im, opts).Run(opts)
+// for internal consistency. Interrupt cancels it mid-run.
+func Simulate(core CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*engine.Result, error) {
+	m, err := cores.Lookup(string(core))
 	if err != nil {
 		return nil, err
 	}
-	if err := res.Stats.Check(cfg); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunCG simulates an image on the coarse-grain OoO comparison core
-// (the same RISC-V image the SS core runs).
-func RunCG(cfg uarch.Config, im *program.Image) (*cgcore.Result, error) {
-	return RunCGTraced(cfg, im, nil)
-}
-
-// RunCGTraced simulates an image on the coarse-grain OoO core with an
-// optional pipeline tracer attached, and checks the resulting counters
-// for internal consistency.
-func RunCGTraced(cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*cgcore.Result, error) {
-	opts := cgcore.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: &interruptFlag}
-	res, err := cgcore.New(cfg, im, opts).Run(opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := res.Stats.Check(cfg); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// RunStraight simulates an image on the STRAIGHT core.
-func RunStraight(cfg uarch.Config, im *program.Image) (*straightcore.Result, error) {
-	return RunStraightTraced(cfg, im, nil)
-}
-
-// RunStraightTraced simulates an image on the STRAIGHT core with an
-// optional pipeline tracer attached, and checks the resulting counters
-// for internal consistency.
-func RunStraightTraced(cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*straightcore.Result, error) {
-	opts := straightcore.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: &interruptFlag}
-	res, err := straightcore.New(cfg, im, opts).Run(opts)
+	opts := engine.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: &interruptFlag}
+	res, err := m.New(cfg, im, opts).Run(opts)
 	if err != nil {
 		return nil, err
 	}

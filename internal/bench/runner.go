@@ -4,15 +4,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"straight/internal/cores/cgcore"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
+	"straight/internal/cores"
+	"straight/internal/cores/engine"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
+	"straight/internal/program"
 	"straight/internal/ptrace"
 	"straight/internal/resultstore"
 	"straight/internal/uarch"
@@ -38,9 +39,40 @@ const (
 )
 
 // Cycle reports whether the kind is a cycle-level core (carries a
-// uarch.Config and produces uarch.Stats).
+// uarch.Config and produces uarch.Stats): a name in the core registry.
 func (k CoreKind) Cycle() bool {
-	return k == CoreSS || k == CoreStraight || k == CoreCG
+	_, err := cores.Lookup(string(k))
+	return err == nil
+}
+
+// isa reports the instruction set the kind's engine runs: the
+// registry's for a cycle core, the emulated one for a functional
+// engine. Unknown kinds are an error listing the valid ones.
+func (k CoreKind) isa() (string, error) {
+	switch k {
+	case CoreEmuRISCV:
+		return cores.ISARISCV, nil
+	case CoreEmuStraight:
+		return cores.ISAStraight, nil
+	}
+	m, err := cores.Lookup(string(k))
+	if err != nil {
+		return "", fmt.Errorf("unknown core kind %q (valid: %s, %s, %s)",
+			k, strings.Join(cores.Names(), ", "), CoreEmuRISCV, CoreEmuStraight)
+	}
+	return m.ISA, nil
+}
+
+// build compiles the point's workload for its engine's ISA.
+func (p SweepPoint) build() (*program.Image, error) {
+	isa, err := p.Core.isa()
+	if err != nil {
+		return nil, err
+	}
+	if isa == cores.ISAStraight {
+		return BuildSTRAIGHT(p.Workload, p.Iters, p.MaxDist, p.Mode)
+	}
+	return BuildRISCV(p.Workload, p.Iters)
 }
 
 // SweepPoint is one independent (workload, engine, configuration)
@@ -111,7 +143,7 @@ type PointResult struct {
 	// simulation's wall time, not the lookup's.
 	Cached bool
 
-	// Stats is set for the cycle cores (CoreSS / CoreStraight).
+	// Stats is set for the cycle cores (every registry kind).
 	Stats *uarch.Stats
 	// EmuRISCV / EmuStraight are set for the functional engines.
 	EmuRISCV    *riscvemu.Stats
@@ -252,21 +284,21 @@ func StorePutErrors() int64 { return storePutErrors.Load() }
 func simulatePoint(p SweepPoint, tgt *TraceTarget) (PointResult, error) {
 	start := time.Now()
 	res := PointResult{Point: p}
-	switch p.Core {
-	case CoreSS:
-		im, err := BuildRISCV(p.Workload, p.Iters)
-		if err != nil {
-			return res, err
+	im, err := p.build()
+	if err != nil {
+		return res, err
+	}
+	switch {
+	case p.Core.Cycle():
+		var r *engine.Result
+		run := func(tr *ptrace.Tracer) (err error) {
+			r, err = Simulate(p.Core, p.Config, im, tr)
+			return err
 		}
-		var r *sscore.Result
 		if tgt != nil {
-			res.Trace, err = withTracer(tgt, func(tr *ptrace.Tracer) error {
-				var rerr error
-				r, rerr = RunSSTraced(p.Config, im, tr)
-				return rerr
-			})
+			res.Trace, err = withTracer(tgt, run)
 		} else {
-			r, err = RunSS(p.Config, im)
+			err = run(nil)
 		}
 		if err != nil {
 			return res, err
@@ -276,76 +308,20 @@ func simulatePoint(p SweepPoint, tgt *TraceTarget) (PointResult, error) {
 		res.Retired = r.Stats.Retired
 		res.IPC = r.Stats.IPC()
 		res.Output = r.Output
-	case CoreStraight:
-		im, err := BuildSTRAIGHT(p.Workload, p.Iters, p.MaxDist, p.Mode)
-		if err != nil {
-			return res, err
-		}
-		var r *straightcore.Result
-		if tgt != nil {
-			res.Trace, err = withTracer(tgt, func(tr *ptrace.Tracer) error {
-				var rerr error
-				r, rerr = RunStraightTraced(p.Config, im, tr)
-				return rerr
-			})
-		} else {
-			r, err = RunStraight(p.Config, im)
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Stats = &r.Stats
-		res.Cycles = r.Stats.Cycles
-		res.Retired = r.Stats.Retired
-		res.IPC = r.Stats.IPC()
-		res.Output = r.Output
-	case CoreCG:
-		im, err := BuildRISCV(p.Workload, p.Iters)
-		if err != nil {
-			return res, err
-		}
-		var r *cgcore.Result
-		if tgt != nil {
-			res.Trace, err = withTracer(tgt, func(tr *ptrace.Tracer) error {
-				var rerr error
-				r, rerr = RunCGTraced(p.Config, im, tr)
-				return rerr
-			})
-		} else {
-			r, err = RunCG(p.Config, im)
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Stats = &r.Stats
-		res.Cycles = r.Stats.Cycles
-		res.Retired = r.Stats.Retired
-		res.IPC = r.Stats.IPC()
-		res.Output = r.Output
-	case CoreEmuRISCV:
-		im, err := BuildRISCV(p.Workload, p.Iters)
-		if err != nil {
-			return res, err
-		}
+	case p.Core == CoreEmuRISCV:
 		m, err := EmulateRISCV(im)
 		if err != nil {
 			return res, err
 		}
 		res.EmuRISCV = m.Stats()
 		res.Retired = m.InstCount()
-	case CoreEmuStraight:
-		im, err := BuildSTRAIGHT(p.Workload, p.Iters, p.MaxDist, p.Mode)
-		if err != nil {
-			return res, err
-		}
+	default: // CoreEmuStraight: build rejected every other kind
 		m, err := EmulateStraight(im)
 		if err != nil {
 			return res, err
 		}
 		res.EmuStraight = m.Stats()
 		res.Retired = m.InstCount()
-	default:
-		return res, fmt.Errorf("unknown core kind %q", p.Core)
 	}
 	res.Wall = time.Since(start)
 	return res, nil
@@ -459,7 +435,7 @@ func recordResults(results []PointResult) {
 			WallSeconds: r.Wall.Seconds(),
 			Trace:       r.Trace,
 		}
-		if p.Core == CoreStraight || p.Core == CoreEmuStraight {
+		if isa, _ := p.Core.isa(); isa == cores.ISAStraight {
 			rec.Mode = string(p.Mode)
 			rec.MaxDistance = p.MaxDist
 		}

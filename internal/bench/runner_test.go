@@ -182,13 +182,13 @@ func TestSharedImagesNotMutated(t *testing.T) {
 		wg.Add(4)
 		go func() {
 			defer wg.Done()
-			if _, err := RunSS(uarch.SS2Way(), ssIm); err != nil {
+			if _, err := Simulate(CoreSS, uarch.SS2Way(), ssIm, nil); err != nil {
 				fail <- err
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := RunStraight(uarch.Straight2Way(), stIm); err != nil {
+			if _, err := Simulate(CoreStraight, uarch.Straight2Way(), stIm, nil); err != nil {
 				fail <- err
 			}
 		}()

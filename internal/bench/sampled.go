@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"straight/internal/program"
 	"straight/internal/sampling"
 	"straight/internal/uarch"
 	"straight/internal/workloads"
@@ -41,54 +40,28 @@ type SampledRow struct {
 // re-run only pays fast-forward; the full runs are always simulated —
 // they are the ground truth being timed.
 func SampledVsFull(s Scale) ([]SampledRow, error) {
-	cells := []struct {
-		name, policy string
-		cfg          uarch.Config
-	}{
-		{"straight-4way", "straight", uarch.Straight4Way()},
-		{"ss-4way", "ss", uarch.SS4Way()},
-		{"cg-4way", "cg", uarch.CG4Way()},
+	w, n := workloads.DhrystoneLong, s.DhrystoneIters
+	cells := []SweepPoint{
+		StraightPoint("", "straight-4way", w, n, ModeREP, uarch.Straight4Way()),
+		SSPoint("", "ss-4way", w, n, uarch.SS4Way()),
+		CGPoint("", "cg-4way", w, n, uarch.CG4Way()),
 	}
 	var rows []SampledRow
 	for _, c := range cells {
-		var (
-			img *program.Image
-			err error
-		)
-		if c.policy == "straight" {
-			img, err = BuildSTRAIGHT(workloads.DhrystoneLong, s.DhrystoneIters, c.cfg.MaxDistance, ModeREP)
-		} else {
-			img, err = BuildRISCV(workloads.DhrystoneLong, s.DhrystoneIters)
-		}
+		img, err := c.build()
 		if err != nil {
 			return nil, err
 		}
 
 		start := time.Now()
-		var full uarch.Stats
-		switch c.policy {
-		case "straight":
-			res, err := RunStraight(c.cfg, img)
-			if err != nil {
-				return nil, err
-			}
-			full = res.Stats
-		case "ss":
-			res, err := RunSS(c.cfg, img)
-			if err != nil {
-				return nil, err
-			}
-			full = res.Stats
-		default:
-			res, err := RunCG(c.cfg, img)
-			if err != nil {
-				return nil, err
-			}
-			full = res.Stats
+		res, err := Simulate(c.Core, c.Config, img, nil)
+		if err != nil {
+			return nil, err
 		}
+		full := res.Stats
 		fullWall := time.Since(start).Seconds()
 
-		tgt, err := sampling.NewTarget(c.policy, c.cfg, img)
+		tgt, err := sampling.NewTarget(string(c.Core), c.Config, img)
 		if err != nil {
 			return nil, err
 		}
@@ -100,8 +73,8 @@ func SampledVsFull(s Scale) ([]SampledRow, error) {
 
 		fullIPC := full.IPC()
 		row := SampledRow{
-			Kernel:     c.name,
-			Policy:     c.policy,
+			Kernel:     c.Label,
+			Policy:     string(c.Core),
 			TotalInsts: rep.TotalInsts,
 			Windows:    len(rep.Windows),
 			FullIPC:    fullIPC,

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"straight/internal/cores"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/resultstore"
@@ -102,11 +103,15 @@ func PointKey(p SweepPoint) (resultstore.Key, error) {
 	if err != nil {
 		return resultstore.Key{}, err
 	}
+	isa, err := p.Core.isa()
+	if err != nil {
+		return resultstore.Key{}, err
+	}
 	kh := resultstore.NewKeyHasher(resultSchema)
 	kh.String("core", string(p.Core))
 	kh.String("workload", string(p.Workload))
 	kh.Bytes("source", []byte(src))
-	if p.Core == CoreStraight || p.Core == CoreEmuStraight {
+	if isa == cores.ISAStraight {
 		kh.String("mode", string(p.Mode))
 		kh.Int("maxdist", int64(p.MaxDist))
 	}

@@ -274,17 +274,17 @@ func TestInterruptAbortsRunningCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	Interrupt()
-	if _, err := RunSS(uarch.SS2Way(), ssIm); !errors.Is(err, uarch.ErrInterrupted) {
-		t.Fatalf("RunSS under interrupt: err = %v, want ErrInterrupted", err)
+	if _, err := Simulate(CoreSS, uarch.SS2Way(), ssIm, nil); !errors.Is(err, uarch.ErrInterrupted) {
+		t.Fatalf("SS under interrupt: err = %v, want ErrInterrupted", err)
 	}
 	cfg := uarch.Straight2Way()
 	cfg.MaxDistance = 31
-	if _, err := RunStraight(cfg, stIm); !errors.Is(err, uarch.ErrInterrupted) {
-		t.Fatalf("RunStraight under interrupt: err = %v, want ErrInterrupted", err)
+	if _, err := Simulate(CoreStraight, cfg, stIm, nil); !errors.Is(err, uarch.ErrInterrupted) {
+		t.Fatalf("STRAIGHT under interrupt: err = %v, want ErrInterrupted", err)
 	}
 	ClearInterrupt()
-	if _, err := RunSS(uarch.SS2Way(), ssIm); err != nil {
-		t.Fatalf("RunSS after ClearInterrupt: %v", err)
+	if _, err := Simulate(CoreSS, uarch.SS2Way(), ssIm, nil); err != nil {
+		t.Fatalf("SS after ClearInterrupt: %v", err)
 	}
 }
 

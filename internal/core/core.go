@@ -18,8 +18,8 @@ import (
 
 	"straight/internal/backend/riscvbe"
 	"straight/internal/backend/straightbe"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
+	"straight/internal/cores"
+	"straight/internal/cores/engine"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/ir"
@@ -31,14 +31,15 @@ import (
 	"straight/internal/uarch"
 )
 
-// Target selects the instruction set a program is compiled for.
-type Target int
+// Target selects the instruction set a program is compiled for. Its
+// value is the core registry's ISA name.
+type Target string
 
 const (
 	// TargetStraight compiles for the STRAIGHT ISA.
-	TargetStraight Target = iota
+	TargetStraight Target = cores.ISAStraight
 	// TargetRISCV compiles for RV32IM (the superscalar baseline).
-	TargetRISCV
+	TargetRISCV Target = cores.ISARISCV
 )
 
 // CompileOptions configure code generation.
@@ -93,7 +94,7 @@ func (tc *Toolchain) CompileIR(mod *ir.Module, target Target, opts CompileOption
 	case TargetRISCV:
 		asm, err = riscvbe.Compile(mod)
 	default:
-		return nil, fmt.Errorf("core: unknown target %d", target)
+		return nil, fmt.Errorf("core: unknown target %q", target)
 	}
 	if err != nil {
 		return nil, err
@@ -114,7 +115,7 @@ func (tc *Toolchain) Assemble(asm string, target Target) (*Program, error) {
 	case TargetRISCV:
 		im, err = rasm.Assemble(asm)
 	default:
-		return nil, fmt.Errorf("core: unknown target %d", target)
+		return nil, fmt.Errorf("core: unknown target %q", target)
 	}
 	if err != nil {
 		return nil, err
@@ -160,7 +161,7 @@ func Emulate(p *Program, w io.Writer) (*EmulateResult, error) {
 		_, code := m.Exited()
 		return &EmulateResult{Output: string(buf.buf), ExitCode: code, Insns: n, RISCVStats: m.Stats()}, nil
 	}
-	return nil, fmt.Errorf("core: unknown target %d", p.Target)
+	return nil, fmt.Errorf("core: unknown target %q", p.Target)
 }
 
 type teeWriter struct {
@@ -194,29 +195,22 @@ type SimOptions struct {
 }
 
 // Simulate runs a program on the cycle-accurate core matching its target
-// (SS for RISC-V, the renaming-free core for STRAIGHT).
+// (SS for RISC-V, the renaming-free core for STRAIGHT): the core
+// registry's default machine for the program's ISA.
 func Simulate(p *Program, cfg uarch.Config, opts ...SimOptions) (*SimResult, error) {
 	var o SimOptions
 	if len(opts) > 0 {
 		o = opts[0]
 	}
-	switch p.Target {
-	case TargetStraight:
-		ropts := straightcore.Options{CrossValidate: o.CrossValidate, MaxCycles: o.MaxCycles, Output: o.Output}
-		res, err := straightcore.New(cfg, p.Image, ropts).Run(ropts)
-		if err != nil {
-			return nil, err
-		}
-		return &SimResult{Output: res.Output, ExitCode: res.ExitCode, Stats: res.Stats}, nil
-	case TargetRISCV:
-		ropts := sscore.Options{CrossValidate: o.CrossValidate, MaxCycles: o.MaxCycles, Output: o.Output}
-		res, err := sscore.New(cfg, p.Image, ropts).Run(ropts)
-		if err != nil {
-			return nil, err
-		}
-		return &SimResult{Output: res.Output, ExitCode: res.ExitCode, Stats: res.Stats}, nil
+	if p.Target != TargetStraight && p.Target != TargetRISCV {
+		return nil, fmt.Errorf("core: unknown target %q", p.Target)
 	}
-	return nil, fmt.Errorf("core: unknown target %d", p.Target)
+	ropts := engine.Options{CrossValidate: o.CrossValidate, MaxCycles: o.MaxCycles, Output: o.Output}
+	res, err := cores.ForISA(string(p.Target)).New(cfg, p.Image, ropts).Run(ropts)
+	if err != nil {
+		return nil, err
+	}
+	return &SimResult{Output: res.Output, ExitCode: res.ExitCode, Stats: res.Stats}, nil
 }
 
 // Disassemble returns a listing of the program's text segment.

@@ -31,7 +31,7 @@ func TestCompileEmulateBothTargets(t *testing.T) {
 	for _, target := range []Target{TargetStraight, TargetRISCV} {
 		prog, err := tc.CompileC(testSrc, target, CompileOptions{RedundancyElim: true, MaxDistance: 31})
 		if err != nil {
-			t.Fatalf("target %d: %v", target, err)
+			t.Fatalf("target %s: %v", target, err)
 		}
 		if prog.Assembly == "" {
 			t.Fatal("missing assembly")

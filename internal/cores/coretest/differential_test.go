@@ -1,5 +1,5 @@
 // Differential matrix for the shared simulation engine (DESIGN.md §15):
-// every policy core is run across workload × width × idle-skip on/off ×
+// every core registry machine is run across workload × width × idle-skip on/off ×
 // traced/untraced, and every observable — uarch.Stats, program output,
 // exit code, the retirement stream, Kanata trace bytes, and error text
 // (which embeds the failing cycle) — must be bit-identical across the
@@ -15,10 +15,8 @@ import (
 	"testing"
 
 	"straight/internal/backend/straightbe"
-	"straight/internal/cores/cgcore"
+	"straight/internal/cores"
 	"straight/internal/cores/engine"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
 	"straight/internal/ir"
 	"straight/internal/program"
 	"straight/internal/ptrace"
@@ -26,64 +24,59 @@ import (
 	"straight/internal/workloads"
 )
 
-// diffEngine is one policy core under differential test.
-type diffEngine struct {
-	name string
-	cfgs []uarch.Config
-	// build compiles the workload module for this core's ISA; the config
-	// matters only for STRAIGHT (MaxDistance shapes the code).
-	build func(t testing.TB, mod *ir.Module, cfg uarch.Config) *program.Image
-	run   func(cfg uarch.Config, im *program.Image, opts engine.Options) (*engine.Result, error)
+// testMachine is one core registry machine with the models the tests
+// run it at.
+type testMachine struct {
+	cores.Machine
+	// widths are the Table I models of the differential matrix.
+	widths []uarch.Config
+	// memBound keeps idle skipping engaged (skip and reset tests).
+	memBound uarch.Config
 }
 
-func diffEngines() []diffEngine {
-	riscvBuild := func(t testing.TB, mod *ir.Module, _ uarch.Config) *program.Image {
-		return buildRISCV(t, mod)
-	}
-	straightBuild := func(t testing.TB, mod *ir.Module, cfg uarch.Config) *program.Image {
-		return buildSTRAIGHT(t, mod, straightbe.Options{
-			MaxDistance: cfg.MaxDistance, RedundancyElim: true,
-		})
-	}
-	engines := []diffEngine{
-		{
-			name:  "straightcore",
-			cfgs:  []uarch.Config{uarch.Straight2Way(), uarch.Straight4Way()},
-			build: straightBuild,
-			run: func(cfg uarch.Config, im *program.Image, opts engine.Options) (*engine.Result, error) {
-				return straightcore.New(cfg, im, opts).Run(opts)
-			},
-		},
-		{
-			name:  "sscore",
-			cfgs:  []uarch.Config{uarch.SS2Way(), uarch.SS4Way()},
-			build: riscvBuild,
-			run: func(cfg uarch.Config, im *program.Image, opts engine.Options) (*engine.Result, error) {
-				return sscore.New(cfg, im, opts).Run(opts)
-			},
-		},
-		{
-			name:  "cgcore",
-			cfgs:  []uarch.Config{uarch.CG2Way(), uarch.CG4Way()},
-			build: riscvBuild,
-			run: func(cfg uarch.Config, im *program.Image, opts engine.Options) (*engine.Result, error) {
-				return cgcore.New(cfg, im, opts).Run(opts)
-			},
-		},
-	}
-	return engines
+// machineModels holds every registry machine's test models; a machine
+// added to the registry fails testMachines until it has an entry here.
+var machineModels = map[string]testMachine{
+	"straight": {widths: []uarch.Config{uarch.Straight2Way(), uarch.Straight4Way()}, memBound: uarch.Straight4WayMemBound()},
+	"ss":       {widths: []uarch.Config{uarch.SS2Way(), uarch.SS4Way()}, memBound: uarch.SS4WayMemBound()},
+	"cg":       {widths: []uarch.Config{uarch.CG2Way(), uarch.CG4Way()}, memBound: uarch.CG4WayMemBound()},
 }
 
-// diffEngineByName looks one core up for the cross-engine tests.
-func diffEngineByName(t testing.TB, name string) diffEngine {
+// testMachines lists the registry's machines, in registry order.
+func testMachines(t testing.TB) []testMachine {
 	t.Helper()
-	for _, e := range diffEngines() {
-		if e.name == name {
-			return e
+	var ms []testMachine
+	for _, m := range cores.All() {
+		tm, ok := machineModels[m.Name]
+		if !ok {
+			t.Fatalf("registry machine %q has no test models", m.Name)
+		}
+		tm.Machine = m
+		ms = append(ms, tm)
+	}
+	return ms
+}
+
+// machineByName looks one machine up for the cross-engine tests.
+func machineByName(t testing.TB, name string) testMachine {
+	t.Helper()
+	for _, m := range testMachines(t) {
+		if m.Name == name {
+			return m
 		}
 	}
-	t.Fatalf("no diff engine %q", name)
-	return diffEngine{}
+	t.Fatalf("no registry machine %q", name)
+	return testMachine{}
+}
+
+// build compiles the workload module for the machine's ISA; the config
+// matters only for STRAIGHT (MaxDistance shapes the code).
+func (m testMachine) build(t testing.TB, mod *ir.Module, cfg uarch.Config) *program.Image {
+	t.Helper()
+	if m.ISA == cores.ISAStraight {
+		return buildSTRAIGHT(t, mod, straightbe.Options{MaxDistance: cfg.MaxDistance, RedundancyElim: true})
+	}
+	return buildRISCV(t, mod)
 }
 
 // observed is everything a variant run exposes to comparison.
@@ -130,7 +123,7 @@ func (r *retireHasher) observe(ret uarch.Retirement) error {
 }
 
 // runVariant executes one cell of the matrix.
-func runVariant(t testing.TB, e diffEngine, cfg uarch.Config, im *program.Image, noSkip, traced bool, maxCycles int64) observed {
+func runVariant(t testing.TB, e testMachine, cfg uarch.Config, im *program.Image, noSkip, traced bool, maxCycles int64) observed {
 	t.Helper()
 	rh := newRetireHasher()
 	opts := engine.Options{
@@ -142,10 +135,10 @@ func runVariant(t testing.TB, e diffEngine, cfg uarch.Config, im *program.Image,
 	if traced {
 		opts.Tracer = ptrace.New(&traceBuf, ptrace.Config{})
 	}
-	res, err := e.run(cfg, im, opts)
+	res, err := e.New(cfg, im, opts).Run(opts)
 	if traced {
 		if cerr := opts.Tracer.Close(); cerr != nil {
-			t.Fatalf("%s %s: closing tracer: %v", e.name, cfg.Name, cerr)
+			t.Fatalf("%s %s: closing tracer: %v", e.Name, cfg.Name, cerr)
 		}
 	}
 	o := observed{retires: rh.n, retHash: rh.h}
@@ -210,15 +203,15 @@ func TestDifferentialMatrix(t *testing.T) {
 		{workloads.MicroBranch, 2},
 		{workloads.Dhrystone, 2},
 	}
-	for _, e := range diffEngines() {
+	for _, e := range testMachines(t) {
 		e := e
-		t.Run(e.name, func(t *testing.T) {
+		t.Run(e.Name+"core", func(t *testing.T) {
 			for _, wi := range workloadIters {
 				wi := wi
 				t.Run(string(wi.w), func(t *testing.T) {
 					t.Parallel()
 					mod := buildIR(t, wi.w, wi.iters)
-					for _, cfg := range e.cfgs {
+					for _, cfg := range e.widths {
 						im := e.build(t, mod, cfg)
 						base := runVariant(t, e, cfg, im, false, false, 200_000_000)
 						if base.errText != "" {
@@ -264,10 +257,10 @@ func TestDifferentialMatrix(t *testing.T) {
 // failure must match.
 func TestDifferentialErrorCycles(t *testing.T) {
 	mod := buildIR(t, workloads.Dhrystone, 2)
-	for _, e := range diffEngines() {
+	for _, e := range testMachines(t) {
 		e := e
-		t.Run(e.name, func(t *testing.T) {
-			cfg := e.cfgs[0]
+		t.Run(e.Name+"core", func(t *testing.T) {
+			cfg := e.widths[0]
 			im := e.build(t, mod, cfg)
 			base := runVariant(t, e, cfg, im, false, false, 2000)
 			if base.errText == "" {
@@ -309,8 +302,8 @@ func TestCGBlockOneIsSS(t *testing.T) {
 			ssCfg := uarch.SS4Way()
 			cgCfg := uarch.CG4Way()
 			cgCfg.CGBlockSize = 1
-			ss := diffEngineByName(t, "sscore")
-			cg := diffEngineByName(t, "cgcore")
+			ss := machineByName(t, "ss")
+			cg := machineByName(t, "cg")
 			for _, traced := range []bool{false, true} {
 				a := runVariant(t, ss, ssCfg, im, false, traced, 200_000_000)
 				b := runVariant(t, cg, cgCfg, im, false, traced, 200_000_000)
@@ -331,8 +324,8 @@ func TestCGBlockOneIsSS(t *testing.T) {
 func TestCGGateRestrictsIssue(t *testing.T) {
 	mod := buildIR(t, workloads.Dhrystone, 2)
 	im := buildRISCV(t, mod)
-	ss := diffEngineByName(t, "sscore")
-	cg := diffEngineByName(t, "cgcore")
+	ss := machineByName(t, "ss")
+	cg := machineByName(t, "cg")
 	a := runVariant(t, ss, uarch.SS4Way(), im, false, false, 200_000_000)
 	b := runVariant(t, cg, uarch.CG4Way(), im, false, false, 200_000_000)
 	if a.errText != "" || b.errText != "" {

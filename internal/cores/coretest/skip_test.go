@@ -5,11 +5,8 @@ import (
 	"testing"
 
 	"straight/internal/backend/straightbe"
-	"straight/internal/cores/cgcore"
+	"straight/internal/cores"
 	"straight/internal/cores/engine"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
-	"straight/internal/ir"
 	"straight/internal/program"
 	"straight/internal/uarch"
 	"straight/internal/workloads"
@@ -25,21 +22,11 @@ type skipRun struct {
 	skipped  int64
 }
 
-func runStraightSkip(t *testing.T, cfg uarch.Config, im *program.Image, noskip bool) skipRun {
+// runSkip runs im to completion on the machine.
+func runSkip(t *testing.T, m testMachine, cfg uarch.Config, im *program.Image, noskip bool) skipRun {
 	t.Helper()
-	opts := straightcore.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
-	core := straightcore.New(cfg, im, opts)
-	res, err := core.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return skipRun{res.Stats, res.Output, res.ExitCode, core.SkipStats().SkippedCycles}
-}
-
-func runSSSkip(t *testing.T, cfg uarch.Config, im *program.Image, noskip bool) skipRun {
-	t.Helper()
-	opts := sscore.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
-	core := sscore.New(cfg, im, opts)
+	opts := engine.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
+	core := m.New(cfg, im, opts)
 	res, err := core.Run(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +51,8 @@ func requireSame(t *testing.T, name string, skip, plain skipRun) {
 // event-driven fast path: on memory-bound configurations where most
 // cycles are skipped in bulk, every Stats counter, the console output,
 // and the exit code must be bit-identical to strict cycle-by-cycle
-// stepping — on both cores, across workloads chosen so that skipped
-// windows end on every kind of wake-up event:
+// stepping — on every registry machine, across workloads chosen so that
+// skipped windows end on every kind of wake-up event:
 //
 //   - micro-fib and micro-sieve retire store-set violations
 //     (MemDepViolations > 0), so memory-dependence recovery fires with
@@ -88,29 +75,21 @@ func TestIdleSkipBitIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		mod := buildIR(t, tc.w, 2)
-		t.Run("straight/"+string(tc.w), func(t *testing.T) {
-			im := buildSTRAIGHT(t, mod, straightbe.Options{MaxDistance: 31, RedundancyElim: true})
-			cfg := uarch.Straight4WayMemBound()
-			skip := runStraightSkip(t, cfg, im, false)
-			plain := runStraightSkip(t, cfg, im, true)
-			requireSame(t, string(tc.w), skip, plain)
-			if tc.wantViolation && skip.stats.MemDepViolations == 0 {
-				t.Error("expected memory-dependence violations inside the skipped run")
-			}
-			if tc.wantMispred && skip.stats.Mispredicts == 0 {
-				t.Error("expected mispredict redirects inside the skipped run")
-			}
-		})
-		t.Run("ss/"+string(tc.w), func(t *testing.T) {
-			im := buildRISCV(t, mod)
-			cfg := uarch.SS4WayMemBound()
-			skip := runSSSkip(t, cfg, im, false)
-			plain := runSSSkip(t, cfg, im, true)
-			requireSame(t, string(tc.w), skip, plain)
-			if tc.wantMispred && skip.stats.Mispredicts == 0 {
-				t.Error("expected mispredict redirects inside the skipped run")
-			}
-		})
+		for _, m := range testMachines(t) {
+			t.Run(m.Name+"/"+string(tc.w), func(t *testing.T) {
+				im := m.build(t, mod, m.memBound)
+				skip := runSkip(t, m, m.memBound, im, false)
+				plain := runSkip(t, m, m.memBound, im, true)
+				requireSame(t, string(tc.w), skip, plain)
+				// Only STRAIGHT code retires store-set violations here.
+				if m.ISA == cores.ISAStraight && tc.wantViolation && skip.stats.MemDepViolations == 0 {
+					t.Error("expected memory-dependence violations inside the skipped run")
+				}
+				if tc.wantMispred && skip.stats.Mispredicts == 0 {
+					t.Error("expected mispredict redirects inside the skipped run")
+				}
+			})
+		}
 	}
 }
 
@@ -126,8 +105,8 @@ func TestIdleSkipErrorIdentical(t *testing.T) {
 	im := buildSTRAIGHT(t, mod, straightbe.Options{MaxDistance: 31, RedundancyElim: true})
 	cfg := uarch.Straight4WayMemBound()
 	run := func(noskip bool) string {
-		opts := straightcore.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
-		_, err := straightcore.New(cfg, im, opts).Run(opts)
+		opts := engine.Options{MaxCycles: 200_000_000, NoIdleSkip: noskip}
+		_, err := cores.ForISA(cores.ISAStraight).New(cfg, im, opts).Run(opts)
 		if err == nil {
 			t.Fatal("micro-stream on the memory-bound model should trip the deadlock detector")
 		}
@@ -137,15 +116,6 @@ func TestIdleSkipErrorIdentical(t *testing.T) {
 	if skipErr != plainErr {
 		t.Errorf("error differs with idle skipping:\nskip:  %s\nplain: %s", skipErr, plainErr)
 	}
-}
-
-// resettableCore is the batch-reuse surface every policy wrapper
-// exposes; the Reset equivalence test drives all three cores through
-// it uniformly.
-type resettableCore interface {
-	Run(opts engine.Options) (*engine.Result, error)
-	Reset(img *program.Image)
-	SkipStats() uarch.SkipStats
 }
 
 // TestResetEquivalence is the batch-reuse acceptance test referenced by
@@ -160,49 +130,16 @@ func TestResetEquivalence(t *testing.T) {
 	sieveMod := buildIR(t, workloads.MicroSieve, 2)
 	ptrMod := buildIR(t, workloads.MicroPointer, 2)
 
-	engines := []struct {
-		name    string
-		cfg     uarch.Config
-		build   func(t testing.TB, mod *ir.Module) *program.Image
-		newCore func(cfg uarch.Config, im *program.Image, opts engine.Options) resettableCore
-	}{
-		{
-			name: "straight",
-			cfg:  uarch.Straight4WayMemBound(),
-			build: func(t testing.TB, mod *ir.Module) *program.Image {
-				return buildSTRAIGHT(t, mod, straightbe.Options{MaxDistance: 31, RedundancyElim: true})
-			},
-			newCore: func(cfg uarch.Config, im *program.Image, opts engine.Options) resettableCore {
-				return straightcore.New(cfg, im, opts)
-			},
-		},
-		{
-			name:  "ss",
-			cfg:   uarch.SS4WayMemBound(),
-			build: func(t testing.TB, mod *ir.Module) *program.Image { return buildRISCV(t, mod) },
-			newCore: func(cfg uarch.Config, im *program.Image, opts engine.Options) resettableCore {
-				return sscore.New(cfg, im, opts)
-			},
-		},
-		{
-			name:  "cg",
-			cfg:   uarch.CG4WayMemBound(),
-			build: func(t testing.TB, mod *ir.Module) *program.Image { return buildRISCV(t, mod) },
-			newCore: func(cfg uarch.Config, im *program.Image, opts engine.Options) resettableCore {
-				return cgcore.New(cfg, im, opts)
-			},
-		},
-	}
-	for _, e := range engines {
+	for _, e := range testMachines(t) {
 		e := e
-		t.Run(e.name, func(t *testing.T) {
-			fib := e.build(t, fibMod)
-			sieve := e.build(t, sieveMod)
-			ptr := e.build(t, ptrMod)
+		t.Run(e.Name, func(t *testing.T) {
+			fib := e.build(t, fibMod, e.memBound)
+			sieve := e.build(t, sieveMod, e.memBound)
+			ptr := e.build(t, ptrMod, e.memBound)
 			opts := engine.Options{MaxCycles: 200_000_000}
 
 			fresh := func(im *program.Image) skipRun {
-				core := e.newCore(e.cfg, im, opts)
+				core := e.New(e.memBound, im, opts)
 				res, err := core.Run(opts)
 				if err != nil {
 					t.Fatal(err)
@@ -216,7 +153,7 @@ func TestResetEquivalence(t *testing.T) {
 				t.Error("membound pointer chase skipped nothing; the multiplex exercises no skip state")
 			}
 
-			core := e.newCore(e.cfg, fib, opts)
+			core := e.New(e.memBound, fib, opts)
 			if _, err := core.Run(opts); err != nil {
 				t.Fatal(err)
 			}

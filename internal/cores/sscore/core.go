@@ -7,53 +7,11 @@ import (
 	"straight/internal/uarch"
 )
 
-// Options control a simulation run. See engine.Options; the InjectBug
-// value this core understands is engine.BugFreeListEarlyReclaim.
-type Options = engine.Options
-
-// Result summarizes a run.
-type Result = engine.Result
-
-// Core is the conventional-superscalar baseline: the shared engine
-// steered by the RMT/free-list rename policy with tail-first ROB-walk
-// recovery (paper §V-A).
-type Core struct {
-	eng *engine.Core[riscv.Inst]
+// New builds the conventional-superscalar baseline for the image: the
+// shared engine steered by the RMT/free-list rename policy with
+// tail-first ROB-walk recovery (paper §V-A). The InjectBug value it
+// understands is engine.BugFreeListEarlyReclaim; Restart takes a
+// *riscvemu.Checkpoint.
+func New(cfg uarch.Config, img *program.Image, opts engine.Options) *engine.Core[riscv.Inst] {
+	return engine.New[riscv.Inst](&Policy{}, cfg, img, opts)
 }
-
-// New builds a core for the image.
-func New(cfg uarch.Config, img *program.Image, opts Options) *Core {
-	return &Core{eng: engine.New[riscv.Inst](&Policy{}, cfg, img, opts)}
-}
-
-// Run simulates until program exit or a bound is hit.
-func (c *Core) Run(opts Options) (*Result, error) { return c.eng.Run(opts) }
-
-// RunCycles advances the simulation by at most n cycles, stopping early
-// on program exit or a simulation error (see engine.Core.RunCycles).
-func (c *Core) RunCycles(opts Options, n int64) error { return c.eng.RunCycles(opts, n) }
-
-// Reset returns the core to power-on state for batch reuse (see
-// engine.Core.Reset).
-func (c *Core) Reset(img *program.Image) { c.eng.Reset(img) }
-
-// Restart resets the core and seeds it from a mid-program architectural
-// checkpoint (a *riscvemu.Checkpoint), so simulation resumes at the
-// checkpointed PC (see engine.Core.Restart and DESIGN.md §16).
-func (c *Core) Restart(img *program.Image, ck engine.ArchState) error { return c.eng.Restart(img, ck) }
-
-// AdoptWarm copies functionally-warmed cache/predictor state into the
-// core after a Restart (see engine.Core.AdoptWarm).
-func (c *Core) AdoptWarm(w *uarch.WarmState) { c.eng.AdoptWarm(w) }
-
-// Exited reports whether the simulated program has exited.
-func (c *Core) Exited() bool { return c.eng.HasExited() }
-
-// Stats returns a copy of the counters accumulated so far.
-func (c *Core) Stats() uarch.Stats { return c.eng.Stats() }
-
-// Mem exposes the simulated memory (for post-run equivalence checks).
-func (c *Core) Mem() *program.Memory { return c.eng.Mem() }
-
-// SkipStats returns the idle-skip telemetry accumulated so far.
-func (c *Core) SkipStats() uarch.SkipStats { return c.eng.SkipStats() }

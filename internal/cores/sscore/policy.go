@@ -41,18 +41,9 @@ func (p *Policy) RegCount(cfg *uarch.Config) int { return cfg.RegFileSize }
 
 //lint:coldpath construction: builds the golden emulator and rename tables once per core
 func (p *Policy) Init(c *engine.Core[riscv.Inst], img *program.Image, out io.Writer) {
-	// Initial RMT: logical register i maps to physical i; the remaining
-	// physical registers populate the free list.
-	for i := 0; i < 32; i++ {
-		p.rmt[i] = int32(i)
-	}
-	c.PRF[riscv.RegSP] = program.DefaultStackTop
 	p.inFreeList = make([]bool, c.Cfg.RegFileSize)
 	p.freeList = uarch.NewRing[int32](c.Cfg.RegFileSize)
-	for ph := 32; ph < c.Cfg.RegFileSize; ph++ {
-		p.freeList.PushBack(int32(ph))
-		p.inFreeList[ph] = true
-	}
+	p.resetRename(c)
 
 	p.out = out
 	p.emu = riscvemu.New(img)
@@ -71,7 +62,22 @@ func (p *Policy) Init(c *engine.Core[riscv.Inst], img *program.Image, out io.Wri
 
 //lint:coldpath batch boundary: runs between simulations, never inside the cycle loop
 func (p *Policy) Reset(c *engine.Core[riscv.Inst], img *program.Image) {
-	// Initial rename state: identity RMT, physicals 32.. free.
+	p.resetRename(c)
+	p.wantVal = 0
+	p.wantChecks = false
+	p.emu.Reset(img)
+	p.emu.SetOutput(p.out)
+	if p.fetchOracle != nil {
+		p.fetchOracle.Reset(img)
+	}
+}
+
+// resetRename installs the power-on rename state: logical register i
+// maps to physical i, and the remaining physicals populate the free
+// list.
+//
+//lint:coldpath construction and batch boundary, never inside the cycle loop
+func (p *Policy) resetRename(c *engine.Core[riscv.Inst]) {
 	for i := 0; i < 32; i++ {
 		p.rmt[i] = int32(i)
 	}
@@ -83,13 +89,6 @@ func (p *Policy) Reset(c *engine.Core[riscv.Inst], img *program.Image) {
 	for ph := 32; ph < c.Cfg.RegFileSize; ph++ {
 		p.freeList.PushBack(int32(ph))
 		p.inFreeList[ph] = true
-	}
-	p.wantVal = 0
-	p.wantChecks = false
-	p.emu.Reset(img)
-	p.emu.SetOutput(p.out)
-	if p.fetchOracle != nil {
-		p.fetchOracle.Reset(img)
 	}
 }
 

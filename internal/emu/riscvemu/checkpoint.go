@@ -1,79 +1,28 @@
 package riscvemu
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"straight/internal/program"
-)
-
-// Binary checkpoint serialization (DESIGN.md §16). The encoding is
-// canonical — a given architectural state always produces identical
-// bytes — because the sampled simulator content-addresses sample windows
-// by checkpoint hash. The memory encoding (program.Memory) sorts pages
-// and omits all-zero frames to guarantee this.
+import "straight/internal/program"
 
 // ckptMagic identifies a serialized RV32 checkpoint and versions the
-// layout; bump the digit when the encoding changes shape.
+// layout; bump the digit when the encoding changes shape. The framing is
+// program.CheckpointFrame with the PC leading and the 32 architectural
+// registers as the word array.
 const ckptMagic = "RV32CKP1"
 
-// ckptHeadSize is the fixed-size portion: magic, pc, count, exited,
-// exitCode, and the 32 architectural registers.
-const ckptHeadSize = len(ckptMagic) + 4 + 8 + 1 + 4 + 32*4
-
-// MarshalBinary serializes the checkpoint.
+// MarshalBinary serializes the checkpoint canonically (DESIGN.md §16).
 func (c *Checkpoint) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, ckptHeadSize+c.mem.MappedBytes()+64)
-	b = append(b, ckptMagic...)
-	b = binary.LittleEndian.AppendUint32(b, c.pc)
-	b = binary.LittleEndian.AppendUint64(b, c.count)
-	if c.exited {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(c.exitCode))
-	for _, v := range c.regs {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	return c.mem.AppendBinary(b), nil
+	f := program.CheckpointFrame{Lead: []uint32{c.pc}, Count: c.count,
+		Exited: c.exited, ExitCode: c.exitCode, Words: c.regs[:], Mem: c.mem}
+	return f.Marshal(ckptMagic), nil
 }
 
 // UnmarshalBinary replaces c with the checkpoint serialized in data,
 // validating the magic, the framing, and that no bytes trail the
 // encoding.
 func (c *Checkpoint) UnmarshalBinary(data []byte) error {
-	if len(data) < ckptHeadSize {
-		return fmt.Errorf("riscvemu: checkpoint decode: %d bytes, want at least %d", len(data), ckptHeadSize)
+	f := program.CheckpointFrame{Lead: make([]uint32, 1), Words: c.regs[:], Mem: c.mem}
+	if err := f.Unmarshal("riscvemu", ckptMagic, data); err != nil {
+		return err
 	}
-	if string(data[:len(ckptMagic)]) != ckptMagic {
-		return fmt.Errorf("riscvemu: checkpoint decode: bad magic %q", data[:len(ckptMagic)])
-	}
-	p := data[len(ckptMagic):]
-	c.pc = binary.LittleEndian.Uint32(p)
-	c.count = binary.LittleEndian.Uint64(p[4:])
-	switch p[12] {
-	case 0:
-		c.exited = false
-	case 1:
-		c.exited = true
-	default:
-		return fmt.Errorf("riscvemu: checkpoint decode: bad exited flag %d", p[12])
-	}
-	c.exitCode = int32(binary.LittleEndian.Uint32(p[13:]))
-	p = p[17:]
-	for i := range c.regs {
-		c.regs[i] = binary.LittleEndian.Uint32(p[i*4:])
-	}
-	if c.mem == nil {
-		c.mem = program.NewMemory()
-	}
-	rest, err := c.mem.DecodeBinary(p[len(c.regs)*4:])
-	if err != nil {
-		return fmt.Errorf("riscvemu: checkpoint decode: %w", err)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("riscvemu: checkpoint decode: %d trailing bytes", len(rest))
-	}
+	c.pc, c.count, c.exited, c.exitCode, c.mem = f.Lead[0], f.Count, f.Exited, f.ExitCode, f.Mem
 	return nil
 }

@@ -2,6 +2,9 @@ package riscvemu
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"straight/internal/rasm"
@@ -28,6 +31,10 @@ done:
     addi a7, zero, 0
     ecall
 `
+
+// ckptHeadSize is the fixed-size portion of a serialized checkpoint:
+// magic, pc, count, exited, exitCode, and the 32 registers.
+const ckptHeadSize = len(ckptMagic) + 4 + 8 + 1 + 4 + 32*4
 
 func marshalMachine(t *testing.T, steps int) (*Machine, *Checkpoint) {
 	t.Helper()
@@ -137,8 +144,40 @@ func TestCheckpointUnmarshalCorrupted(t *testing.T) {
 	}
 	for _, c := range cases {
 		var dec Checkpoint
-		if err := dec.UnmarshalBinary(c.data); err == nil {
+		err := dec.UnmarshalBinary(c.data)
+		if err == nil {
 			t.Errorf("%s: UnmarshalBinary accepted corrupted input", c.name)
+		} else if !strings.HasPrefix(err.Error(), "riscvemu: checkpoint decode: ") {
+			t.Errorf("%s: error %q lacks the package prefix", c.name, err)
+		}
+	}
+}
+
+// TestCheckpointBytesPinned pins the serialized checkpoint layout: the
+// bytes are the content address of every cached sample window, so any
+// change to them silently invalidates existing result stores.
+func TestCheckpointBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		steps int
+		want  string
+	}{
+		{13, "d93ef00e981ba6a8c242a44b438870b1865652cf1841f234557e139189d6a2f2"},
+		{1000, "cc3fec5cbfd06c4b660f680186d22fd775172461899d4a43a0d343dcc6ee2b7f"}, // past exit: exited flag and exit code set
+	} {
+		im, err := rasm.Assemble(marshalSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(im)
+		if err := m.RunUntil(uint64(c.steps)); err != nil {
+			t.Fatal(err)
+		}
+		enc, err := m.Checkpoint().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != c.want {
+			t.Errorf("checkpoint after %d steps: sha256 %s, want %s", c.steps, got, c.want)
 		}
 	}
 }

@@ -1,82 +1,28 @@
 package straightemu
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"straight/internal/program"
-)
-
-// Binary checkpoint serialization (DESIGN.md §16). The encoding is
-// canonical — a given architectural state always produces identical
-// bytes — because the sampled simulator content-addresses sample windows
-// by checkpoint hash: two runs that reach the same state must map to the
-// same result-store key. The memory encoding (program.Memory) sorts
-// pages and omits all-zero frames to guarantee this.
+import "straight/internal/program"
 
 // ckptMagic identifies a serialized STRAIGHT checkpoint and versions the
-// layout; bump the digit when the encoding changes shape.
+// layout; bump the digit when the encoding changes shape. The framing is
+// program.CheckpointFrame with PC and SP leading and the result-window
+// ring as the word array.
 const ckptMagic = "STRCKP1\x00"
 
-// ckptHeadSize is the fixed-size portion: magic, pc, sp, count, exited,
-// exitCode, and the result-window ring.
-const ckptHeadSize = len(ckptMagic) + 4 + 4 + 8 + 1 + 4 + ringSize*4
-
-// MarshalBinary serializes the checkpoint.
+// MarshalBinary serializes the checkpoint canonically (DESIGN.md §16).
 func (c *Checkpoint) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, ckptHeadSize+c.mem.MappedBytes()+64)
-	b = append(b, ckptMagic...)
-	b = binary.LittleEndian.AppendUint32(b, c.pc)
-	b = binary.LittleEndian.AppendUint32(b, c.sp)
-	b = binary.LittleEndian.AppendUint64(b, c.count)
-	if c.exited {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(c.exitCode))
-	for _, v := range c.ring {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	return c.mem.AppendBinary(b), nil
+	f := program.CheckpointFrame{Lead: []uint32{c.pc, c.sp}, Count: c.count,
+		Exited: c.exited, ExitCode: c.exitCode, Words: c.ring[:], Mem: c.mem}
+	return f.Marshal(ckptMagic), nil
 }
 
 // UnmarshalBinary replaces c with the checkpoint serialized in data,
 // validating the magic, the framing, and that no bytes trail the
 // encoding.
 func (c *Checkpoint) UnmarshalBinary(data []byte) error {
-	if len(data) < ckptHeadSize {
-		return fmt.Errorf("straightemu: checkpoint decode: %d bytes, want at least %d", len(data), ckptHeadSize)
+	f := program.CheckpointFrame{Lead: make([]uint32, 2), Words: c.ring[:], Mem: c.mem}
+	if err := f.Unmarshal("straightemu", ckptMagic, data); err != nil {
+		return err
 	}
-	if string(data[:len(ckptMagic)]) != ckptMagic {
-		return fmt.Errorf("straightemu: checkpoint decode: bad magic %q", data[:len(ckptMagic)])
-	}
-	p := data[len(ckptMagic):]
-	c.pc = binary.LittleEndian.Uint32(p)
-	c.sp = binary.LittleEndian.Uint32(p[4:])
-	c.count = binary.LittleEndian.Uint64(p[8:])
-	switch p[16] {
-	case 0:
-		c.exited = false
-	case 1:
-		c.exited = true
-	default:
-		return fmt.Errorf("straightemu: checkpoint decode: bad exited flag %d", p[16])
-	}
-	c.exitCode = int32(binary.LittleEndian.Uint32(p[17:]))
-	p = p[21:]
-	for i := range c.ring {
-		c.ring[i] = binary.LittleEndian.Uint32(p[i*4:])
-	}
-	if c.mem == nil {
-		c.mem = program.NewMemory()
-	}
-	rest, err := c.mem.DecodeBinary(p[ringSize*4:])
-	if err != nil {
-		return fmt.Errorf("straightemu: checkpoint decode: %w", err)
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("straightemu: checkpoint decode: %d trailing bytes", len(rest))
-	}
+	c.pc, c.sp, c.count, c.exited, c.exitCode, c.mem = f.Lead[0], f.Lead[1], f.Count, f.Exited, f.ExitCode, f.Mem
 	return nil
 }

@@ -2,6 +2,9 @@ package straightemu
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"strings"
 	"testing"
 
 	"straight/internal/sasm"
@@ -35,6 +38,10 @@ done:
     ADDi [0], 0
     SYS exit, [1]
 `
+
+// ckptHeadSize is the fixed-size portion of a serialized checkpoint:
+// magic, pc, sp, count, exited, exitCode, and the result-window ring.
+const ckptHeadSize = len(ckptMagic) + 4 + 4 + 8 + 1 + 4 + ringSize*4
 
 func marshalMachine(t *testing.T, steps int) (*Machine, *Checkpoint) {
 	t.Helper()
@@ -136,8 +143,40 @@ func TestCheckpointUnmarshalCorrupted(t *testing.T) {
 	}
 	for _, c := range cases {
 		var dec Checkpoint
-		if err := dec.UnmarshalBinary(c.data); err == nil {
+		err := dec.UnmarshalBinary(c.data)
+		if err == nil {
 			t.Errorf("%s: UnmarshalBinary accepted corrupted input", c.name)
+		} else if !strings.HasPrefix(err.Error(), "straightemu: checkpoint decode: ") {
+			t.Errorf("%s: error %q lacks the package prefix", c.name, err)
+		}
+	}
+}
+
+// TestCheckpointBytesPinned pins the serialized checkpoint layout: the
+// bytes are the content address of every cached sample window, so any
+// change to them silently invalidates existing result stores.
+func TestCheckpointBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		steps int
+		want  string
+	}{
+		{17, "783adad58f73ccb465f17f15590dc341d7f2923a7dd012d5984df3ea2d37b191"},
+		{1000, "16474cad7cb02e0a2d36d2ff48b393d5c82ae914150b2293ab8a068aa36f28d6"}, // past exit: exited flag and exit code set
+	} {
+		im, err := sasm.Assemble(marshalSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(im)
+		if err := m.RunUntil(uint64(c.steps)); err != nil {
+			t.Fatal(err)
+		}
+		enc, err := m.Checkpoint().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != c.want {
+			t.Errorf("checkpoint after %d steps: sha256 %s, want %s", c.steps, got, c.want)
 		}
 	}
 }

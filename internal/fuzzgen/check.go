@@ -7,8 +7,8 @@ import (
 	"io"
 	"strings"
 
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
+	"straight/internal/cores"
+	"straight/internal/cores/engine"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/program"
@@ -222,8 +222,8 @@ func lockstepStraight(p *Prog, simg *program.Image, opts CheckOptions,
 	var cp *straightemu.Checkpoint
 	var cpSeq uint64
 	var outBuf bytes.Buffer
-	core := straightcore.New(cfg, simg, straightcore.Options{Output: &outBuf, Tracer: opts.Tracer})
-	res, err := core.Run(straightcore.Options{
+	core := cores.ForISA(cores.ISAStraight).New(cfg, simg, engine.Options{Output: &outBuf, Tracer: opts.Tracer})
+	res, err := core.Run(engine.Options{
 		MaxCycles:  opts.MaxCycles,
 		Output:     &outBuf,
 		InjectBug:  opts.InjectBug,
@@ -282,8 +282,8 @@ func lockstepSS(p *Prog, rimg *program.Image, opts CheckOptions,
 	cfg := uarch.SS4Way()
 
 	var outBuf bytes.Buffer
-	core := sscore.New(cfg, rimg, sscore.Options{Output: &outBuf})
-	res, err := core.Run(sscore.Options{
+	core := cores.ForISA(cores.ISARISCV).New(cfg, rimg, engine.Options{Output: &outBuf})
+	res, err := core.Run(engine.Options{
 		MaxCycles:  opts.MaxCycles,
 		Output:     &outBuf,
 		InjectBug:  opts.InjectBug,

@@ -31,11 +31,14 @@ func runAllocBudget(t *testing.T, k Kernel) {
 		t.Fatal(err)
 	}
 	opts := engine.Options{MaxCycles: runCycleCap}
-	c := NewCore(k, im, opts)
+	c, err := newSim(k, im, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := c.RunCycles(opts, allocWarmupCycles); err != nil {
 		t.Fatal(err)
 	}
-	if c.Exited() {
+	if c.HasExited() {
 		t.Fatalf("workload exited during warmup (%d cycles); grow BenchIters", allocWarmupCycles)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
@@ -43,7 +46,7 @@ func runAllocBudget(t *testing.T, k Kernel) {
 			t.Fatal(err)
 		}
 	})
-	if c.Exited() {
+	if c.HasExited() {
 		t.Fatalf("workload exited during measurement; grow BenchIters")
 	}
 	if allocs != 0 {

@@ -8,8 +8,8 @@
 //
 // # Kernels and workloads
 //
-// A Kernel names one simulated machine: a core kind (STRAIGHT or the
-// superscalar baseline) at a Table I configuration. Kernels() returns
+// A Kernel names one simulated machine: a core registry name
+// (internal/cores) at a Table I configuration. Kernels() returns
 // the benchmarked set in fixed order — both cores at both widths, plus
 // the "-membound" variants, which shrink the caches and stretch memory
 // latency until runs are dominated by drained-pipeline miss windows

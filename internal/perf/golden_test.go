@@ -69,7 +69,11 @@ func runGolden(t *testing.T, k Kernel, w workloads.Workload) goldenEntry {
 	}
 	hash := uint64(fnvOffset)
 	opts := engine.Options{MaxCycles: runCycleCap, CrossValidate: true, RetireFn: retireHasher(&hash)}
-	res, err := NewCore(k, im, opts).Run(opts)
+	c, err := newSim(k, im, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run(opts)
 	if err != nil {
 		t.Fatalf("run %s/%s: %v", k.Name, w, err)
 	}

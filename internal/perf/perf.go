@@ -2,29 +2,28 @@ package perf
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"straight/internal/bench"
-	"straight/internal/cores/cgcore"
+	"straight/internal/cores"
 	"straight/internal/cores/engine"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
 	"straight/internal/program"
 	"straight/internal/uarch"
 	"straight/internal/workloads"
 )
 
-// CoreKind selects which cycle core a kernel runs on.
-type CoreKind string
+// CoreKind names a kernel's cycle core: a core registry name. It is the
+// sweep points' bench.CoreKind, so one enum type serves both.
+type CoreKind = bench.CoreKind
 
+// The registry names of the kernels' cores. They stay because the
+// benchmark module (benchmark/, compiled separately) compares
+// Kernel.Kind against them.
 const (
-	// KindStraight is the STRAIGHT core (distance operands).
-	KindStraight CoreKind = "straight"
-	// KindSS is the superscalar baseline (RMT/free-list rename).
-	KindSS CoreKind = "ss"
-	// KindCG is the coarse-grain OoO comparison core (SS rename,
-	// block-granular issue; arXiv 1606.01607).
-	KindCG CoreKind = "cg"
+	KindStraight = bench.CoreStraight
+	KindSS       = bench.CoreSS
+	KindCG       = bench.CoreCG
 )
 
 // Kernel names one simulated machine: a core kind at a width.
@@ -32,7 +31,7 @@ type Kernel struct {
 	// Name identifies the kernel in benchmark output and JSON baselines
 	// (e.g. "straight-4way").
 	Name string
-	// Kind selects the cycle core.
+	// Kind selects the cycle core (a core registry name).
 	Kind CoreKind
 	// Cfg is the Table I model configuration.
 	Cfg uarch.Config
@@ -72,48 +71,41 @@ func AllKernels() []Kernel {
 }
 
 // KernelByName returns the kernel with the given Name (searching the
-// golden-pinned and extra lists).
+// golden-pinned and extra lists). The error for an unknown name lists
+// the valid ones.
 func KernelByName(name string) (Kernel, error) {
+	var names []string
 	for _, k := range AllKernels() {
 		if k.Name == name {
 			return k, nil
 		}
+		names = append(names, k.Name)
 	}
-	return Kernel{}, fmt.Errorf("perf: unknown kernel %q", name)
+	return Kernel{}, fmt.Errorf("perf: unknown kernel %q (valid: %s)", name, strings.Join(names, ", "))
 }
 
 // BuildImage compiles the workload for the kernel's ISA (cached by
 // internal/bench's singleflight build cache). STRAIGHT images use the
 // RE+ compiler at the paper's distance bound, matching the headline
-// figures; the rename-based kernels (SS, CG) share the RISC-V build.
+// figures; the RISC-V kernels (SS, CG) share the RISC-V build.
 func BuildImage(k Kernel, w workloads.Workload, iters int) (*program.Image, error) {
-	if k.Kind == KindStraight {
+	m, err := cores.Lookup(string(k.Kind))
+	if err != nil {
+		return nil, fmt.Errorf("perf: %w", err)
+	}
+	if m.ISA == cores.ISAStraight {
 		return bench.BuildSTRAIGHT(w, iters, k.Cfg.MaxDistance, bench.ModeREP)
 	}
 	return bench.BuildRISCV(w, iters)
 }
 
-// Core is the interface every cycle core's thin wrapper satisfies (they
-// all front the same engine); perf drives whichever kind the kernel
-// names through it.
-type Core interface {
-	Run(opts engine.Options) (*engine.Result, error)
-	RunCycles(opts engine.Options, n int64) error
-	Reset(img *program.Image)
-	Exited() bool
-	Stats() uarch.Stats
-}
-
-// NewCore constructs the kernel's core over the image.
-func NewCore(k Kernel, im *program.Image, opts engine.Options) Core {
-	switch k.Kind {
-	case KindStraight:
-		return straightcore.New(k.Cfg, im, opts)
-	case KindCG:
-		return cgcore.New(k.Cfg, im, opts)
-	default:
-		return sscore.New(k.Cfg, im, opts)
+// newSim constructs the kernel's core over the image.
+func newSim(k Kernel, im *program.Image, opts engine.Options) (cores.Sim, error) {
+	m, err := cores.Lookup(string(k.Kind))
+	if err != nil {
+		return nil, fmt.Errorf("perf: %w", err)
 	}
+	return m.New(k.Cfg, im, opts), nil
 }
 
 // RunResult is one measured simulation.
@@ -147,19 +139,10 @@ func Run(k Kernel, im *program.Image) (RunResult, error) {
 	return RunWith(k, im, Options{})
 }
 
-// RunWith is Run with an explicit measurement mode.
+// RunWith is Run with an explicit measurement mode: one run of a fresh
+// Runner, core construction included in the timing.
 func RunWith(k Kernel, im *program.Image, o Options) (RunResult, error) {
-	start := time.Now()
-	res, err := NewCore(k, im, engine.Options{}).
-		Run(engine.Options{MaxCycles: runCycleCap, NoIdleSkip: o.NoIdleSkip})
-	if err != nil {
-		return RunResult{}, err
-	}
-	elapsed := time.Since(start)
-	if err := res.Stats.Check(k.Cfg); err != nil {
-		return RunResult{}, err
-	}
-	return RunResult{Stats: res.Stats, Elapsed: elapsed}, nil
+	return NewRunner(k, o).Run(im)
 }
 
 // Runner multiplexes many runs through one reusable core: the first Run
@@ -170,8 +153,7 @@ func RunWith(k Kernel, im *program.Image, o Options) (RunResult, error) {
 type Runner struct {
 	k    Kernel
 	o    Options
-	core Core
-	runs int
+	core cores.Sim
 }
 
 // NewRunner returns a batch runner for the kernel. No core is built
@@ -180,15 +162,16 @@ func NewRunner(k Kernel, o Options) *Runner {
 	return &Runner{k: k, o: o}
 }
 
-// Runs reports how many simulations this runner has executed.
-func (r *Runner) Runs() int { return r.runs }
-
 // Run simulates the image to completion, reusing the core from the
 // previous call when there was one.
 func (r *Runner) Run(im *program.Image) (RunResult, error) {
 	start := time.Now()
 	if r.core == nil {
-		r.core = NewCore(r.k, im, engine.Options{})
+		c, err := newSim(r.k, im, engine.Options{})
+		if err != nil {
+			return RunResult{}, err
+		}
+		r.core = c
 	} else {
 		r.core.Reset(im)
 	}
@@ -200,7 +183,6 @@ func (r *Runner) Run(im *program.Image) (RunResult, error) {
 	if err := res.Stats.Check(r.k.Cfg); err != nil {
 		return RunResult{}, err
 	}
-	r.runs++
 	return RunResult{Stats: res.Stats, Elapsed: elapsed}, nil
 }
 
@@ -222,21 +204,7 @@ func MeasureKIPS(k Kernel, count int) (kips float64, retired uint64, err error) 
 
 // MeasureKIPSWith is MeasureKIPS with an explicit measurement mode.
 func MeasureKIPSWith(k Kernel, count int, o Options) (kips float64, retired uint64, err error) {
-	im, err := BuildImage(k, BenchWorkload, BenchIters)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i := 0; i < count; i++ {
-		res, err := RunWith(k, im, o)
-		if err != nil {
-			return 0, 0, err
-		}
-		retired = res.Stats.Retired
-		if v := res.KIPS(); v > kips {
-			kips = v
-		}
-	}
-	return kips, retired, nil
+	return bestOf(k, count, func() *Runner { return NewRunner(k, o) })
 }
 
 // MeasureBatchKIPS measures throughput in batch mode: `count` runs of
@@ -244,13 +212,19 @@ func MeasureKIPSWith(k Kernel, count int, o Options) (kips float64, retired uint
 // (the first, core-constructing run is still timed). Best-of-N, like
 // MeasureKIPS.
 func MeasureBatchKIPS(k Kernel, count int) (kips float64, retired uint64, err error) {
+	r := NewRunner(k, Options{})
+	return bestOf(k, count, func() *Runner { return r })
+}
+
+// bestOf builds the benchmark workload and runs it count times, each on
+// the runner next returns, keeping the highest KIPS.
+func bestOf(k Kernel, count int, next func() *Runner) (kips float64, retired uint64, err error) {
 	im, err := BuildImage(k, BenchWorkload, BenchIters)
 	if err != nil {
 		return 0, 0, err
 	}
-	r := NewRunner(k, Options{})
 	for i := 0; i < count; i++ {
-		res, err := r.Run(im)
+		res, err := next().Run(im)
 		if err != nil {
 			return 0, 0, err
 		}

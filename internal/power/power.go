@@ -22,16 +22,6 @@ import (
 	"straight/internal/uarch"
 )
 
-// CoreKind identifies which front end produced the statistics.
-type CoreKind int
-
-const (
-	// KindSS is the superscalar with RMT renaming.
-	KindSS CoreKind = iota
-	// KindStraight is the STRAIGHT core with RP operand determination.
-	KindStraight
-)
-
 // Coefficients are energy-per-event weights (arbitrary units; only
 // ratios matter for the relative figures).
 type Coefficients struct {
@@ -111,25 +101,23 @@ func voltageFactor(freqMult float64) float64 {
 }
 
 // Analyze converts run statistics into per-module average power at the
-// given frequency multiplier (1.0 = baseline clock).
-func (m *Model) Analyze(s *uarch.Stats, kind CoreKind, freqMult float64) Breakdown {
+// given frequency multiplier (1.0 = baseline clock). The rename module
+// sums both operand-determination families: a rename policy counts RMT,
+// free-list and ROB-walk events, the STRAIGHT policy RP additions and
+// SP updates, and each leaves the other family at zero.
+func (m *Model) Analyze(s *uarch.Stats, freqMult float64) Breakdown {
 	cyc := float64(s.Cycles)
 	if cyc == 0 {
 		cyc = 1
 	}
 	c := m.C
 
-	var rename float64
-	switch kind {
-	case KindSS:
-		rename = c.RMTRead*float64(s.RenameReads) +
-			c.RMTWrite*float64(s.RenameWrites) +
-			c.FreeListOp*float64(s.FreeListOps) +
-			c.ROBWalkStep*float64(s.ROBWalkSteps)
-	case KindStraight:
-		rename = c.RPAdd*float64(s.RPAdditions) +
-			c.SPAddExec*float64(s.SPAddExecuted)
-	}
+	rename := c.RMTRead*float64(s.RenameReads) +
+		c.RMTWrite*float64(s.RenameWrites) +
+		c.FreeListOp*float64(s.FreeListOps) +
+		c.ROBWalkStep*float64(s.ROBWalkSteps) +
+		c.RPAdd*float64(s.RPAdditions) +
+		c.SPAddExec*float64(s.SPAddExecuted)
 
 	regfile := c.RegRead*float64(s.RegReads) + c.RegWrite*float64(s.RegWrites)
 
@@ -162,24 +150,22 @@ type Figure17Row struct {
 // STRAIGHT at the given frequency multipliers, each normalized to the
 // SS module's power at the first (baseline) multiplier.
 func (m *Model) Figure17(ss, st *uarch.Stats, freqs []float64) []Figure17Row {
-	base := m.Analyze(ss, KindSS, freqs[0])
+	modules := []struct {
+		name string
+		of   func(Breakdown) float64
+	}{
+		{"Rename Logic", func(b Breakdown) float64 { return b.Rename }},
+		{"Register File", func(b Breakdown) float64 { return b.RegFile }},
+		{"Other Modules", func(b Breakdown) float64 { return b.Other }},
+	}
+	base := m.Analyze(ss, freqs[0])
 	var rows []Figure17Row
-	for _, mod := range []string{"Rename Logic", "Register File", "Other Modules"} {
+	for _, mod := range modules {
+		norm := mod.of(base)
 		for _, f := range freqs {
-			bs := m.Analyze(ss, KindSS, f)
-			bt := m.Analyze(st, KindStraight, f)
-			var sv, tv, norm float64
-			switch mod {
-			case "Rename Logic":
-				sv, tv, norm = bs.Rename, bt.Rename, base.Rename
-			case "Register File":
-				sv, tv, norm = bs.RegFile, bt.RegFile, base.RegFile
-			case "Other Modules":
-				sv, tv, norm = bs.Other, bt.Other, base.Other
-			}
 			rows = append(rows, Figure17Row{
-				Module: mod, FreqMult: f,
-				SS: sv / norm, Straight: tv / norm,
+				Module: mod.name, FreqMult: f,
+				SS: mod.of(m.Analyze(ss, f)) / norm, Straight: mod.of(m.Analyze(st, f)) / norm,
 			})
 		}
 	}
@@ -200,7 +186,7 @@ func FormatRows(rows []Figure17Row) string {
 // "other modules" power (the paper quotes ≈ 5.7% for its small 2-way
 // RTL).
 func (m *Model) RenameShareOfOther(ss *uarch.Stats) float64 {
-	b := m.Analyze(ss, KindSS, 1.0)
+	b := m.Analyze(ss, 1.0)
 	if b.Other == 0 {
 		return 0
 	}

@@ -41,8 +41,8 @@ func TestRenameShareCalibration(t *testing.T) {
 
 func TestStraightRemovesRenamePower(t *testing.T) {
 	m := NewModel()
-	ss := m.Analyze(ssStats(), KindSS, 1.0)
-	st := m.Analyze(stStats(), KindStraight, 1.0)
+	ss := m.Analyze(ssStats(), 1.0)
+	st := m.Analyze(stStats(), 1.0)
 	if st.Rename > 0.2*ss.Rename {
 		t.Errorf("STRAIGHT rename power %.3f not nearly removed (SS %.3f)", st.Rename, ss.Rename)
 	}
@@ -55,9 +55,9 @@ func TestStraightRemovesRenamePower(t *testing.T) {
 func TestFrequencyScalingShape(t *testing.T) {
 	m := NewModel()
 	s := ssStats()
-	p1 := m.Analyze(s, KindSS, 1.0).Total()
-	p25 := m.Analyze(s, KindSS, 2.5).Total()
-	p40 := m.Analyze(s, KindSS, 4.0).Total()
+	p1 := m.Analyze(s, 1.0).Total()
+	p25 := m.Analyze(s, 2.5).Total()
+	p40 := m.Analyze(s, 4.0).Total()
 	if !(p1 < p25 && p25 < p40) {
 		t.Fatal("power must increase with frequency")
 	}
@@ -89,7 +89,7 @@ func TestFigure17Normalization(t *testing.T) {
 
 func TestZeroCyclesIsSafe(t *testing.T) {
 	m := NewModel()
-	b := m.Analyze(&uarch.Stats{}, KindSS, 1.0)
+	b := m.Analyze(&uarch.Stats{}, 1.0)
 	if b.Total() < 0 {
 		t.Error("zero stats must not produce negative power")
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"straight/internal/bench"
+	"straight/internal/cores/engine"
 	"straight/internal/cores/sscore"
 	"straight/internal/cores/straightcore"
 	"straight/internal/ptrace"
@@ -34,7 +35,7 @@ func TestTraceIdenticalWithIdleSkip(t *testing.T) {
 		run := func(noskip bool) ([]byte, *ptrace.Series, uarch.Stats, int64) {
 			var buf bytes.Buffer
 			tr := ptrace.New(&buf, ptrace.Config{Window: 500})
-			opts := straightcore.Options{MaxCycles: 200_000_000, Tracer: tr, NoIdleSkip: noskip}
+			opts := engine.Options{MaxCycles: 200_000_000, Tracer: tr, NoIdleSkip: noskip}
 			core := straightcore.New(cfg, im, opts)
 			res, err := core.Run(opts)
 			if err != nil {
@@ -70,7 +71,7 @@ func TestTraceIdenticalWithIdleSkip(t *testing.T) {
 		run := func(noskip bool) ([]byte, *ptrace.Series, uarch.Stats, int64) {
 			var buf bytes.Buffer
 			tr := ptrace.New(&buf, ptrace.Config{Window: 500})
-			opts := sscore.Options{MaxCycles: 200_000_000, Tracer: tr, NoIdleSkip: noskip}
+			opts := engine.Options{MaxCycles: 200_000_000, Tracer: tr, NoIdleSkip: noskip}
 			core := sscore.New(cfg, im, opts)
 			res, err := core.Run(opts)
 			if err != nil {

@@ -20,10 +20,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"straight/internal/cores/cgcore"
+	"straight/internal/cores"
 	"straight/internal/cores/engine"
-	"straight/internal/cores/sscore"
-	"straight/internal/cores/straightcore"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/isa/riscv"
@@ -93,16 +91,6 @@ func (p Plan) Validate() error {
 			p.Window, p.Interval)
 	}
 	return nil
-}
-
-// Core is the detailed-simulation surface sampling needs; the three
-// policy wrappers (straightcore, sscore, cgcore) all satisfy it.
-type Core interface {
-	Restart(img *program.Image, ck engine.ArchState) error
-	AdoptWarm(w *uarch.WarmState)
-	Run(opts engine.Options) (*engine.Result, error)
-	Stats() uarch.Stats
-	Exited() bool
 }
 
 // checkpoint is what the fast-forward machine hands the window runner:
@@ -200,34 +188,30 @@ func (f riscvFF) SetWarm(w *uarch.WarmState) {
 
 // Target binds a workload image to a core policy and configuration.
 type Target struct {
-	// Policy is "straight", "ss" or "cg" (perf.CoreKind values).
+	// Policy is a core registry name ("straight", "ss", "cg").
 	Policy string
 	Cfg    uarch.Config
 	Img    *program.Image
 
-	newFF   func() ffMachine
-	newCore func() Core
+	machine cores.Machine
 }
 
-// NewTarget builds a sampling target for a policy name ("straight",
-// "ss", "cg"), core configuration, and image. STRAIGHT policies
-// fast-forward on straightemu; the RISC-V policies (ss, cg) on riscvemu.
+// NewTarget builds a sampling target for a core registry name, core
+// configuration, and image.
 func NewTarget(policy string, cfg uarch.Config, img *program.Image) (*Target, error) {
-	t := &Target{Policy: policy, Cfg: cfg, Img: img}
-	switch policy {
-	case "straight":
-		t.newFF = func() ffMachine { return straightFF{straightemu.New(img)} }
-		t.newCore = func() Core { return straightcore.New(cfg, img, engine.Options{}) }
-	case "ss":
-		t.newFF = func() ffMachine { return riscvFF{riscvemu.New(img)} }
-		t.newCore = func() Core { return sscore.New(cfg, img, engine.Options{}) }
-	case "cg":
-		t.newFF = func() ffMachine { return riscvFF{riscvemu.New(img)} }
-		t.newCore = func() Core { return cgcore.New(cfg, img, engine.Options{}) }
-	default:
-		return nil, fmt.Errorf("sampling: unknown policy %q (want straight, ss or cg)", policy)
+	m, err := cores.Lookup(policy)
+	if err != nil {
+		return nil, fmt.Errorf("sampling: %w", err)
 	}
-	return t, nil
+	return &Target{Policy: policy, Cfg: cfg, Img: img, machine: m}, nil
+}
+
+// newFF builds the fast-forward emulator of the policy's ISA.
+func (t *Target) newFF() ffMachine {
+	if t.machine.ISA == cores.ISAStraight {
+		return straightFF{straightemu.New(t.Img)}
+	}
+	return riscvFF{riscvemu.New(t.Img)}
 }
 
 // Options control one sampled run.
@@ -444,7 +428,7 @@ func runWindows(t *Target, plan Plan, opts Options, pts []point) ([]WindowResult
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var core Core // built on first real window, reused via Restart
+			var core cores.Sim // built on first real window, reused via Restart
 			for idx := range next {
 				if failed.Load() {
 					continue
@@ -476,7 +460,7 @@ func runWindows(t *Target, plan Plan, opts Options, pts []point) ([]WindowResult
 // else Restart-from-checkpoint, discarded warmup, measured window.
 // *core is the worker's reusable core, built lazily so fully-cached
 // sweeps construct no cores at all.
-func runOneWindow(t *Target, plan Plan, opts Options, core *Core, idx int, p point) (WindowResult, error) {
+func runOneWindow(t *Target, plan Plan, opts Options, core *cores.Sim, idx int, p point) (WindowResult, error) {
 	key, err := windowKey(t, plan, p.enc)
 	if err != nil {
 		return WindowResult{}, err
@@ -495,7 +479,7 @@ func runOneWindow(t *Target, plan Plan, opts Options, core *Core, idx int, p poi
 	}
 
 	if *core == nil {
-		*core = t.newCore()
+		*core = t.machine.New(t.Cfg, t.Img, engine.Options{})
 	}
 	c := *core
 	if err := c.Restart(t.Img, p.ck); err != nil {
@@ -517,7 +501,7 @@ func runOneWindow(t *Target, plan Plan, opts Options, core *Core, idx int, p poi
 		warmup = 0
 	}
 	ropts := engine.Options{NoIdleSkip: opts.NoIdleSkip, Interrupt: opts.Interrupt}
-	if warmup > 0 && !c.Exited() {
+	if warmup > 0 && !c.HasExited() {
 		// The core's retired counter restarts at zero, so bounds are
 		// window-relative. MaxInsns may overshoot by up to CommitWidth-1
 		// — deterministically, so cached and fresh results still agree.
@@ -527,7 +511,7 @@ func runOneWindow(t *Target, plan Plan, opts Options, core *Core, idx int, p poi
 		}
 	}
 	s0 := c.Stats()
-	if !c.Exited() {
+	if !c.HasExited() {
 		ropts.MaxInsns = s0.Retired + window
 		if _, err := c.Run(ropts); err != nil {
 			return WindowResult{}, fmt.Errorf("measure: %w", err)

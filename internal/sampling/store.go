@@ -55,25 +55,17 @@ func windowKey(t *Target, plan Plan, enc []byte) (resultstore.Key, error) {
 	return kh.Sum(), nil
 }
 
-// isaName maps a core policy to the ISA its fast-forward runs on: the
-// checkpoint sequence is architectural state only, so ss and cg (both
-// RV32IM) share cached fast-forwards.
-func isaName(policy string) string {
-	if policy == "straight" {
-		return "straight"
-	}
-	return "riscv"
-}
-
 // ffKey derives the content address of a fast-forward outcome. Only the
 // fields that shape the checkpoint sequence participate: the ISA, the
 // semantic image content, where checkpoints are taken (Interval/Offset)
-// and the instruction cap. Warmup/Window/WarmMem are window-time
+// and the instruction cap. The checkpoint sequence is architectural
+// state only, so ss and cg (both RV32IM) share cached fast-forwards.
+// Warmup/Window/WarmMem are window-time
 // concerns and deliberately excluded, so plans that differ only in how
 // they warm or measure share one cached fast-forward.
 func ffKey(t *Target, plan Plan, limit uint64) resultstore.Key {
 	kh := resultstore.NewKeyHasher(ffSchema)
-	kh.String("isa", isaName(t.Policy))
+	kh.String("isa", t.machine.ISA)
 	kh.Int("entry", int64(t.Img.Entry))
 	kh.Int("text_base", int64(t.Img.TextBase))
 	text := make([]byte, 0, 4*len(t.Img.Text))

@@ -29,6 +29,10 @@ else
 fi
 
 go test ./...
+# The benchmark is a nested module (benchmark/go.mod), so the root
+# `./...` patterns above never compile it. Vet and test it here so an
+# API change that breaks the benchmark fails tier-1.
+(cd benchmark && go vet ./... && go test ./...)
 go test -race ./internal/bench/...
 go test -race ./internal/ptrace/...
 # The result store and the straightd daemon are exercised by concurrent
