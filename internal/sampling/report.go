@@ -100,6 +100,11 @@ type StallShare struct {
 // Timing is the wall-clock accounting of a sampled run. It is excluded
 // from Report.Fingerprint: timings differ run to run by nature.
 type Timing struct {
+	// FFSeconds is the wall time from the start of the run until the
+	// fast-forward finished (checkpoint sequence stored); windows
+	// simulate concurrently with it. WindowSeconds is the tail after
+	// that, when only windows run, so FF + Window = Wall. A fully-cached
+	// run has no fast-forward: its whole wall time is WindowSeconds.
 	FFSeconds     float64 `json:"ff_seconds"`
 	WindowSeconds float64 `json:"window_seconds"`
 	WallSeconds   float64 `json:"wall_seconds"`
@@ -144,10 +149,14 @@ type Report struct {
 	StallShares []StallShare `json:"stall_shares"`
 
 	Timing Timing `json:"timing"`
+
+	// snapshots is how many warm-state snapshots the run allocated
+	// (bounded by Workers+1; 0 on the fully-cached path).
+	snapshots int
 }
 
 // reconstruct builds the whole-program estimate from the measured
-// windows (phase 3 of Run).
+// windows, in interval order.
 func reconstruct(t *Target, plan Plan, total uint64, exitCode int32, windows []WindowResult) *Report {
 	rep := &Report{
 		Policy:     t.Policy,

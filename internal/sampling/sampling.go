@@ -6,10 +6,11 @@
 // instructions with statistics discarded, and then measured for an
 // S-instruction sample window. Whole-program IPC/CPI and stall shares
 // are reconstructed from the equal-weighted window measurements with
-// per-metric confidence intervals. Windows fan out across a bounded
-// worker pool with one reusable core per worker, and each window result
-// is content-addressed in the result store by checkpoint hash + core
-// configuration + plan, so re-sweeps only re-simulate dirty windows.
+// per-metric confidence intervals. Windows stream to a bounded worker
+// pool behind the fast-forward, one reusable core per worker, and each
+// window result is content-addressed in the result store by checkpoint
+// hash + core configuration + plan, so re-sweeps only re-simulate dirty
+// windows.
 package sampling
 
 import (
@@ -240,18 +241,20 @@ type Options struct {
 // emulator throughput) far above the long-workload tier.
 const defaultMaxInsns = 2_000_000_000
 
-// point is one selected interval: its start (= checkpoint position),
-// the checkpoint to restart from, and the functionally-warmed
-// microarchitectural snapshot to adopt.
+// point is one checkpoint the fast-forward took: its position and its
+// canonical serialization (the window's content address) — all the
+// cached checkpoint sequence (encodeFFSeq) records.
 type point struct {
 	start uint64
-	ck    checkpoint
-	enc   []byte // ck.MarshalBinary(): the window's content address
-	warm  *uarch.WarmState
+	enc   []byte
 }
 
 // Run fast-forwards the target's workload, measures the plan's sample
 // windows on the detailed core, and reconstructs whole-program metrics.
+// The fast-forward runs on the calling goroutine and streams each
+// checkpoint to the window workers as it is taken, so window k
+// simulates while the emulator runs on toward checkpoint k+1
+// (DESIGN.md §16.7).
 func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
@@ -262,18 +265,24 @@ func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 		limit = defaultMaxInsns
 	}
 
-	// Phase 0: fully-cached fast path. When the store already holds this
-	// image's checkpoint sequence AND every window derived from it, the
-	// whole run — fast-forward included — reduces to hashing. Only
-	// legal with no output sink: a cached run executes nothing, and the
-	// program's console output is produced by execution.
+	// Fully-cached fast path. When the store already holds this image's
+	// checkpoint sequence AND every window derived from it, the whole
+	// run — fast-forward included — reduces to hashing. Only legal with
+	// no output sink: a cached run executes nothing, and the program's
+	// console output is produced by execution.
 	if opts.Store != nil && opts.Output == nil {
 		if rep, ok := runFromStore(t, plan, opts, limit, wallStart); ok {
 			return rep, nil
 		}
 	}
 
-	// Phase 1: functional fast-forward, checkpointing every interval.
+	// Functional fast-forward on this goroutine, checkpointing every
+	// interval; each checkpoint streams straight to the window workers.
+	// A fast-forward error wins over any window error: the deferred
+	// cancel drops the windows still queued and waits for the workers,
+	// so none outlives Run on any path.
+	ws := startWindows(t, plan, opts)
+	defer ws.cancel()
 	ff := t.newFF()
 	if opts.Output != nil {
 		ff.SetOutput(opts.Output)
@@ -315,7 +324,9 @@ func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sampling: marshal checkpoint @%d: %w", target, err)
 		}
-		pts = append(pts, point{start: target, ck: ck, enc: enc, warm: warm.Clone()})
+		p := point{start: target, enc: enc}
+		pts = append(pts, p)
+		ws.submit(p, ck, warm)
 	}
 	ff.SetWarm(nil)
 	done, exitCode := ff.Exited()
@@ -333,15 +344,15 @@ func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 	}
 	ffWall := time.Since(wallStart)
 
-	// Phase 2: fan the windows across the worker pool, one reusable core
-	// per worker (Restart per window, construction once).
-	windows, err := runWindows(t, plan, opts, pts)
+	// Wait for the windows, gathered in interval order.
+	windows, err := ws.results()
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 3: reconstruct whole-program metrics.
+	// Reconstruct whole-program metrics.
 	rep := reconstruct(t, plan, total, exitCode, windows)
+	rep.snapshots = ws.made
 	rep.Timing.FFSeconds = ffWall.Seconds()
 	rep.Timing.WallSeconds = time.Since(wallStart).Seconds()
 	rep.Timing.WindowSeconds = rep.Timing.WallSeconds - rep.Timing.FFSeconds
@@ -404,72 +415,150 @@ func runFromStore(t *Target, plan Plan, opts Options, limit uint64, wallStart ti
 	return rep, true
 }
 
-// runWindows executes every sample window on a bounded pool, returning
-// results in interval order regardless of completion order (same
-// discipline as the bench runner, so reports are identical at any
-// worker count).
-func runWindows(t *Target, plan Plan, opts Options, pts []point) ([]WindowResult, error) {
-	results := make([]WindowResult, len(pts))
-	errs := make([]error, len(pts))
-	if len(pts) == 0 {
-		return results, nil
-	}
+// job is one sample window in flight from the fast-forward to a
+// worker. The checkpoint and warm snapshot it carries are dead once the
+// worker's core has restarted from them, and are dropped right then.
+type job struct {
+	point
+	idx  int
+	ck   checkpoint
+	warm *uarch.WarmState // a pooled snapshot (windowStream.free)
+	res  WindowResult
+	err  error
+}
+
+// windowStream runs sample windows on a fixed set of workers, one
+// reusable core each (Restart per window, construction once), as the
+// fast-forward submits them. Results are kept by interval index, so the
+// report is identical at any worker count.
+//
+// Warm-state snapshots are recycled through a pool of at most Workers+1:
+// a worker returns its snapshot as soon as AdoptWarm has copied it into
+// the core, and the fast-forward blocks for a free one only while every
+// worker is busy — the pool is the stream's back-pressure.
+type windowStream struct {
+	t    *Target
+	plan Plan
+	opts Options
+
+	// queue is buffered to the pool size: every queued job holds a
+	// snapshot, so a submit that got one never blocks on the send.
+	queue  chan *job
+	free   chan *uarch.WarmState
+	made   int         // snapshots allocated so far, at most cap(free)
+	jobs   []*job      // every submitted job, in interval order
+	failed atomic.Bool // a window failed or the run was cancelled
+	closed bool
+	wg     sync.WaitGroup
+}
+
+// startWindows starts the workers of one run.
+func startWindows(t *Target, plan Plan, opts Options) *windowStream {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pts) {
-		workers = len(pts)
+	s := &windowStream{
+		t: t, plan: plan, opts: opts,
+		queue: make(chan *job, workers+1),
+		free:  make(chan *uarch.WarmState, workers+1),
 	}
-	var failed atomic.Bool
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var core cores.Sim // built on first real window, reused via Restart
-			for idx := range next {
-				if failed.Load() {
-					continue
-				}
-				res, err := runOneWindow(t, plan, opts, &core, idx, pts[idx])
-				if err != nil {
-					errs[idx] = fmt.Errorf("sampling: window %d @%d: %w", idx, pts[idx].start, err)
-					failed.Store(true)
-					continue
-				}
-				results[idx] = res
-			}
-		}()
+	s.wg.Add(workers)
+	for range workers {
+		go s.work()
 	}
-	for i := range pts {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	return s
+}
+
+// submit snapshots warm into a pooled WarmState and queues the window
+// starting at p.
+func (s *windowStream) submit(p point, ck checkpoint, warm *uarch.WarmState) {
+	var snap *uarch.WarmState
+	select {
+	case snap = <-s.free:
+	default:
+		if s.made < cap(s.free) {
+			s.made++
+			snap = uarch.NewWarmState(s.t.Cfg)
+		} else {
+			snap = <-s.free
 		}
+	}
+	snap.CopyFrom(warm)
+	w := &job{point: p, idx: len(s.jobs), ck: ck, warm: snap}
+	s.jobs = append(s.jobs, w)
+	s.queue <- w
+}
+
+// recycle returns w's snapshot to the pool and drops its checkpoint.
+// Idempotent.
+func (s *windowStream) recycle(w *job) {
+	if w.warm != nil {
+		s.free <- w.warm
+		w.warm = nil
+	}
+	w.ck = nil
+}
+
+func (s *windowStream) work() {
+	defer s.wg.Done()
+	var core cores.Sim // built on first simulated window, reused via Restart
+	for w := range s.queue {
+		if !s.failed.Load() {
+			w.res, w.err = s.runOne(&core, w)
+			if w.err != nil {
+				w.err = fmt.Errorf("sampling: window %d @%d: %w", w.idx, w.start, w.err)
+				s.failed.Store(true)
+			}
+		}
+		s.recycle(w)
+	}
+}
+
+// close ends the stream and waits for the workers to drain it.
+func (s *windowStream) close() {
+	if !s.closed {
+		s.closed = true
+		close(s.queue)
+		s.wg.Wait()
+	}
+}
+
+// cancel drops the windows not yet started and waits for the workers.
+func (s *windowStream) cancel() {
+	s.failed.Store(true)
+	s.close()
+}
+
+// results waits for every submitted window and returns them in interval
+// order, or the lowest-index window error.
+func (s *windowStream) results() ([]WindowResult, error) {
+	s.close()
+	results := make([]WindowResult, len(s.jobs))
+	for i, w := range s.jobs {
+		if w.err != nil {
+			return nil, w.err
+		}
+		results[i] = w.res
 	}
 	return results, nil
 }
 
-// runOneWindow measures one sample window: result-store lookup first,
-// else Restart-from-checkpoint, discarded warmup, measured window.
-// *core is the worker's reusable core, built lazily so fully-cached
-// sweeps construct no cores at all.
-func runOneWindow(t *Target, plan Plan, opts Options, core *cores.Sim, idx int, p point) (WindowResult, error) {
-	key, err := windowKey(t, plan, p.enc)
+// runOne measures one sample window: result-store lookup first, else
+// Restart-from-checkpoint, discarded warmup, measured window. *core is
+// the worker's reusable core, built lazily so fully-cached sweeps
+// construct no cores at all.
+func (s *windowStream) runOne(core *cores.Sim, w *job) (WindowResult, error) {
+	t, plan, opts := s.t, s.plan, s.opts
+	key, err := windowKey(t, plan, w.enc)
 	if err != nil {
 		return WindowResult{}, err
 	}
 	if opts.Store != nil {
 		if raw, ok := opts.Store.Get(key); ok {
 			if wr, err := decodeWindow(raw); err == nil {
-				wr.Index = idx
-				wr.Start = p.start
+				wr.Index = w.idx
+				wr.Start = w.start
 				wr.Key = key.String()
 				wr.Cached = true
 				return wr, nil
@@ -482,12 +571,13 @@ func runOneWindow(t *Target, plan Plan, opts Options, core *cores.Sim, idx int, 
 		*core = t.machine.New(t.Cfg, t.Img, engine.Options{})
 	}
 	c := *core
-	if err := c.Restart(t.Img, p.ck); err != nil {
+	if err := c.Restart(t.Img, w.ck); err != nil {
 		return WindowResult{}, err
 	}
-	c.AdoptWarm(p.warm)
+	c.AdoptWarm(w.warm)
+	s.recycle(w)
 	warmup, window := plan.Warmup, plan.Window
-	if p.start == 0 && plan.Window == plan.Interval {
+	if w.start == 0 && plan.Window == plan.Interval {
 		// Dense tiling plans measure every instruction, and the entry
 		// window restores at instruction 0, where cold state *is* the
 		// true machine state — a warmup would discard real instructions
@@ -520,8 +610,8 @@ func runOneWindow(t *Target, plan Plan, opts Options, core *cores.Sim, idx int, 
 	delta := c.Stats().Sub(s0)
 
 	wr := WindowResult{
-		Index:         idx,
-		Start:         p.start,
+		Index:         w.idx,
+		Start:         w.start,
 		Key:           key.String(),
 		WarmupRetired: s0.Retired,
 		Retired:       delta.Retired,

@@ -189,6 +189,47 @@ func TestSampledDeterminism(t *testing.T) {
 	}
 }
 
+// TestSampledWorkerInvariance: windows stream to the workers while the
+// fast-forward runs, so completion order varies with the worker count;
+// the report must not. Covers a dense plan on both ISAs and a
+// DefaultPlan run with several windows in flight at once.
+func TestSampledWorkerInvariance(t *testing.T) {
+	cases := []struct {
+		kernel string
+		c      matrixCase
+	}{
+		{"straight-2way", matrixCase{w: workloads.MicroFib, iters: 1, plan: densePlan()}},
+		{"ss-2way", matrixCase{w: workloads.MicroFib, iters: 1, plan: densePlan()}},
+		// 80 iterations retire ~3.1M instructions: 4 DefaultPlan windows.
+		{"straight-4way", matrixCase{w: workloads.DhrystoneLong, iters: 80, plan: sampling.DefaultPlan()}},
+	}
+	for _, tc := range cases {
+		if testing.Short() && tc.c.w == workloads.DhrystoneLong {
+			continue
+		}
+		k, err := perf.KernelByName(tc.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt := buildTarget(t, k, tc.c)
+		var want []byte
+		for _, workers := range []int{1, 2, 8} {
+			rep, err := sampling.Run(tgt, tc.c.plan, sampling.Options{Workers: workers})
+			if err != nil {
+				t.Fatalf("%s/%s workers=%d: %v", tc.c.w, tc.kernel, workers, err)
+			}
+			if len(rep.Windows) < 3 {
+				t.Fatalf("%s/%s: %d windows, want at least 3", tc.c.w, tc.kernel, len(rep.Windows))
+			}
+			if want == nil {
+				want = rep.Fingerprint()
+			} else if !bytes.Equal(rep.Fingerprint(), want) {
+				t.Errorf("%s/%s: fingerprint at workers=%d differs from workers=1", tc.c.w, tc.kernel, workers)
+			}
+		}
+	}
+}
+
 // TestSampledNoIdleSkipInvariance: idle-skipping is cycle-exact
 // (DESIGN.md §12) and deliberately excluded from the window cache key,
 // so both stepping modes must produce identical report fingerprints.

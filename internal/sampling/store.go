@@ -96,7 +96,11 @@ type ffSeq struct {
 //	u64 total, u32 exit-code (two's complement), u32 count,
 //	count × (u64 start, u32 len, len bytes)
 func encodeFFSeq(points []point, total uint64, exit int32) []byte {
-	b := binary.LittleEndian.AppendUint64(nil, total)
+	n := 16
+	for _, p := range points {
+		n += 12 + len(p.enc)
+	}
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, n), total)
 	b = binary.LittleEndian.AppendUint32(b, uint32(exit))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(points)))
 	for _, p := range points {

@@ -33,11 +33,14 @@ type WarmState struct {
 	// begins with an empty stack and each return that unwinds past the
 	// restart point mispredicts — ruinous for call-heavy workloads.
 	RAS *RAS
+
+	cfg Config // construction config, for Clone
 }
 
 // NewWarmState builds the replica structures for a model config.
 func NewWarmState(cfg Config) *WarmState {
 	w := &WarmState{
+		cfg:  cfg,
 		Hier: NewHierarchy(cfg),
 		BTB:  NewBTB(cfg.BTBEntries),
 		RAS:  NewRAS(cfg.RASEntries),
@@ -48,22 +51,28 @@ func NewWarmState(cfg Config) *WarmState {
 	return w
 }
 
-// Clone snapshots the warm state (taken at every checkpoint: the
-// original keeps training while windows restart from the snapshot).
+// Clone snapshots the warm state into fresh structures.
 func (w *WarmState) Clone() *WarmState {
-	cp := &WarmState{
-		Hier: NewHierarchy(w.Hier.cfg()),
-		BTB:  NewBTB(len(w.BTB.entries)),
-		RAS:  NewRAS(w.RAS.size),
-	}
-	cp.Hier.CopyStateFrom(w.Hier)
-	cp.BTB.CopyFrom(w.BTB)
-	cp.RAS.CopyFrom(w.RAS)
-	if w.Dir != nil {
-		cp.Dir = NewGshare(int(w.Dir.histBits), len(w.Dir.table))
-		cp.Dir.CopyFrom(w.Dir)
-	}
+	cp := NewWarmState(w.cfg)
+	cp.CopyFrom(w)
 	return cp
+}
+
+// CopyFrom overwrites w with src's replica state, reusing w's
+// structures: the allocation-free snapshot the sampler takes at every
+// checkpoint into a recycled WarmState (the original keeps training
+// while windows restart from the snapshot). Geometries must match
+// (both built from the same Config).
+func (w *WarmState) CopyFrom(src *WarmState) {
+	if (w.Dir == nil) != (src.Dir == nil) || (w.Hier.L3 == nil) != (src.Hier.L3 == nil) {
+		panic("uarch: WarmState.CopyFrom geometry mismatch")
+	}
+	w.Hier.CopyStateFrom(src.Hier)
+	w.BTB.CopyFrom(src.BTB)
+	w.RAS.CopyFrom(src.RAS)
+	if w.Dir != nil {
+		w.Dir.CopyFrom(src.Dir)
+	}
 }
 
 // Inst warms the instruction side for a retired instruction at pc.
@@ -107,23 +116,6 @@ func (w *WarmState) Call(ret uint32) { w.RAS.Push(ret) }
 func (w *WarmState) Return() { w.RAS.Pop() }
 
 // ---- warm accessors on the replicated structures ----
-
-// cfgOf recovers the construction config of a hierarchy (for Clone).
-func (h *Hierarchy) cfg() Config {
-	c := Config{
-		L1I:        h.L1I.cfg,
-		L1D:        h.L1D.cfg,
-		L2:         h.L2.cfg,
-		MemLatency: h.memLat,
-		MSHRs:      len(h.mshr),
-		NoPrefetch: h.prefetch == nil,
-	}
-	if h.L3 != nil {
-		l3 := h.L3.cfg
-		c.L3 = &l3
-	}
-	return c
-}
 
 // WarmInst touches the instruction path without timing: a miss fills
 // every level on the path, exactly as a demand fetch would.

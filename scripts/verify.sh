@@ -49,9 +49,10 @@ go test ./internal/perf -run TestSteadyStateAllocs
 # Sampled simulation (DESIGN.md §16): windows fan out over a worker
 # pool sharing one result store, so the runner must be race-clean. The
 # accuracy matrix is too slow under instrumentation; the determinism,
-# idle-skip-invariance and offset tests exercise the same pool, store,
-# and fully-cached fast path.
-go test -race ./internal/sampling -run 'TestSampledDeterminism|TestSampledNoIdleSkipInvariance|TestSampledOffset'
+# idle-skip-invariance, offset and streaming tests (worker-count
+# invariance, snapshot-pool bound, error paths, stored checkpoint
+# sequence) exercise the same pool, store, and fully-cached fast path.
+go test -race ./internal/sampling -run 'TestSampledDeterminism|TestSampledNoIdleSkipInvariance|TestSampledOffset|TestSampledWorkerInvariance|TestSnapshotPoolBound|TestStreamErrorPaths|TestFFSeqBytesPinned'
 
 # Bounded differential co-simulation smoke: random programs through the
 # full oracle stack (sverify, strict emulators, cross-ISA observables,
