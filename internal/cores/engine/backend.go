@@ -332,7 +332,7 @@ func (c *Core[I]) applyRecovery() {
 	c.FetchPC = r.TargetPC
 	c.FetchHalted = false
 	for i := 0; i < c.feQueue.Len(); i++ {
-		e := c.feQueue.At(i)
+		e := c.feQueue.Slot(i)
 		if c.tr != nil {
 			c.tr.Squash(e.Tid)
 		}
@@ -400,7 +400,7 @@ func (c *Core[I]) robHasSerialize() bool {
 // commit retires completed µops in order, performing stores and
 // (serialized) syscalls against architectural state, and cross-validates
 // against the golden emulator.
-func (c *Core[I]) commit(opts Options) error {
+func (c *Core[I]) commit(opts *Options) error {
 	for n := 0; n < c.Cfg.CommitWidth && c.ROB.Len() > 0; n++ {
 		u := c.ROB.Front()
 		if !u.Completed || u.Squashed || c.Cycle < u.ReadyAt {

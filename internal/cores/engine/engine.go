@@ -104,6 +104,14 @@ type FEEntry[I Inst] struct {
 	RASSnap    []uint32
 }
 
+// decoded is one predecoded text word: what Policy.Decode returned for
+// it, ok=false marking a word that does not decode.
+type decoded[I Inst] struct {
+	inst I
+	info InstInfo
+	ok   bool
+}
+
 // Uop is an in-flight µop: the shared backend state plus the decoded
 // instruction and the policy payload fields. µops are recycled through a
 // per-core arena, so the steady-state step path never heap-allocates
@@ -175,10 +183,11 @@ type Recovery[I Inst] struct {
 // register pointer, golden emulators) in the policy struct.
 //
 // Hot-path budget: the engine makes at most a handful of Policy calls
-// per retired instruction (Decode, Rename, Execute, CommitRetire,
-// OnRetire, plus PredictControl/UpdatesBTB for control ops), which the
-// KIPS regression guard in scripts/bench.sh holds to the monolithic
-// cores' throughput.
+// per retired instruction (Rename, Execute, CommitRetire, OnRetire,
+// plus PredictControl/UpdatesBTB for control ops), which the KIPS
+// regression guard in scripts/bench.sh holds to the monolithic cores'
+// throughput. Decode is not among them: it runs once per text word
+// when the core predecodes an image, and fetch looks the result up.
 //
 //lint:hotpath
 type Policy[I Inst] interface {
@@ -203,8 +212,9 @@ type Policy[I Inst] interface {
 	// the checkpointed state on top (DESIGN.md §16).
 	Restore(c *Core[I], ck ArchState) error
 
-	// Decode decodes one instruction word; ok=false halts fetch until
-	// the next redirect (wrong-path garbage).
+	// Decode decodes one instruction word; ok=false halts fetch at that
+	// word until the next redirect (wrong-path garbage). It must depend
+	// on raw alone: the core calls it once per text word of an image.
 	Decode(raw uint32) (inst I, info InstInfo, ok bool)
 	// PredictControl produces the front end's next-PC guess for a
 	// control instruction and maintains the RAS.
@@ -289,6 +299,10 @@ type Core[I Inst] struct {
 	feCap           int //lint:resetless capacity, derived from cfg at construction
 	FetchHalted     bool
 
+	// dec holds Policy.Decode of every word of img.Text, indexed by
+	// word, so fetch looks instructions up instead of decoding them.
+	dec []decoded[I] //lint:resetless predecoded text, keyed to img; Reset rebuilds it on image change
+
 	// UseOracle selects the oracle front end (ZeroMispredictPenalty /
 	// PredOracle): the policy's functional emulator is stepped at fetch
 	// to follow the true path.
@@ -324,11 +338,6 @@ type Core[I Inst] struct {
 	// ret is the scratch retirement record finishRetire hands to the
 	// policy, kept on the core so the pointer never escapes to the heap.
 	ret uarch.Retirement
-	// feScratch is the fetch-entry under construction; kept on the core
-	// because its address is passed through the Policy interface
-	// (PredictControl), which would otherwise force a heap allocation
-	// per fetched instruction.
-	feScratch FEEntry[I]
 
 	// Idle-skip state (quiesce.go): lastSig gates skip attempts on the
 	// activity signature of the previous step; skip holds telemetry.
@@ -408,8 +417,23 @@ func New[I Inst](pol Policy[I], cfg uarch.Config, img *program.Image, opts Optio
 	}
 
 	c.UseOracle = cfg.ZeroMispredictPenalty || cfg.Predictor == uarch.PredOracle
+	c.predecode()
 	pol.Init(c, img, c.outBuf)
 	return c
+}
+
+// predecode fills dec for the current image, reusing its backing array
+// when the image fits.
+func (c *Core[I]) predecode() {
+	text := c.img.Text
+	if cap(c.dec) < len(text) {
+		c.dec = make([]decoded[I], len(text))
+	}
+	c.dec = c.dec[:len(text)]
+	for i, w := range text {
+		d := &c.dec[i]
+		d.inst, d.info, d.ok = c.pol.Decode(w)
+	}
 }
 
 // allocUop takes a recycled µop from the arena (growing it only if the
@@ -485,7 +509,7 @@ func (c *Core[I]) Run(opts Options) (*Result, error) {
 		if d := lastProgress + 500_001 - c.Cycle; d < limit {
 			limit = d
 		}
-		if _, err := c.advance(opts, limit); err != nil {
+		if _, err := c.advance(&opts, limit); err != nil {
 			return nil, err
 		}
 	}
@@ -502,7 +526,7 @@ func (c *Core[I]) RunCycles(opts Options, n int64) error {
 	c.InjectBug = opts.InjectBug
 	c.noIdleSkip = opts.NoIdleSkip
 	for done := int64(0); done < n && !c.Exited; {
-		k, err := c.advance(opts, n-done)
+		k, err := c.advance(&opts, n-done)
 		if err != nil {
 			return err
 		}
@@ -520,7 +544,7 @@ func (c *Core[I]) Stats() uarch.Stats { return c.Stat }
 // step advances one cycle: commit, execute-complete, issue, dispatch,
 // fetch, then recovery resolution (order chosen so same-cycle hand-offs
 // behave like a real pipeline with forwarding).
-func (c *Core[I]) step(opts Options) error {
+func (c *Core[I]) step(opts *Options) error {
 	if c.tr != nil {
 		c.tr.BeginCycle(c.Cycle)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"straight/internal/program"
 	"straight/internal/ptrace"
 	"straight/internal/uarch"
 )
@@ -32,23 +33,17 @@ func (c *Core[I]) fetch() {
 	}
 
 	for i := 0; i < c.Cfg.FetchWidth; i++ {
-		if !c.img.ContainsText(pc) {
-			c.FetchHalted = true // wrong path ran off the text segment
-			return
-		}
-		raw, err := c.img.FetchWord(pc)
-		if err != nil {
+		// Misaligned, out-of-text and undecodable PCs (wrong-path
+		// garbage) stop fetch until the next redirect.
+		idx := (pc - c.img.TextBase) / program.InstructionBytes
+		if pc%program.InstructionBytes != 0 || idx >= uint32(len(c.dec)) || !c.dec[idx].ok {
 			c.FetchHalted = true
 			return
 		}
-		inst, info, ok := c.pol.Decode(raw)
-		if !ok {
-			// Wrong-path garbage; stop until a redirect arrives.
-			c.FetchHalted = true
-			return
-		}
-		e := &c.feScratch
-		*e = FEEntry[I]{PC: pc, Inst: inst, Info: info, FetchedAt: c.Cycle}
+		d := &c.dec[idx]
+		inst, info := d.inst, d.info
+		e := c.feQueue.PushBackSlot()
+		e.PC, e.Inst, e.Info, e.FetchedAt = pc, inst, info, c.Cycle
 		if c.tr != nil {
 			e.Tid = c.tr.Fetch(pc, inst.String())
 		}
@@ -79,7 +74,6 @@ func (c *Core[I]) fetch() {
 			e.PredTaken = taken
 			e.PredTarget = target
 		}
-		c.feQueue.PushBack(*e)
 		c.Stat.FetchedInsts++
 		pc = nextPC
 		c.FetchPC = pc
@@ -97,7 +91,7 @@ func (c *Core[I]) TraceStall(cause ptrace.StallCause) {
 	}
 	var id ptrace.ID
 	if c.feQueue.Len() > 0 {
-		id = c.feQueue.Front().Tid
+		id = c.feQueue.Slot(0).Tid
 	}
 	c.tr.Stall(cause, id)
 }
@@ -117,7 +111,7 @@ func (c *Core[I]) dispatch() error {
 			c.TraceStall(ptrace.StallFrontEnd)
 			return nil
 		}
-		e := c.feQueue.Front()
+		e := c.feQueue.Slot(0)
 		if c.Cycle-e.FetchedAt < int64(c.Cfg.FrontEndLatency) {
 			return nil
 		}
@@ -180,22 +174,22 @@ func (c *Core[I]) dispatch() error {
 			spadds++
 		}
 		u.RASSnap = e.RASSnap
-		c.feQueue.PopFront()
+		c.feQueue.PopFront() // e is dead from here on; u carries its fields
 		c.ROB.PushBack(u)
 		if isLoad || isStore {
 			u.LSQE = c.LSQ.Allocate(&u.UOp)
 		}
 		if c.tr != nil {
-			c.tr.Dispatch(e.Tid, u.Dest, u.Src1, u.Src2)
+			c.tr.Dispatch(u.Tid, u.Dest, u.Src1, u.Src2)
 		}
-		if e.Info.Serialize {
+		if u.Serialize {
 			// Executes at commit; ready immediately, skips the scheduler.
 			u.State = uarch.StateDone
 			u.ReadyAt = c.Cycle
 			u.Completed = true
 			c.Serializing = true
 			if c.tr != nil {
-				c.tr.Writeback(e.Tid)
+				c.tr.Writeback(u.Tid)
 			}
 			continue
 		}

@@ -31,7 +31,7 @@ import (
 // made no visible progress. It returns the number of cycles consumed.
 //
 //lint:hotpath
-func (c *Core[I]) advance(opts Options, limit int64) (int64, error) {
+func (c *Core[I]) advance(opts *Options, limit int64) (int64, error) {
 	if !c.noIdleSkip {
 		sig := c.activitySignature()
 		if sig == c.lastSig {
@@ -176,7 +176,7 @@ func (c *Core[I]) dispatchIdleClass(h *uarch.EventHorizon) (cause ptrace.StallCa
 	if c.feQueue.Len() == 0 {
 		return ptrace.StallFrontEnd, true, 0, true
 	}
-	e := c.feQueue.Front()
+	e := c.feQueue.Slot(0)
 	if c.Cycle-e.FetchedAt < int64(c.Cfg.FrontEndLatency) {
 		h.Observe(e.FetchedAt + int64(c.Cfg.FrontEndLatency))
 		return 0, false, 0, true

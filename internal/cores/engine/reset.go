@@ -14,8 +14,9 @@ import (
 // per-run allocation or warmup.
 //
 // Pass nil to rerun the current image, or a new image to multiplex a
-// different program through the same core; the configuration (and hence
-// every structure capacity) is unchanged either way. A reset core is
+// different program through the same core; only a new image rebuilds
+// the predecoded text table. The configuration (and hence every
+// structure capacity) is unchanged either way. A reset core is
 // observably identical to a freshly constructed one: the next run's
 // Stats, output, exit code, and retire stream match a fresh core bit
 // for bit (proven by TestResetEquivalence). An attached Tracer is NOT
@@ -24,12 +25,15 @@ func (c *Core[I]) Reset(img *program.Image) {
 	if img == nil {
 		img = c.img
 	}
-	c.img = img
+	if img != c.img {
+		c.img = img
+		c.predecode()
+	}
 
 	// Recycle pooled resources still owned by in-flight state before
 	// clearing the structures that reference them.
 	for i := 0; i < c.feQueue.Len(); i++ {
-		if s := c.feQueue.At(i).RASSnap; s != nil {
+		if s := c.feQueue.Slot(i).RASSnap; s != nil {
 			c.snapPut(s)
 		}
 	}
@@ -65,7 +69,6 @@ func (c *Core[I]) Reset(img *program.Image) {
 	c.Exited = false
 	c.ExitCode = 0
 	c.ret = uarch.Retirement{}
-	c.feScratch = FEEntry[I]{}
 	c.lastSig = ^uint64(0)
 	c.skip = uarch.SkipStats{}
 	c.outBuf.buf = c.outBuf.buf[:0]

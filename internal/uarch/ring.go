@@ -50,6 +50,21 @@ func (r *Ring[T]) PushBack(v T) {
 	r.n++
 }
 
+// PushBackSlot appends a zeroed element at the tail and returns a
+// pointer to it, so a large element can be built in place instead of
+// being assembled elsewhere and copied in. The pointer stays valid
+// while the element is resident and no later push grows the ring.
+func (r *Ring[T]) PushBackSlot() *T {
+	if r.n == len(r.buf) {
+		r.grow(r.n*2 + 1)
+	}
+	p := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
+	var zero T
+	*p = zero
+	r.n++
+	return p
+}
+
 // PushFront prepends v at the head.
 func (r *Ring[T]) PushFront(v T) {
 	if r.n == len(r.buf) {
@@ -61,23 +76,30 @@ func (r *Ring[T]) PushFront(v T) {
 }
 
 // PopFront removes and returns the head element. It panics on an empty
-// ring (the cores guard every pop with an occupancy check).
+// ring (the cores guard every pop with an occupancy check). Returning
+// the slot directly, with no local copy, lets an inlined call whose
+// result is discarded drop the element copy entirely.
 func (r *Ring[T]) PopFront() T {
 	if r.n == 0 {
 		panic("uarch: PopFront on empty ring")
 	}
-	v := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	h := r.head
+	r.head = (h + 1) & (len(r.buf) - 1)
 	r.n--
-	return v
+	return r.buf[h]
 }
 
 // At returns the element i positions from the head (0 = head).
-func (r *Ring[T]) At(i int) T {
+func (r *Ring[T]) At(i int) T { return *r.Slot(i) }
+
+// Slot returns a pointer to the element i positions from the head
+// (0 = head), for reading or updating a large element without copying
+// it. Validity is as for PushBackSlot.
+func (r *Ring[T]) Slot(i int) *T {
 	if i < 0 || i >= r.n {
 		panic("uarch: ring index out of range")
 	}
-	return r.buf[(r.head+i)&(len(r.buf)-1)]
+	return &r.buf[(r.head+i)&(len(r.buf)-1)]
 }
 
 // Front returns the head element without removing it.

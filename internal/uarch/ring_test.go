@@ -189,8 +189,71 @@ func TestRingPanics(t *testing.T) {
 	r := NewRing[int](4)
 	expectPanic("PopFront empty", func() { r.PopFront() })
 	expectPanic("At out of range", func() { r.At(0) })
+	expectPanic("Slot on empty", func() { r.Slot(0) })
+	expectPanic("Slot negative", func() { r.Slot(-1) })
 	expectPanic("Truncate negative", func() { r.Truncate(-1) })
 	r.PushBack(1)
 	expectPanic("Truncate past len", func() { r.Truncate(2) })
 	expectPanic("At past len", func() { r.At(1) })
+	expectPanic("Slot past len", func() { r.Slot(1) })
+}
+
+// feSlot stands in for the fetch queue's entry type: a value field plus
+// a pooled RAS snapshot the previous occupant may have left behind.
+type feSlot struct {
+	PC      uint32
+	RASSnap []uint32
+}
+
+// TestRingPushBackSlotZeroesRecycledSlot pins the in-place build
+// contract: a slot handed out by PushBackSlot is zeroed even when its
+// previous occupant (popped, never cleared) still held a RAS snapshot,
+// so a fetch entry built in place never inherits a stale snapshot.
+func TestRingPushBackSlotZeroesRecycledSlot(t *testing.T) {
+	r := NewRing[feSlot](8)
+	for i := 0; i < 3*r.Cap(); i++ { // every slot recycled twice
+		e := r.PushBackSlot()
+		if e.PC != 0 || e.RASSnap != nil {
+			t.Fatalf("push %d: recycled slot reads %+v, want zero", i, *e)
+		}
+		e.PC = uint32(i)
+		e.RASSnap = []uint32{uint32(i)}
+		if got := r.Front(); got.PC != uint32(i) || len(got.RASSnap) != 1 {
+			t.Fatalf("push %d: Front()=%+v, want the entry built in place", i, got)
+		}
+		r.PopFront()
+	}
+}
+
+// TestRingSlotStableAcrossWraparound checks that a resident element's
+// slot pointer stays valid, and keeps matching Slot, while the head
+// wraps around the backing array below the high-water mark.
+func TestRingSlotStableAcrossWraparound(t *testing.T) {
+	r := NewRing[feSlot](8)
+	for i := 0; i < 6; i++ {
+		r.PushBackSlot().PC = uint32(i)
+	}
+	for i := 0; i < 5; i++ { // head at 5; the last element stays resident
+		r.PopFront()
+	}
+	held := r.Slot(0)
+	for i := 6; i < 13; i++ { // tail wraps past the end of the array
+		r.PushBackSlot().PC = uint32(i)
+	}
+	if r.Cap() != 8 {
+		t.Fatalf("ring grew to %d; the test needs a fixed array", r.Cap())
+	}
+	if held.PC != 5 || r.Slot(0) != held {
+		t.Fatalf("held slot reads PC=%d (same=%v), want PC=5 at Slot(0)", held.PC, r.Slot(0) == held)
+	}
+	for i := 0; i < r.Len(); i++ {
+		p := r.Slot(i)
+		if p.PC != uint32(5+i) {
+			t.Fatalf("Slot(%d).PC=%d, want %d", i, p.PC, 5+i)
+		}
+		p.PC += 100 // writes through the slot are what At reads back
+		if got := r.At(i).PC; got != uint32(105+i) {
+			t.Fatalf("At(%d).PC=%d after a write through Slot, want %d", i, got, 105+i)
+		}
+	}
 }

@@ -29,11 +29,15 @@ go test ./internal/perf -run xxx -bench BenchmarkKernelKIPS -benchtime 1x -count
 if [ "$1" = "update" ]; then
     go run ./cmd/simbench -o BENCH_simkernel.json
 else
-    # Guard both stepping modes: the event-driven idle-skip fast path
-    # (default) and strict cycle-by-cycle stepping (-noskip), so neither
-    # can regress silently (see DESIGN.md §12).
+    # The same guards as CI. Both stepping modes: the event-driven
+    # idle-skip fast path (default) and strict cycle-by-cycle stepping
+    # (-noskip), so neither can regress silently (see DESIGN.md §12).
     go run ./cmd/simbench -compare BENCH_simkernel.json
     go run ./cmd/simbench -noskip -compare BENCH_simkernel.json
+    # Batch core reuse (DESIGN.md §12.3): one core recycled through
+    # Reset, which keeps its predecoded text table for an unchanged
+    # image and rebuilds it for a new one.
+    go run ./cmd/simbench -batch -compare BENCH_simkernel.json
     # Sampled simulation steady state (DESIGN.md §16): effective KIPS of
     # fully-cached sampled runs on the long-workload tier.
     go run ./cmd/simbench -sampled -compare BENCH_simkernel.json
