@@ -188,7 +188,7 @@ func (r *Runner) Run(points []SweepPoint) ([]PointResult, error) {
 					errs[idx] = errSkipped
 					continue
 				}
-				res, err := runPoint(points[idx])
+				res, err := runPoint(points[idx], nil)
 				if err != nil {
 					errs[idx] = fmt.Errorf("%s: %w", points[idx].Name(), err)
 					failed.Store(true)
@@ -221,8 +221,10 @@ var errSkipped = fmt.Errorf("skipped after earlier failure")
 
 // runPoint executes one point: consult the result store, simulate on a
 // miss (or when tracing forces a live run), and record what was
-// computed. ExecutePoint is its exported face for the daemon.
-func runPoint(p SweepPoint) (PointResult, error) {
+// computed. key is the point's content address when the caller already
+// derived it (the daemon keys every point to coalesce it), or nil to
+// derive it here only when the store is consulted.
+func runPoint(p SweepPoint, key *resultstore.Key) (PointResult, error) {
 	if Interrupted() {
 		return PointResult{}, uarch.ErrInterrupted
 	}
@@ -231,31 +233,32 @@ func runPoint(p SweepPoint) (PointResult, error) {
 		tgt = claimTrace(p.Name())
 	}
 	st := resultStore.Load()
-	var key resultstore.Key
-	keyed := false
-	if st != nil && tgt == nil {
-		k, err := PointKey(p)
-		if err == nil {
-			key, keyed = k, true
-			if raw, ok := st.Get(k); ok {
-				if res, derr := decodeStored(p, raw); derr == nil {
-					bumpStore(p.Section, func(c *StoreCounts) { c.Hits++ })
-					return res, nil
-				}
-				// Undecodable or inconsistent entry: treat as a miss and
-				// recompute (the Put below supersedes it).
-			}
-			bumpStore(p.Section, func(c *StoreCounts) { c.Misses++ })
+	if st == nil || tgt != nil {
+		key = nil
+	} else if key == nil {
+		if k, err := PointKey(p); err == nil {
+			key = &k
 		}
+	}
+	if key != nil {
+		if raw, ok := st.Get(*key); ok {
+			if res, derr := decodeStored(p, raw); derr == nil {
+				bumpStore(p.Section, func(c *StoreCounts) { c.Hits++ })
+				return res, nil
+			}
+			// Undecodable or inconsistent entry: treat as a miss and
+			// recompute (the Put below supersedes it).
+		}
+		bumpStore(p.Section, func(c *StoreCounts) { c.Misses++ })
 	}
 	res, err := simulatePoint(p, tgt)
 	if err != nil {
 		return res, err
 	}
 	bumpStore(p.Section, func(c *StoreCounts) { c.Recomputes++ })
-	if keyed {
+	if key != nil {
 		if raw, merr := json.Marshal(res.Data()); merr == nil {
-			if perr := st.Put(key, raw); perr != nil {
+			if perr := st.Put(*key, raw); perr != nil {
 				// A store write failure must not fail the science; the
 				// entry is simply recomputed next time.
 				storePutErrors.Add(1)
@@ -266,10 +269,14 @@ func runPoint(p SweepPoint) (PointResult, error) {
 }
 
 // ExecutePoint runs one sweep point through the store-aware execution
-// path without journaling (the daemon's per-point entry; batch callers
-// use RunPoints).
-func ExecutePoint(p SweepPoint) (PointResult, error) {
-	return runPoint(p)
+// path without journaling (batch callers use RunPoints).
+func ExecutePoint(p SweepPoint) (PointResult, error) { return runPoint(p, nil) }
+
+// ExecuteKeyed is ExecutePoint for a caller that already holds the
+// point's content address, key = PointKey(p): the daemon's per-point
+// entry, which keys every point once to coalesce it.
+func ExecuteKeyed(p SweepPoint, key resultstore.Key) (PointResult, error) {
+	return runPoint(p, &key)
 }
 
 // storePutErrors counts result-store appends that failed (disk full,

@@ -10,8 +10,9 @@
 //	POST /v1/run     — body {"points": [SweepPoint…]}; the response is a
 //	                   newline-delimited JSON stream of PointUpdate
 //	                   records, one per finished point (in completion
-//	                   order, each flushed immediately) followed by a
-//	                   terminal {"done": true} summary record.
+//	                   order, flushed whenever no further record is
+//	                   waiting) followed by a terminal {"done": true}
+//	                   summary record. Bodies over MaxJobBytes get 413.
 //	GET  /v1/stats   — ServerStats snapshot: job/point counters, the
 //	                   coalescing counters, result-store stats and
 //	                   per-section hit/miss/recompute counts.

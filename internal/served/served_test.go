@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -26,9 +28,27 @@ func testPoints() []bench.SweepPoint {
 	}
 }
 
+// distinctPoints returns n functional-emulator points with pairwise
+// different content addresses (the iteration count is in the key), so
+// none of them coalesce with another.
+func distinctPoints(n int) []bench.SweepPoint {
+	pts := make([]bench.SweepPoint, n)
+	for i := range pts {
+		pts[i] = bench.SweepPoint{Section: "served-test", Label: fmt.Sprintf("fib/%d", i),
+			Workload: workloads.MicroFib, Core: bench.CoreEmuRISCV, Iters: i + 1}
+	}
+	return pts
+}
+
+// fakeResult stands in for a simulation in tests whose executor only
+// controls timing.
+func fakeResult(p bench.SweepPoint) (bench.PointResult, error) {
+	return bench.PointResult{Point: p, Retired: uint64(p.Iters)}, nil
+}
+
 // newTestDaemon stands up a Server over an httptest listener with a
 // fresh store, and tears down the package-level bench state afterwards.
-func newTestDaemon(t *testing.T, cfg Config) (*Server, *Client) {
+func newTestDaemon(t testing.TB, cfg Config) (*Server, *Client) {
 	t.Helper()
 	st, err := resultstore.Open(filepath.Join(t.TempDir(), "results.store"), resultstore.Options{Salt: 7})
 	if err != nil {
@@ -272,6 +292,216 @@ func TestShutdownFailsFast(t *testing.T) {
 	_, err := client.Run(testPoints()[:1])
 	if err == nil || !strings.Contains(err.Error(), "shutting down") {
 		t.Fatalf("want shutdown error, got %v", err)
+	}
+}
+
+// TestPanicFailsOnlyItsPoint injects an executor that panics on one
+// point while another job is coalesced onto that point's flight. The
+// panic must fail that point alone, for both jobs, with an error that
+// names its content address; the slot and the flight must be released,
+// so the job's other points and a later job still run.
+func TestPanicFailsOnlyItsPoint(t *testing.T) {
+	points := distinctPoints(3)
+	bad := points[1]
+	badKey, err := bench.PointKey(bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before the daemon's cleanup waits for the requests
+	srv, client := newTestDaemon(t, Config{
+		Workers: 1, // a leaked slot would hang every later point
+		Exec: func(p bench.SweepPoint) (bench.PointResult, error) {
+			<-release
+			if p.Iters == bad.Iters {
+				panic("injected executor panic")
+			}
+			return fakeResult(p)
+		},
+	})
+
+	var mu sync.Mutex
+	status := map[int]string{}
+	jobA := *client
+	jobA.OnUpdate = func(u PointUpdate) {
+		mu.Lock()
+		status[u.Index] = u.Status
+		mu.Unlock()
+	}
+	errA, errB := make(chan error, 1), make(chan error, 1)
+	go func() { _, err := jobA.Run(points); errA <- err }()
+	// Job A's two workers hold points 0 and 1 (the panicking one)…
+	waitFor(t, func() bool { return srv.Stats().Inflight >= 2 })
+	go func() { _, err := client.Run([]bench.SweepPoint{bad}); errB <- err }()
+	// …and job B waits on point 1's flight.
+	waitFor(t, func() bool { return srv.Stats().PointsCoalesced == 1 })
+	unblock()
+
+	for job, ch := range map[string]chan error{"owner": errA, "coalesced waiter": errB} {
+		select {
+		case err := <-ch:
+			if err == nil || !strings.Contains(err.Error(), "injected executor panic") ||
+				!strings.Contains(err.Error(), badKey.String()) {
+				t.Fatalf("%s: want the panic as an error naming key %s, got %v", job, badKey, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: job hung after an executor panic", job)
+		}
+	}
+	mu.Lock()
+	for i := range points {
+		want := "done"
+		if i == 1 {
+			want = "error"
+		}
+		if status[i] != want {
+			t.Errorf("point %d: status %q, want %q", i, status[i], want)
+		}
+	}
+	mu.Unlock()
+
+	later := make(chan error, 1)
+	go func() { _, err := client.Run([]bench.SweepPoint{points[0], points[2]}); later <- err }()
+	select {
+	case err := <-later:
+		if err != nil {
+			t.Fatalf("job after the panic: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("job after the panic hung: worker slot leaked")
+	}
+	// Each job's handler counts its failures after the client has read
+	// the stream, so wait for the counters rather than read them once.
+	waitFor(t, func() bool { st := srv.Stats(); return st.Inflight == 0 && st.PointsFailed == 2 })
+}
+
+// TestOversizeJobRefused sends a valid job padded past MaxJobBytes: it
+// must be refused with 413, and the server must serve the next job.
+func TestOversizeJobRefused(t *testing.T) {
+	_, client := newTestDaemon(t, Config{Workers: 1})
+	points := testPoints()[2:]
+	body, err := json.Marshal(JobRequest{Points: points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := append(body[:len(body)-1:len(body)-1], bytes.Repeat([]byte{' '}, MaxJobBytes)...)
+	padded = append(padded, '}')
+	resp, err := http.Post(client.url("/v1/run"), "application/json", bytes.NewReader(padded))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize job: status %s, want 413", resp.Status)
+	}
+	if _, err := client.Run(points); err != nil {
+		t.Fatalf("job after an oversize one: %v", err)
+	}
+}
+
+// TestJobFanOutBounded holds a 2,000-point job in its executor and
+// checks that the job costs a fixed set of goroutines sized from
+// Workers, not one per point.
+func TestJobFanOutBounded(t *testing.T) {
+	const workers = 2
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before the daemon's cleanup waits for the requests
+	srv, client := newTestDaemon(t, Config{
+		Workers: workers,
+		Exec: func(p bench.SweepPoint) (bench.PointResult, error) {
+			<-release
+			return fakeResult(p)
+		},
+	})
+	points := distinctPoints(2000)
+
+	base := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() { _, err := client.Run(points); done <- err }()
+	waitFor(t, func() bool { return srv.Stats().Inflight >= 2*workers })
+	// The job's workers, plus the submitting goroutine and the
+	// connection's client and server goroutines.
+	bound := base + 2*workers + 8
+	for i := 0; i < 20; i++ {
+		if n := runtime.NumGoroutine(); n > bound {
+			t.Fatalf("%d goroutines while a 2000-point job is held, want <= %d", n, bound)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	unblock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestProgressStreamsPerPoint releases one point at a time: each
+// point's record must reach the client before the next point is
+// released, so batching flushes never holds back progress.
+func TestProgressStreamsPerPoint(t *testing.T) {
+	points := distinctPoints(5)
+	release := make([]chan struct{}, len(points))
+	for i := range release {
+		release[i] = make(chan struct{})
+	}
+	released := 0
+	defer func() { // before the daemon's cleanup waits for the request
+		for _, ch := range release[released:] {
+			close(ch)
+		}
+	}()
+	_, client := newTestDaemon(t, Config{
+		Workers: len(points), // every point holds a slot while it waits
+		Exec: func(p bench.SweepPoint) (bench.PointResult, error) {
+			<-release[p.Iters-1]
+			return fakeResult(p)
+		},
+	})
+	seen := make(chan int, len(points))
+	client.OnUpdate = func(u PointUpdate) { seen <- u.Index }
+	done := make(chan error, 1)
+	go func() { _, err := client.Run(points); done <- err }()
+	for k := range points {
+		close(release[k])
+		released++
+		select {
+		case i := <-seen:
+			if i != k {
+				t.Fatalf("record for point %d arrived after releasing point %d", i, k)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("point %d's record never reached the client", k)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkWarmJob times one 30-point job of tiny points against a
+// store that already holds every point: the daemon's store-hit path
+// (key, store get, decode, encode, HTTP) with no simulation.
+func BenchmarkWarmJob(b *testing.B) {
+	_, client := newTestDaemon(b, Config{Workers: 2})
+	points := distinctPoints(30)
+	if _, err := client.Run(points); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := client.Run(points)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range res {
+			if !r.Cached {
+				b.Fatalf("%s: not served from the store", r.Point.Name())
+			}
+		}
 	}
 }
 

@@ -3,9 +3,12 @@ package served
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"straight/internal/bench"
 	"straight/internal/resultstore"
@@ -54,13 +57,20 @@ type ServerStats struct {
 	BuildCacheMisses int64 `json:"build_cache_misses"`
 }
 
+// MaxJobBytes bounds the body of POST /v1/run; larger bodies get 413.
+// The largest job cmd/experiments sends (one default-scale figure
+// sweep) is about 12 KB, and one fully configured cycle-core point
+// about 0.9 KB, so the bound admits jobs of ~9,000 points.
+const MaxJobBytes = 8 << 20
+
 // Config parameterizes a Server.
 type Config struct {
 	// Workers bounds concurrently simulating points across ALL requests;
 	// <= 0 means bench.Parallelism().
 	Workers int
-	// Exec runs one point; nil means bench.ExecutePoint. Tests inject a
-	// controllable executor to make coalescing windows deterministic.
+	// Exec runs one point; nil means bench.ExecuteKeyed with the key
+	// the server already derived. Tests inject a controllable executor
+	// to make coalescing windows deterministic.
 	Exec func(p bench.SweepPoint) (bench.PointResult, error)
 }
 
@@ -87,7 +97,7 @@ func (f *flight) Reset() {
 // state. Construct with NewServer, mount via Handler, stop via Shutdown.
 type Server struct {
 	workers int
-	exec    func(p bench.SweepPoint) (bench.PointResult, error)
+	exec    func(p bench.SweepPoint, key resultstore.Key) (bench.PointResult, error)
 	sem     chan struct{}
 
 	quitOnce sync.Once
@@ -110,9 +120,9 @@ func NewServer(cfg Config) *Server {
 	if workers <= 0 {
 		workers = bench.Parallelism()
 	}
-	exec := cfg.Exec
-	if exec == nil {
-		exec = bench.ExecutePoint
+	exec := bench.ExecuteKeyed
+	if cfg.Exec != nil {
+		exec = func(p bench.SweepPoint, _ resultstore.Key) (bench.PointResult, error) { return cfg.Exec(p) }
 	}
 	s := &Server{
 		workers:  workers,
@@ -147,11 +157,19 @@ func (s *Server) Shutdown() {
 }
 
 // handleRun streams one PointUpdate per finished point, then a terminal
-// summary record.
+// summary record. A fixed set of workers per job pulls point indexes,
+// so a job of any size costs at most 2×Workers goroutines; the extra
+// Workers beyond the server-wide slots keep a job moving while some of
+// its points wait on flights owned by other jobs.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad job: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxJobBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad job: "+err.Error(), code)
 		return
 	}
 	if len(req.Points) == 0 {
@@ -166,36 +184,47 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	updates := make(chan PointUpdate)
-	go func() {
-		var wg sync.WaitGroup
-		for i := range req.Points {
-			wg.Add(1)
-			go func(idx int, p bench.SweepPoint) {
-				defer wg.Done()
-				updates <- s.runOne(r.Context(), idx, p)
-			}(i, req.Points[i])
-		}
-		wg.Wait()
-		close(updates)
-	}()
+	// Sized to the job so no worker ever blocks on a send, even after
+	// the client has gone away.
+	updates := make(chan PointUpdate, len(req.Points))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(req.Points), 2*s.workers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(req.Points) {
+					return
+				}
+				updates <- s.runOne(r.Context(), i, req.Points[i])
+			}
+		}()
+	}
 
 	enc := json.NewEncoder(w)
 	errs := 0
-	for u := range updates {
+	var encErr error
+	for range req.Points {
+		u := <-updates
 		if u.Status == "error" {
 			errs++
 		}
-		if enc.Encode(&u) != nil {
-			// Client went away; the executor goroutines still drain (their
-			// sends above succeed because we keep ranging), results land in
-			// the store, and coalesced peers are unaffected.
+		if encErr != nil {
+			// Client went away; the workers still finish (results land in
+			// the store, and coalesced peers are unaffected).
 			continue
 		}
-		if flusher != nil {
+		encErr = enc.Encode(&u)
+		// Flush only when the queue has drained: records that are
+		// already waiting go out in the same write, and a lone slow
+		// point still reaches the client at once.
+		if encErr == nil && flusher != nil && len(updates) == 0 {
 			flusher.Flush()
 		}
 	}
+	wg.Wait()
 	_ = enc.Encode(&PointUpdate{Done: true, Errors: errs})
 
 	s.mu.Lock()
@@ -253,7 +282,7 @@ func (s *Server) execute(ctx context.Context, p bench.SweepPoint) (bench.PointRe
 	default:
 		select {
 		case s.sem <- struct{}{}:
-			f.res, f.err = s.exec(p)
+			f.res, f.err = s.run(p, key)
 			<-s.sem
 		case <-s.quit:
 			f.err = fmt.Errorf("server shutting down")
@@ -280,6 +309,18 @@ func (s *Server) execute(ctx context.Context, p bench.SweepPoint) (bench.PointRe
 	res, err := f.res, f.err
 	s.release(f)
 	return res, false, err
+}
+
+// run calls the executor, turning a panic into an error for this point
+// alone. The error carries the point's content address and the stack,
+// so the failure reproduces with one command.
+func (s *Server) run(p bench.SweepPoint, key resultstore.Key) (res bench.PointResult, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = bench.PointResult{}, fmt.Errorf("panic executing point %s: %v\n%s", key, v, debug.Stack())
+		}
+	}()
+	return s.exec(p, key)
 }
 
 // await blocks on another request's flight for the same key.
