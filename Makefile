@@ -27,7 +27,7 @@ staticcheck:
 # the differential lockstep harness.
 fuzz:
 	go test -run=NONE -fuzz=FuzzDecode -fuzztime=30s ./internal/isa/straight
-	go test -run=NONE -fuzz=FuzzAssemble -fuzztime=30s ./internal/sasm
+	go test -run=NONE -fuzz=FuzzAssemble -fuzztime=30s ./internal/asm
 	go test -run=NONE -fuzz=FuzzLockstep -fuzztime=10s ./internal/fuzzgen
 
 # Randomized differential co-simulation sweep (see DESIGN.md §10).

@@ -9,8 +9,6 @@ import (
 	"straight/internal/backend/straightbe"
 	"straight/internal/cores"
 	"straight/internal/cores/engine"
-	"straight/internal/emu/riscvemu"
-	"straight/internal/emu/straightemu"
 	"straight/internal/ir"
 	"straight/internal/irgen"
 	"straight/internal/minic"
@@ -188,25 +186,6 @@ func Simulate(core CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tra
 		return nil, err
 	}
 	return res, nil
-}
-
-// EmulateStraight runs the functional STRAIGHT emulator (for the
-// instruction-mix and distance experiments).
-func EmulateStraight(im *program.Image) (*straightemu.Machine, error) {
-	m := straightemu.New(im)
-	if _, err := m.Run(4_000_000_000); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// EmulateRISCV runs the functional RV32IM emulator.
-func EmulateRISCV(im *program.Image) (*riscvemu.Machine, error) {
-	m := riscvemu.New(im)
-	if _, err := m.Run(4_000_000_000); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 func iters(s Scale, w workloads.Workload) int {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"straight/internal/core"
 	"straight/internal/cores"
 	"straight/internal/cores/engine"
 	"straight/internal/emu/riscvemu"
@@ -315,20 +316,13 @@ func simulatePoint(p SweepPoint, tgt *TraceTarget) (PointResult, error) {
 		res.Retired = r.Stats.Retired
 		res.IPC = r.Stats.IPC()
 		res.Output = r.Output
-	case p.Core == CoreEmuRISCV:
-		m, err := EmulateRISCV(im)
+	default: // a functional emulator: build rejected every other kind
+		isa, _ := p.Core.isa()
+		r, err := core.Emulate(&core.Program{Target: core.Target(isa), Image: im}, nil)
 		if err != nil {
 			return res, err
 		}
-		res.EmuRISCV = m.Stats()
-		res.Retired = m.InstCount()
-	default: // CoreEmuStraight: build rejected every other kind
-		m, err := EmulateStraight(im)
-		if err != nil {
-			return res, err
-		}
-		res.EmuStraight = m.Stats()
-		res.Retired = m.InstCount()
+		res.EmuRISCV, res.EmuStraight, res.Retired = r.RISCVStats, r.StraightStats, r.Insns
 	}
 	res.Wall = time.Since(start)
 	return res, nil

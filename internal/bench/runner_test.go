@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"straight/internal/core"
 	"straight/internal/program"
 	"straight/internal/uarch"
 	"straight/internal/workloads"
@@ -194,13 +195,13 @@ func TestSharedImagesNotMutated(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := EmulateRISCV(ssIm); err != nil {
+			if _, err := core.Emulate(&core.Program{Target: core.TargetRISCV, Image: ssIm}, nil); err != nil {
 				fail <- err
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := EmulateStraight(stIm); err != nil {
+			if _, err := core.Emulate(&core.Program{Target: core.TargetStraight, Image: stIm}, nil); err != nil {
 				fail <- err
 			}
 		}()

@@ -138,30 +138,31 @@ type EmulateResult struct {
 // Emulate runs a program on its functional emulator. Console output also
 // streams to w when non-nil.
 func Emulate(p *Program, w io.Writer) (*EmulateResult, error) {
-	const maxInsns = 4_000_000_000
+	res := &EmulateResult{}
+	var m interface {
+		SetOutput(w io.Writer)
+		Run(maxInsns uint64) (uint64, error)
+		Exited() (bool, int32)
+	}
 	switch p.Target {
 	case TargetStraight:
-		m := straightemu.New(p.Image)
-		buf := &teeWriter{w: w}
-		m.SetOutput(buf)
-		n, err := m.Run(maxInsns)
-		if err != nil {
-			return nil, err
-		}
-		_, code := m.Exited()
-		return &EmulateResult{Output: string(buf.buf), ExitCode: code, Insns: n, StraightStats: m.Stats()}, nil
+		sm := straightemu.New(p.Image)
+		m, res.StraightStats = sm, sm.Stats()
 	case TargetRISCV:
-		m := riscvemu.New(p.Image)
-		buf := &teeWriter{w: w}
-		m.SetOutput(buf)
-		n, err := m.Run(maxInsns)
-		if err != nil {
-			return nil, err
-		}
-		_, code := m.Exited()
-		return &EmulateResult{Output: string(buf.buf), ExitCode: code, Insns: n, RISCVStats: m.Stats()}, nil
+		rm := riscvemu.New(p.Image)
+		m, res.RISCVStats = rm, rm.Stats()
+	default:
+		return nil, fmt.Errorf("core: unknown target %q", p.Target)
 	}
-	return nil, fmt.Errorf("core: unknown target %q", p.Target)
+	buf := &teeWriter{w: w}
+	m.SetOutput(buf)
+	n, err := m.Run(4_000_000_000)
+	if err != nil {
+		return nil, err
+	}
+	_, res.ExitCode = m.Exited()
+	res.Output, res.Insns = string(buf.buf), n
+	return res, nil
 }
 
 type teeWriter struct {

@@ -235,7 +235,7 @@ func (p *Policy) Execute(c *engine.Core[riscv.Inst], u *engine.Uop[riscv.Inst]) 
 		case riscv.FENCE:
 		default:
 			b := rs2
-			if isImmOp(inst.Op) {
+			if inst.Op.IsImmALU() {
 				b = uint32(inst.Imm)
 			}
 			res = riscv.Eval(inst.Op, rs1, b)
@@ -280,15 +280,6 @@ func (p *Policy) Execute(c *engine.Core[riscv.Inst], u *engine.Uop[riscv.Inst]) 
 	// the bypass the cycle it becomes ready.
 	c.WakeDest(u, u.ReadyAt)
 	return true
-}
-
-func isImmOp(op riscv.Op) bool {
-	switch op {
-	case riscv.ADDI, riscv.SLTI, riscv.SLTIU, riscv.XORI, riscv.ORI, riscv.ANDI,
-		riscv.SLLI, riscv.SRLI, riscv.SRAI, riscv.JALR:
-		return true
-	}
-	return false
 }
 
 func (p *Policy) UpdatesBTB(inst riscv.Inst) bool { return inst.Op == riscv.JALR }

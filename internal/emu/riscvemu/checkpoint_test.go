@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"straight/internal/emu"
 	"straight/internal/rasm"
 )
 
@@ -62,11 +63,11 @@ func TestFaultKinds(t *testing.T) {
 	cases := []struct {
 		name string
 		src  string
-		kind FaultKind
+		kind emu.FaultKind
 	}{
-		{"misaligned-load", "main:\n addi t0, zero, 2\n lw t1, 0(t0)\n", FaultMisaligned},
-		{"bad-sys", "main:\n addi a7, zero, 99\n ecall\n", FaultBadSys},
-		{"insn-limit", "main:\n j main\n", FaultLimit},
+		{"misaligned-load", "main:\n addi t0, zero, 2\n lw t1, 0(t0)\n", emu.FaultMisaligned},
+		{"bad-sys", "main:\n addi a7, zero, 99\n ecall\n", emu.FaultBadSys},
+		{"insn-limit", "main:\n j main\n", emu.FaultLimit},
 	}
 	for _, c := range cases {
 		c := c
@@ -77,7 +78,7 @@ func TestFaultKinds(t *testing.T) {
 			}
 			m := New(im)
 			_, err = m.Run(16)
-			var f *Fault
+			var f *emu.Fault
 			if !errors.As(err, &f) {
 				t.Fatalf("expected *Fault, got %T: %v", err, err)
 			}

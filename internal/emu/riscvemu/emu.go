@@ -4,58 +4,12 @@
 package riscvemu
 
 import (
-	"fmt"
 	"io"
-	"strconv"
 
+	"straight/internal/emu"
 	"straight/internal/isa/riscv"
 	"straight/internal/program"
 )
-
-// FaultKind classifies an architectural fault so callers (in particular
-// the differential fuzzer's oracle stack) can distinguish a malformed
-// program from a genuine simulator divergence.
-type FaultKind uint8
-
-const (
-	// FaultFetch: instruction fetch outside text or misaligned PC.
-	FaultFetch FaultKind = iota
-	// FaultDecode: illegal instruction word or EBREAK.
-	FaultDecode
-	// FaultMisaligned: misaligned data access or jump target.
-	FaultMisaligned
-	// FaultBadSys: unknown syscall function code.
-	FaultBadSys
-	// FaultLimit: the Run instruction limit was reached without exit.
-	FaultLimit
-)
-
-var faultKindNames = [...]string{
-	FaultFetch:      "fetch",
-	FaultDecode:     "decode",
-	FaultMisaligned: "misaligned",
-	FaultBadSys:     "bad-sys",
-	FaultLimit:      "insn-limit",
-}
-
-func (k FaultKind) String() string {
-	if int(k) < len(faultKindNames) {
-		return faultKindNames[k]
-	}
-	return fmt.Sprintf("FaultKind(%d)", uint8(k))
-}
-
-// Fault is an architectural execution fault.
-type Fault struct {
-	Kind  FaultKind
-	PC    uint32
-	Count uint64
-	Msg   string
-}
-
-func (f *Fault) Error() string {
-	return fmt.Sprintf("riscvemu: %s fault at pc=%#08x insn#%d: %s", f.Kind, f.PC, f.Count, f.Msg)
-}
 
 // Syscall function codes, passed in a7 with the argument in a0. They
 // mirror the STRAIGHT SYS functions so the same workload source produces
@@ -89,18 +43,9 @@ func (s *Stats) Total() uint64 {
 
 // Machine is an RV32IM architectural machine.
 type Machine struct {
-	image *program.Image
-	mem   *program.Memory
+	emu.Shell
 
-	pc    uint32
 	regs  [32]uint32
-	count uint64
-
-	exited   bool
-	exitCode int32
-
-	out   io.Writer //lint:resetless output attachment, survives Reset by design
-	ioBuf []byte    // reusable console-output buffer (keeps syscalls allocation-free)
 	stats Stats
 
 	// dec caches the decode of every text word so Step pays the decoder
@@ -129,14 +74,8 @@ type Retired struct {
 // New creates a machine for the image with an isolated memory copy.
 // SP (x2) starts at the top of the stack.
 func New(im *program.Image) *Machine {
-	m := &Machine{
-		image: im,
-		mem:   program.NewMemory(),
-		pc:    im.Entry,
-		out:   io.Discard,
-	}
+	m := &Machine{Shell: emu.NewShell("riscvemu", im)}
 	m.regs[riscv.RegSP] = program.DefaultStackTop
-	m.mem.LoadImage(im)
 	m.predecode()
 	return m
 }
@@ -144,8 +83,8 @@ func New(im *program.Image) *Machine {
 // predecode decodes every text word once. A fresh slice is allocated on
 // every rebuild so clones sharing the old cache stay consistent.
 func (m *Machine) predecode() {
-	dec := make([]riscv.Inst, len(m.image.Text))
-	for i, w := range m.image.Text {
+	dec := make([]riscv.Inst, len(m.Image.Text))
+	for i, w := range m.Image.Text {
 		dec[i] = riscv.Decode(w)
 	}
 	m.dec = dec
@@ -156,84 +95,48 @@ func (m *Machine) predecode() {
 // buffer. Output is configuration and survives; TraceFn is cleared (it
 // is re-armed per use).
 func (m *Machine) Reset(img *program.Image) {
-	if img == nil {
-		img = m.image
-	}
-	rebuild := img != m.image || m.dec == nil
-	m.image = img
-	if rebuild {
+	if m.Shell.Reset(img) || m.dec == nil {
 		m.predecode()
 	}
-	m.mem.Reset()
-	m.mem.LoadImage(img)
-	m.pc = img.Entry
 	m.regs = [32]uint32{}
 	m.regs[riscv.RegSP] = program.DefaultStackTop
-	m.count = 0
-	m.exited = false
-	m.exitCode = 0
-	m.ioBuf = m.ioBuf[:0]
 	m.stats = Stats{}
 	m.TraceFn = nil
 }
-
-// SetOutput directs console syscall output to w.
-func (m *Machine) SetOutput(w io.Writer) { m.out = w }
-
-// Mem exposes the machine memory.
-func (m *Machine) Mem() *program.Memory { return m.mem }
-
-// PC returns the current program counter.
-//
-//lint:hotpath
-func (m *Machine) PC() uint32 { return m.pc }
 
 // Reg returns register x[i].
 //
 //lint:hotpath
 func (m *Machine) Reg(i int) uint32 { return m.regs[i] }
 
-// InstCount returns the retired instruction count.
-func (m *Machine) InstCount() uint64 { return m.count }
-
-// Exited reports whether the program executed the exit syscall.
-//
-//lint:hotpath
-func (m *Machine) Exited() (bool, int32) { return m.exited, m.exitCode }
-
 // Stats returns the accumulated statistics.
 func (m *Machine) Stats() *Stats { return &m.stats }
 
 //lint:coldpath fault construction; a fault aborts the run
-func (m *Machine) fault(kind FaultKind, msg string, args ...any) error {
-	return &Fault{Kind: kind, PC: m.pc, Count: m.count, Msg: fmt.Sprintf(msg, args...)}
+func (m *Machine) fault(kind emu.FaultKind, format string, args ...any) error {
+	return m.Faultf(kind, format, args...)
 }
 
 // Step executes one instruction. It returns io.EOF after exit.
 //
 //lint:hotpath
 func (m *Machine) Step() error {
-	if m.exited {
+	if m.Halted {
 		return io.EOF
 	}
-	w, err := m.image.FetchWord(m.pc)
+	i, err := m.Fetch(len(m.dec))
 	if err != nil {
-		return m.fault(FaultFetch, "%v", err)
+		return err
 	}
-	var inst riscv.Inst
-	if i := (m.pc - m.image.TextBase) / program.InstructionBytes; m.dec != nil {
-		inst = m.dec[i]
-	} else {
-		inst = riscv.Decode(w)
-	}
+	inst := m.dec[i]
 	op := inst.Op
 	if op == riscv.ILLEGAL {
-		return m.fault(FaultDecode, "illegal instruction %#08x", w)
+		return m.fault(emu.FaultDecode, "illegal instruction %#08x", m.Image.Text[i])
 	}
 
 	rs1 := m.regs[inst.Rs1]
 	rs2 := m.regs[inst.Rs2]
-	nextPC := m.pc + 4
+	nextPC := m.Pc + 4
 	var result uint32
 	var memAddr uint32
 	writes := inst.WritesRd()
@@ -244,12 +147,12 @@ func (m *Machine) Step() error {
 		case riscv.LUI:
 			result = uint32(inst.Imm)
 		case riscv.AUIPC:
-			result = m.pc + uint32(inst.Imm)
+			result = m.Pc + uint32(inst.Imm)
 		case riscv.FENCE:
 			// no-op
 		default:
 			b := rs2
-			if isImmOp(op) {
+			if op.IsImmALU() {
 				b = uint32(inst.Imm)
 			}
 			result = riscv.Eval(op, rs1, b)
@@ -259,44 +162,44 @@ func (m *Machine) Step() error {
 		memAddr = addr
 		width, _ := riscv.LoadWidth(op)
 		if addr%uint32(width) != 0 {
-			return m.fault(FaultMisaligned, "misaligned %s at %#08x", op, addr)
+			return m.fault(emu.FaultMisaligned, "misaligned %s at %#08x", op, addr)
 		}
-		result = riscv.ExtendLoad(op, m.mem.Load(addr, width))
+		result = riscv.ExtendLoad(op, m.Memory.Load(addr, width))
 		m.stats.Loads++
 	case riscv.ClassStore:
 		addr := rs1 + uint32(inst.Imm)
 		memAddr = addr
 		width := riscv.StoreWidth(op)
 		if addr%uint32(width) != 0 {
-			return m.fault(FaultMisaligned, "misaligned %s at %#08x", op, addr)
+			return m.fault(emu.FaultMisaligned, "misaligned %s at %#08x", op, addr)
 		}
-		m.mem.Store(addr, rs2, width)
+		m.Memory.Store(addr, rs2, width)
 		m.stats.Stores++
 	case riscv.ClassBranch:
 		m.stats.Branches++
 		if riscv.BranchTaken(op, rs1, rs2) {
 			m.stats.TakenBranches++
-			nextPC = m.pc + uint32(inst.Imm)
+			nextPC = m.Pc + uint32(inst.Imm)
 		}
 	case riscv.ClassJump:
-		result = m.pc + 4
+		result = m.Pc + 4
 		if op == riscv.JAL {
-			nextPC = m.pc + uint32(inst.Imm)
+			nextPC = m.Pc + uint32(inst.Imm)
 		} else {
 			nextPC = (rs1 + uint32(inst.Imm)) &^ 1
 		}
 		if nextPC%4 != 0 {
-			return m.fault(FaultMisaligned, "jump to misaligned address %#08x", nextPC)
+			return m.fault(emu.FaultMisaligned, "jump to misaligned address %#08x", nextPC)
 		}
 	case riscv.ClassSys:
 		if op == riscv.EBREAK {
-			return m.fault(FaultDecode, "ebreak")
+			return m.fault(emu.FaultDecode, "ebreak")
 		}
 		if err := m.syscall(); err != nil {
 			return err
 		}
 		if m.regs[riscv.RegA7] == SysCycle {
-			result = uint32(m.count)
+			result = uint32(m.Count)
 			writes = true
 			inst.Rd = riscv.RegA0
 		}
@@ -305,26 +208,17 @@ func (m *Machine) Step() error {
 	if writes && inst.Rd != 0 {
 		m.regs[inst.Rd] = result
 	}
-	prevPC := m.pc
-	m.pc = nextPC
-	m.count++
+	prevPC := m.Pc
+	m.Pc = nextPC
+	m.Count++
 	m.stats.Retired[op]++
 	if m.TraceFn != nil {
-		m.TraceFn(Retired{Count: m.count - 1, PC: prevPC, Inst: inst, Result: result, NextPC: nextPC, MemAddr: memAddr})
+		m.TraceFn(Retired{Count: m.Count - 1, PC: prevPC, Inst: inst, Result: result, NextPC: nextPC, MemAddr: memAddr})
 	}
-	if m.exited {
+	if m.Halted {
 		return io.EOF
 	}
 	return nil
-}
-
-func isImmOp(op riscv.Op) bool {
-	switch op {
-	case riscv.ADDI, riscv.SLTI, riscv.SLTIU, riscv.XORI, riscv.ORI, riscv.ANDI,
-		riscv.SLLI, riscv.SRLI, riscv.SRAI:
-		return true
-	}
-	return false
 }
 
 func (m *Machine) syscall() error {
@@ -332,36 +226,20 @@ func (m *Machine) syscall() error {
 	arg := m.regs[riscv.RegA0]
 	switch fn {
 	case SysExit:
-		m.exitCode = int32(arg)
-		m.exited = true
+		m.ExitCode = int32(arg)
+		m.Halted = true
 	case SysPutc:
-		if m.ioBuf == nil {
-			m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-		}
-		m.ioBuf = append(m.ioBuf[:0], byte(arg))
-		m.out.Write(m.ioBuf)
+		m.Putc(byte(arg))
 	case SysPuti:
-		if m.ioBuf == nil {
-			m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-		}
-		m.ioBuf = strconv.AppendInt(m.ioBuf[:0], int64(int32(arg)), 10)
-		m.out.Write(m.ioBuf)
+		m.Puti(int32(arg))
 	case SysPutu:
-		if m.ioBuf == nil {
-			m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-		}
-		m.ioBuf = strconv.AppendUint(m.ioBuf[:0], uint64(arg), 10)
-		m.out.Write(m.ioBuf)
+		m.Putu(arg)
 	case SysPutx:
-		if m.ioBuf == nil {
-			m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-		}
-		m.ioBuf = strconv.AppendUint(m.ioBuf[:0], uint64(arg), 16)
-		m.out.Write(m.ioBuf)
+		m.Putx(arg)
 	case SysCycle:
 		// handled by caller (writes a0)
 	default:
-		return m.fault(FaultBadSys, "unknown syscall %d", fn)
+		return m.fault(emu.FaultBadSys, "unknown syscall %d", fn)
 	}
 	return nil
 }
@@ -369,81 +247,48 @@ func (m *Machine) syscall() error {
 // Clone returns an independent copy of the architectural state (fresh
 // statistics, discarded output) for oracle replay.
 func (m *Machine) Clone() *Machine {
-	n := &Machine{
-		image:    m.image,
-		mem:      m.mem.Clone(),
-		pc:       m.pc,
-		regs:     m.regs,
-		count:    m.count,
-		exited:   m.exited,
-		exitCode: m.exitCode,
-		out:      io.Discard,
-		dec:      m.dec,
-	}
-	return n
+	return &Machine{Shell: m.Shell.Clone(), regs: m.regs, dec: m.dec}
 }
 
 // Checkpoint is an opaque snapshot of the architectural state (PC,
 // registers, count, memory, exit status). Statistics and the output
 // writer are not part of the snapshot.
 type Checkpoint struct {
-	pc       uint32
-	regs     [32]uint32
-	count    uint64
-	mem      *program.Memory
-	exited   bool
-	exitCode int32
+	emu.Snapshot
+	regs [32]uint32
 }
-
-// Count returns the retired instruction count at which the checkpoint
-// was taken.
-func (c *Checkpoint) Count() uint64 { return c.count }
-
-// PC returns the checkpointed program counter.
-func (c *Checkpoint) PC() uint32 { return c.pc }
 
 // Reg returns checkpointed register x[i].
 func (c *Checkpoint) Reg(i int) uint32 { return c.regs[i] }
-
-// Mem exposes the checkpointed memory. Callers must treat it as
-// read-only: the checkpoint stays valid for further Restore calls.
-func (c *Checkpoint) Mem() *program.Memory { return c.mem }
-
-// Exited reports the checkpointed exit status.
-func (c *Checkpoint) Exited() (bool, int32) { return c.exited, c.exitCode }
 
 // Checkpoint captures the architectural state so execution can later be
 // rewound with Restore. The snapshot is independent of the machine and
 // can be restored any number of times.
 func (m *Machine) Checkpoint() *Checkpoint {
-	return &Checkpoint{
-		pc: m.pc, regs: m.regs, count: m.count,
-		mem: m.mem.Clone(), exited: m.exited, exitCode: m.exitCode,
-	}
+	return &Checkpoint{Snapshot: m.Snapshot(), regs: m.regs}
 }
 
 // Restore rewinds the machine to a checkpoint taken earlier on the same
 // image, reusing the machine's page frames rather than reallocating.
 // The checkpoint remains valid for further Restore calls.
 func (m *Machine) Restore(c *Checkpoint) {
-	m.pc, m.regs, m.count = c.pc, c.regs, c.count
-	m.mem.CopyFrom(c.mem)
-	m.exited, m.exitCode = c.exited, c.exitCode
+	m.Shell.Restore(&c.Snapshot)
+	m.regs = c.regs
 }
 
 // Run executes until exit, a fault, or maxInsns instructions. Reaching
 // the limit without exit is an error.
 func (m *Machine) Run(maxInsns uint64) (uint64, error) {
-	start := m.count
-	for m.count-start < maxInsns {
+	start := m.Count
+	for m.Count-start < maxInsns {
 		if err := m.Step(); err != nil {
 			if err == io.EOF {
-				return m.count - start, nil
+				err = nil
 			}
-			return m.count - start, err
+			return m.Count - start, err
 		}
 	}
-	return m.count - start, m.fault(FaultLimit, "instruction limit %d reached without exit", maxInsns)
+	return m.Count - start, m.fault(emu.FaultLimit, "instruction limit %d reached without exit", maxInsns)
 }
 
 // RunUntil executes until the retired instruction count reaches target,
@@ -455,11 +300,8 @@ func (m *Machine) Run(maxInsns uint64) (uint64, error) {
 //
 //lint:hotpath
 func (m *Machine) RunUntil(target uint64) error {
-	for m.count < target && !m.exited {
-		if err := m.Step(); err != nil {
-			if err == io.EOF {
-				return nil
-			}
+	for m.Count < target && !m.Halted {
+		if err := m.Step(); err != nil && err != io.EOF {
 			return err
 		}
 	}

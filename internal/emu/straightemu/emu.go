@@ -11,67 +11,12 @@
 package straightemu
 
 import (
-	"fmt"
 	"io"
-	"strconv"
 
+	"straight/internal/emu"
 	"straight/internal/isa/straight"
 	"straight/internal/program"
 )
-
-// FaultKind classifies an architectural fault so callers (in particular
-// the differential fuzzer's oracle stack) can distinguish a malformed
-// program or a generator bug from a genuine simulator divergence.
-type FaultKind uint8
-
-const (
-	// FaultFetch: instruction fetch outside text or misaligned PC.
-	FaultFetch FaultKind = iota
-	// FaultDecode: undecodable instruction word or unimplemented opcode.
-	FaultDecode
-	// FaultStrictBound (strict mode): a source read beyond the distance
-	// bound.
-	FaultStrictBound
-	// FaultStrictUninit (strict mode): a source read of a slot no
-	// instruction has written yet.
-	FaultStrictUninit
-	// FaultMisaligned: misaligned data access or jump target.
-	FaultMisaligned
-	// FaultBadSys: unknown SYS function code.
-	FaultBadSys
-	// FaultLimit: the Run instruction limit was reached without exit.
-	FaultLimit
-)
-
-var faultKindNames = [...]string{
-	FaultFetch:        "fetch",
-	FaultDecode:       "decode",
-	FaultStrictBound:  "strict-over-bound",
-	FaultStrictUninit: "strict-uninitialized",
-	FaultMisaligned:   "misaligned",
-	FaultBadSys:       "bad-sys",
-	FaultLimit:        "insn-limit",
-}
-
-func (k FaultKind) String() string {
-	if int(k) < len(faultKindNames) {
-		return faultKindNames[k]
-	}
-	return fmt.Sprintf("FaultKind(%d)", uint8(k))
-}
-
-// Fault is an architectural execution fault (bad fetch, bad opcode,
-// distance beyond the window, misaligned access).
-type Fault struct {
-	Kind  FaultKind
-	PC    uint32
-	Count uint64
-	Msg   string
-}
-
-func (f *Fault) Error() string {
-	return fmt.Sprintf("straightemu: %s fault at pc=%#08x insn#%d: %s", f.Kind, f.PC, f.Count, f.Msg)
-}
 
 // ringSize is the result-window ring size; it must exceed MaxDistance and
 // be a power of two so the index math is a mask.
@@ -107,21 +52,12 @@ func (s *Stats) Total() uint64 {
 
 // Machine is a STRAIGHT architectural machine.
 type Machine struct {
-	image *program.Image
-	mem   *program.Memory
+	emu.Shell
 
-	pc    uint32
-	sp    uint32
-	count uint64 // dynamic instruction count == destination register id
-	ring  [ringSize]uint32
+	sp   uint32
+	ring [ringSize]uint32 // results, indexed by dynamic instruction count
 
-	exited   bool
-	exitCode int32
-
-	out        io.Writer //lint:resetless output attachment, survives Reset by design
-	ioBuf      []byte    // reusable console-output buffer (keeps syscalls allocation-free)
-	stats      Stats
-	collectHot bool //lint:resetless profiling configuration, survives Reset by design
+	stats Stats
 
 	// strictBound, when non-zero, makes Step fault on any source read
 	// beyond that distance or of a slot no instruction has written yet —
@@ -155,14 +91,7 @@ type Retired struct {
 
 // New creates a machine for the image with an isolated memory copy.
 func New(im *program.Image) *Machine {
-	m := &Machine{
-		image: im,
-		mem:   program.NewMemory(),
-		pc:    im.Entry,
-		sp:    program.DefaultStackTop,
-		out:   io.Discard,
-	}
-	m.mem.LoadImage(im)
+	m := &Machine{Shell: emu.NewShell("straightemu", im), sp: program.DefaultStackTop}
 	m.predecode()
 	return m
 }
@@ -173,9 +102,9 @@ func New(im *program.Image) *Machine {
 // are allocated on every rebuild so clones sharing the old cache stay
 // consistent.
 func (m *Machine) predecode() {
-	dec := make([]straight.Inst, len(m.image.Text))
-	ok := make([]bool, len(m.image.Text))
-	for i, w := range m.image.Text {
+	dec := make([]straight.Inst, len(m.Image.Text))
+	ok := make([]bool, len(m.Image.Text))
+	for i, w := range m.Image.Text {
 		if inst, err := straight.Decode(w); err == nil {
 			dec[i], ok[i] = inst, true
 		}
@@ -185,32 +114,17 @@ func (m *Machine) predecode() {
 
 // Reset returns the machine to power-on state for img (nil = rerun the
 // current image), reusing the sparse memory's page frames and the I/O
-// buffer. Output, strict mode, and hot-PC collection are configuration
-// and survive; TraceFn is cleared (it is re-armed per use).
+// buffer. Output and strict mode are configuration and survive; TraceFn
+// is cleared (it is re-armed per use).
 func (m *Machine) Reset(img *program.Image) {
-	if img == nil {
-		img = m.image
-	}
-	rebuild := img != m.image || m.dec == nil
-	m.image = img
-	if rebuild {
+	if m.Shell.Reset(img) || m.dec == nil {
 		m.predecode()
 	}
-	m.mem.Reset()
-	m.mem.LoadImage(img)
-	m.pc = img.Entry
 	m.sp = program.DefaultStackTop
-	m.count = 0
 	m.ring = [ringSize]uint32{}
-	m.exited = false
-	m.exitCode = 0
-	m.ioBuf = m.ioBuf[:0]
 	m.stats = Stats{}
 	m.TraceFn = nil
 }
-
-// SetOutput directs console syscall output (SysPutc etc.) to w.
-func (m *Machine) SetOutput(w io.Writer) { m.out = w }
 
 // SetStrict enables strict mode: any source operand read at a distance
 // greater than maxDist, or reaching a slot no instruction has written
@@ -225,24 +139,8 @@ func (m *Machine) SetStrict(maxDist int) {
 	m.strictBound = uint16(maxDist)
 }
 
-// Mem exposes the machine memory (for test setup and inspection).
-func (m *Machine) Mem() *program.Memory { return m.mem }
-
-// PC returns the current program counter.
-//
-//lint:hotpath
-func (m *Machine) PC() uint32 { return m.pc }
-
 // SP returns the current stack pointer.
 func (m *Machine) SP() uint32 { return m.sp }
-
-// InstCount returns the dynamic instruction count.
-func (m *Machine) InstCount() uint64 { return m.count }
-
-// Exited reports whether the program executed SYS exit, and its code.
-//
-//lint:hotpath
-func (m *Machine) Exited() (bool, int32) { return m.exited, m.exitCode }
 
 // Stats returns the accumulated statistics.
 func (m *Machine) Stats() *Stats { return &m.stats }
@@ -256,12 +154,12 @@ func (m *Machine) Reg(distance uint16) uint32 {
 	if distance == 0 {
 		return 0
 	}
-	return m.ring[(m.count-uint64(distance))&(ringSize-1)]
+	return m.ring[(m.Count-uint64(distance))&(ringSize-1)]
 }
 
 //lint:coldpath fault construction; a fault aborts the run
-func (m *Machine) fault(kind FaultKind, msg string, args ...any) error {
-	return &Fault{Kind: kind, PC: m.pc, Count: m.count, Msg: fmt.Sprintf(msg, args...)}
+func (m *Machine) fault(kind emu.FaultKind, format string, args ...any) error {
+	return m.Faultf(kind, format, args...)
 }
 
 // read returns a source operand at the given distance and accumulates the
@@ -300,11 +198,11 @@ func (m *Machine) checkDistance(op straight.Op, d uint16) error {
 		return nil
 	}
 	if d > m.strictBound {
-		return m.fault(FaultStrictBound, "strict: %s reads distance %d beyond bound %d", op, d, m.strictBound)
+		return m.fault(emu.FaultStrictBound, "strict: %s reads distance %d beyond bound %d", op, d, m.strictBound)
 	}
-	if uint64(d) > m.count {
-		return m.fault(FaultStrictUninit, "strict: %s reads [%d] but only %d instruction(s) have executed (never-written slot)",
-			op, d, m.count)
+	if uint64(d) > m.Count {
+		return m.fault(emu.FaultStrictUninit, "strict: %s reads [%d] but only %d instruction(s) have executed (never-written slot)",
+			op, d, m.Count)
 	}
 	return nil
 }
@@ -313,18 +211,18 @@ func (m *Machine) checkDistance(op straight.Op, d uint16) error {
 //
 //lint:hotpath
 func (m *Machine) Step() error {
-	if m.exited {
+	if m.Halted {
 		return io.EOF
 	}
-	w, err := m.image.FetchWord(m.pc)
+	i, err := m.Fetch(len(m.dec))
 	if err != nil {
-		return m.fault(FaultFetch, "%v", err)
+		return err
 	}
-	var inst straight.Inst
-	if i := (m.pc - m.image.TextBase) / program.InstructionBytes; m.decOK != nil && m.decOK[i] {
-		inst = m.dec[i]
-	} else if inst, err = straight.Decode(w); err != nil {
-		return m.fault(FaultDecode, "%v", err)
+	inst := m.dec[i]
+	if !m.decOK[i] {
+		if inst, err = straight.Decode(m.Image.Text[i]); err != nil {
+			return m.fault(emu.FaultDecode, "%v", err)
+		}
 	}
 	if m.strictBound != 0 {
 		if err := m.strictCheck(inst); err != nil {
@@ -334,7 +232,7 @@ func (m *Machine) Step() error {
 
 	var result uint32
 	var memAddr uint32
-	nextPC := m.pc + program.InstructionBytes
+	nextPC := m.Pc + program.InstructionBytes
 	op := inst.Op
 	switch op.Class() {
 	case straight.ClassNop:
@@ -358,9 +256,9 @@ func (m *Machine) Step() error {
 		memAddr = addr
 		width, _ := straight.LoadWidth(op)
 		if addr%uint32(width) != 0 {
-			return m.fault(FaultMisaligned, "misaligned %s at address %#08x", op, addr)
+			return m.fault(emu.FaultMisaligned, "misaligned %s at address %#08x", op, addr)
 		}
-		result = straight.ExtendLoad(op, m.mem.Load(addr, width))
+		result = straight.ExtendLoad(op, m.Memory.Load(addr, width))
 		m.stats.Loads++
 	case straight.ClassStore:
 		addr := m.read(inst.Src1) + uint32(inst.Imm)
@@ -368,9 +266,9 @@ func (m *Machine) Step() error {
 		val := m.read(inst.Src2)
 		width := straight.StoreWidth(op)
 		if addr%uint32(width) != 0 {
-			return m.fault(FaultMisaligned, "misaligned %s at address %#08x", op, addr)
+			return m.fault(emu.FaultMisaligned, "misaligned %s at address %#08x", op, addr)
 		}
-		m.mem.Store(addr, val, width)
+		m.Memory.Store(addr, val, width)
 		result = val // stores return the stored value (paper §III-A)
 		m.stats.Stores++
 	case straight.ClassBranch:
@@ -379,24 +277,24 @@ func (m *Machine) Step() error {
 		m.stats.Branches++
 		if taken {
 			m.stats.TakenBranches++
-			nextPC = m.pc + uint32(inst.Imm)*program.InstructionBytes
+			nextPC = m.Pc + uint32(inst.Imm)*program.InstructionBytes
 			result = 1
 		}
 	case straight.ClassJump:
 		switch op {
 		case straight.J:
-			nextPC = m.pc + uint32(inst.Imm)*program.InstructionBytes
+			nextPC = m.Pc + uint32(inst.Imm)*program.InstructionBytes
 		case straight.JAL:
-			result = m.pc + program.InstructionBytes
-			nextPC = m.pc + uint32(inst.Imm)*program.InstructionBytes
+			result = m.Pc + program.InstructionBytes
+			nextPC = m.Pc + uint32(inst.Imm)*program.InstructionBytes
 		case straight.JR:
 			nextPC = m.read(inst.Src1)
 		case straight.JALR:
-			result = m.pc + program.InstructionBytes
+			result = m.Pc + program.InstructionBytes
 			nextPC = m.read(inst.Src1)
 		}
 		if nextPC%program.InstructionBytes != 0 {
-			return m.fault(FaultMisaligned, "jump to misaligned address %#08x", nextPC)
+			return m.fault(emu.FaultMisaligned, "jump to misaligned address %#08x", nextPC)
 		}
 	case straight.ClassSys:
 		var err error
@@ -405,91 +303,52 @@ func (m *Machine) Step() error {
 			return err
 		}
 	default:
-		return m.fault(FaultDecode, "unimplemented opcode %v", op)
+		return m.fault(emu.FaultDecode, "unimplemented opcode %v", op)
 	}
 
-	m.ring[m.count&(ringSize-1)] = result
-	m.count++
-	prevPC := m.pc
-	m.pc = nextPC
+	m.ring[m.Count&(ringSize-1)] = result
+	m.Count++
+	prevPC := m.Pc
+	m.Pc = nextPC
 	m.stats.Retired[op]++
 	if m.TraceFn != nil {
-		m.TraceFn(Retired{Count: m.count - 1, PC: prevPC, Inst: inst, Result: result, NextPC: nextPC, SP: m.sp, MemAddr: memAddr})
+		m.TraceFn(Retired{Count: m.Count - 1, PC: prevPC, Inst: inst, Result: result, NextPC: nextPC, SP: m.sp, MemAddr: memAddr})
 	}
-	if m.exited {
+	if m.Halted {
 		return io.EOF
 	}
 	return nil
 }
 
-// syscall executes a SYS instruction. Console output is formatted into a
-// reusable buffer instead of fmt (whose interface boxing allocates on
-// every call — syscalls sit on the cross-validated retire path).
+// syscall executes a SYS instruction.
 func (m *Machine) syscall(inst straight.Inst) (uint32, error) {
 	switch inst.Imm {
 	case straight.SysExit:
-		m.exitCode = int32(m.read(inst.Src1))
-		m.exited = true
+		m.ExitCode = int32(m.read(inst.Src1))
+		m.Halted = true
 		return 0, nil
 	case straight.SysPutc:
-		m.writeByte(byte(m.read(inst.Src1)))
+		m.Putc(byte(m.read(inst.Src1)))
 		return 0, nil
 	case straight.SysPuti:
-		m.writeNum(int64(int32(m.read(inst.Src1))), 10)
+		m.Puti(int32(m.read(inst.Src1)))
 		return 0, nil
 	case straight.SysPutu:
-		m.writeUnum(uint64(m.read(inst.Src1)), 10)
+		m.Putu(m.read(inst.Src1))
 		return 0, nil
 	case straight.SysPutx:
-		m.writeUnum(uint64(m.read(inst.Src1)), 16)
+		m.Putx(m.read(inst.Src1))
 		return 0, nil
 	case straight.SysCycle:
-		return uint32(m.count), nil
+		return uint32(m.Count), nil
 	}
-	return 0, m.fault(FaultBadSys, "unknown SYS function %d", inst.Imm)
-}
-
-func (m *Machine) writeByte(b byte) {
-	if m.ioBuf == nil {
-		m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-	}
-	m.ioBuf = append(m.ioBuf[:0], b)
-	m.out.Write(m.ioBuf)
-}
-
-func (m *Machine) writeNum(v int64, base int) {
-	if m.ioBuf == nil {
-		m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-	}
-	m.ioBuf = strconv.AppendInt(m.ioBuf[:0], v, base)
-	m.out.Write(m.ioBuf)
-}
-
-func (m *Machine) writeUnum(v uint64, base int) {
-	if m.ioBuf == nil {
-		m.ioBuf = make([]byte, 0, 32) //lint:alloc console buffer allocated once on first output syscall
-	}
-	m.ioBuf = strconv.AppendUint(m.ioBuf[:0], v, base)
-	m.out.Write(m.ioBuf)
+	return 0, m.fault(emu.FaultBadSys, "unknown SYS function %d", inst.Imm)
 }
 
 // Clone returns an independent copy of the architectural state (fresh
 // statistics, discarded output) for oracle replay.
 func (m *Machine) Clone() *Machine {
-	n := &Machine{
-		image:    m.image,
-		mem:      m.mem.Clone(),
-		pc:       m.pc,
-		sp:       m.sp,
-		count:    m.count,
-		ring:     m.ring,
-		exited:   m.exited,
-		exitCode: m.exitCode,
-		out:      io.Discard,
-		dec:      m.dec,
-		decOK:    m.decOK,
-	}
-	return n
+	return &Machine{Shell: m.Shell.Clone(), sp: m.sp, ring: m.ring, dec: m.dec, decOK: m.decOK}
 }
 
 // Checkpoint is an opaque snapshot of the architectural state (PC, SP,
@@ -497,30 +356,13 @@ func (m *Machine) Clone() *Machine {
 // output writer are not part of the snapshot: a restored machine keeps
 // accumulating into the same Stats and writing to the same output.
 type Checkpoint struct {
-	pc, sp   uint32
-	count    uint64
-	ring     [ringSize]uint32
-	mem      *program.Memory
-	exited   bool
-	exitCode int32
+	emu.Snapshot
+	sp   uint32
+	ring [ringSize]uint32
 }
-
-// Count returns the dynamic instruction count at which the checkpoint
-// was taken.
-func (c *Checkpoint) Count() uint64 { return c.count }
-
-// PC returns the checkpointed program counter.
-func (c *Checkpoint) PC() uint32 { return c.pc }
 
 // SP returns the checkpointed stack pointer.
 func (c *Checkpoint) SP() uint32 { return c.sp }
-
-// Mem exposes the checkpointed memory. Callers must treat it as
-// read-only: the checkpoint stays valid for further Restore calls.
-func (c *Checkpoint) Mem() *program.Memory { return c.mem }
-
-// Exited reports the checkpointed exit status.
-func (c *Checkpoint) Exited() (bool, int32) { return c.exited, c.exitCode }
 
 // Checkpoint captures the architectural state so execution can later be
 // rewound with Restore. The snapshot is independent of the machine: it
@@ -528,19 +370,15 @@ func (c *Checkpoint) Exited() (bool, int32) { return c.exited, c.exitCode }
 // number of times (the lockstep checker uses periodic checkpoints to
 // replay the window leading up to a divergence).
 func (m *Machine) Checkpoint() *Checkpoint {
-	return &Checkpoint{
-		pc: m.pc, sp: m.sp, count: m.count, ring: m.ring,
-		mem: m.mem.Clone(), exited: m.exited, exitCode: m.exitCode,
-	}
+	return &Checkpoint{Snapshot: m.Snapshot(), sp: m.sp, ring: m.ring}
 }
 
 // Restore rewinds the machine to a checkpoint taken earlier on the same
 // image, reusing the machine's page frames rather than reallocating.
 // The checkpoint remains valid for further Restore calls.
 func (m *Machine) Restore(c *Checkpoint) {
-	m.pc, m.sp, m.count, m.ring = c.pc, c.sp, c.count, c.ring
-	m.mem.CopyFrom(c.mem)
-	m.exited, m.exitCode = c.exited, c.exitCode
+	m.Shell.Restore(&c.Snapshot)
+	m.sp, m.ring = c.sp, c.ring
 }
 
 // Run executes until SYS exit, a fault, or maxInsns instructions.
@@ -548,16 +386,16 @@ func (m *Machine) Restore(c *Checkpoint) {
 // instruction limit returns an error: benchmarks must terminate via
 // SYS exit so truncated runs are never mistaken for results.
 func (m *Machine) Run(maxInsns uint64) (uint64, error) {
-	start := m.count
-	for m.count-start < maxInsns {
+	start := m.Count
+	for m.Count-start < maxInsns {
 		if err := m.Step(); err != nil {
 			if err == io.EOF {
-				return m.count - start, nil
+				err = nil
 			}
-			return m.count - start, err
+			return m.Count - start, err
 		}
 	}
-	return m.count - start, m.fault(FaultLimit, "instruction limit %d reached without exit", maxInsns)
+	return m.Count - start, m.fault(emu.FaultLimit, "instruction limit %d reached without exit", maxInsns)
 }
 
 // RunUntil executes until the dynamic instruction count reaches target,
@@ -569,11 +407,8 @@ func (m *Machine) Run(maxInsns uint64) (uint64, error) {
 //
 //lint:hotpath
 func (m *Machine) RunUntil(target uint64) error {
-	for m.count < target && !m.exited {
-		if err := m.Step(); err != nil {
-			if err == io.EOF {
-				return nil
-			}
+	for m.Count < target && !m.Halted {
+		if err := m.Step(); err != nil && err != io.EOF {
 			return err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"straight/internal/emu"
 	"straight/internal/isa/straight"
 	"straight/internal/sasm"
 )
@@ -314,7 +315,7 @@ func TestStrictModeNeverWrittenSlot(t *testing.T) {
 	m := New(im)
 	m.SetStrict(0)
 	_, err = m.Run(100)
-	var f *Fault
+	var f *emu.Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("strict run: got %v, want Fault", err)
 	}
@@ -345,7 +346,7 @@ func TestStrictModeOverBound(t *testing.T) {
 	m := New(im)
 	m.SetStrict(4)
 	_, err = m.Run(100)
-	var f *Fault
+	var f *emu.Fault
 	if !errors.As(err, &f) {
 		t.Fatalf("strict run at bound 4: got %v, want Fault", err)
 	}

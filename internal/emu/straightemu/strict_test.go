@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"straight/internal/emu"
 	"straight/internal/isa/straight"
 	"straight/internal/program"
 )
@@ -36,7 +37,7 @@ func TestStrictFaultKinds(t *testing.T) {
 		name   string
 		text   []uint32
 		strict int // 0 = strict at ISA max; -1 = strict off
-		kind   FaultKind
+		kind   emu.FaultKind
 		count  uint64 // dynamic instruction count at the fault
 	}
 	cases := []tc{
@@ -44,20 +45,20 @@ func TestStrictFaultKinds(t *testing.T) {
 			// First instruction reads [1]: nothing has been written yet.
 			name:   "uninit-fmtI",
 			text:   []uint32{enc(straight.Inst{Op: straight.ADDI, Src1: 1, Imm: 0})},
-			strict: 0, kind: FaultStrictUninit, count: 0,
+			strict: 0, kind: emu.FaultStrictUninit, count: 0,
 		},
 		{
 			// FmtR src2 reaches one slot before program entry.
 			name: "uninit-fmtR-src2",
 			text: append(nops(2),
 				enc(straight.Inst{Op: straight.ADD, Src1: 1, Src2: 3})),
-			strict: 0, kind: FaultStrictUninit, count: 2,
+			strict: 0, kind: emu.FaultStrictUninit, count: 2,
 		},
 		{
 			// FmtJR: JR of a never-written slot faults before jumping.
 			name:   "uninit-fmtJR",
 			text:   []uint32{enc(straight.Inst{Op: straight.JR, Src1: 2})},
-			strict: 0, kind: FaultStrictUninit, count: 0,
+			strict: 0, kind: emu.FaultStrictUninit, count: 0,
 		},
 		{
 			// Store value operand (FmtS src2) past the bound: 33 producers
@@ -65,26 +66,26 @@ func TestStrictFaultKinds(t *testing.T) {
 			name: "over-bound-store-src2",
 			text: append(nops(33),
 				enc(straight.Inst{Op: straight.SW, Src1: 0, Src2: 32, Imm: 0})),
-			strict: 31, kind: FaultStrictBound, count: 33,
+			strict: 31, kind: emu.FaultStrictBound, count: 33,
 		},
 		{
 			// Distance exactly at the bound is legal; bound+1 faults.
 			name: "over-bound-fmtI",
 			text: append(nops(40),
 				enc(straight.Inst{Op: straight.ORI, Src1: 32, Imm: 1})),
-			strict: 31, kind: FaultStrictBound, count: 40,
+			strict: 31, kind: emu.FaultStrictBound, count: 40,
 		},
 		{
 			// SYS argument read of a never-written slot (FmtS via SYS).
 			name:   "uninit-sys-arg",
 			text:   []uint32{enc(straight.Inst{Op: straight.SYS, Src1: 1, Imm: straight.SysPuti})},
-			strict: 0, kind: FaultStrictUninit, count: 0,
+			strict: 0, kind: emu.FaultStrictUninit, count: 0,
 		},
 		{
 			// Misaligned word load (address 2).
 			name:   "misaligned-load",
 			text:   []uint32{enc(straight.Inst{Op: straight.LW, Src1: 0, Imm: 2})},
-			strict: -1, kind: FaultMisaligned, count: 0,
+			strict: -1, kind: emu.FaultMisaligned, count: 0,
 		},
 		{
 			// Misaligned store (address 6).
@@ -93,7 +94,7 @@ func TestStrictFaultKinds(t *testing.T) {
 				enc(straight.Inst{Op: straight.ADDI, Src1: 0, Imm: 6}),
 				enc(straight.Inst{Op: straight.SH, Src1: 1, Src2: 0, Imm: 1}),
 			},
-			strict: -1, kind: FaultMisaligned, count: 1,
+			strict: -1, kind: emu.FaultMisaligned, count: 1,
 		},
 		{
 			// JR to a non-multiple-of-4 target.
@@ -102,32 +103,32 @@ func TestStrictFaultKinds(t *testing.T) {
 				enc(straight.Inst{Op: straight.ADDI, Src1: 0, Imm: 2}),
 				enc(straight.Inst{Op: straight.JR, Src1: 1}),
 			},
-			strict: -1, kind: FaultMisaligned, count: 1,
+			strict: -1, kind: emu.FaultMisaligned, count: 1,
 		},
 		{
 			// Unknown SYS function code 9.
 			name:   "bad-sys",
 			text:   []uint32{enc(straight.Inst{Op: straight.SYS, Imm: 9})},
-			strict: -1, kind: FaultBadSys, count: 0,
+			strict: -1, kind: emu.FaultBadSys, count: 0,
 		},
 		{
 			// Undecodable opcode byte.
 			name:   "bad-decode",
 			text:   []uint32{0xFF00_0000},
-			strict: -1, kind: FaultDecode, count: 0,
+			strict: -1, kind: emu.FaultDecode, count: 0,
 		},
 		{
 			// Direct jump off the end of text: the redirect itself is legal,
 			// the next fetch faults.
 			name:   "fetch-outside-text",
 			text:   []uint32{enc(straight.Inst{Op: straight.J, Imm: 100})},
-			strict: -1, kind: FaultFetch, count: 1,
+			strict: -1, kind: emu.FaultFetch, count: 1,
 		},
 		{
 			// Self-loop never exits: the Run bound reports a limit fault.
 			name:   "insn-limit",
 			text:   []uint32{enc(straight.Inst{Op: straight.J, Imm: 0})},
-			strict: -1, kind: FaultLimit, count: 16,
+			strict: -1, kind: emu.FaultLimit, count: 16,
 		},
 	}
 	for _, c := range cases {
@@ -138,14 +139,14 @@ func TestStrictFaultKinds(t *testing.T) {
 				m.SetStrict(c.strict)
 			}
 			limit := uint64(100)
-			if c.kind == FaultLimit {
+			if c.kind == emu.FaultLimit {
 				limit = 16
 			}
 			_, err := m.Run(limit)
 			if err == nil {
 				t.Fatalf("expected a %v fault, ran clean", c.kind)
 			}
-			var f *Fault
+			var f *emu.Fault
 			if !errors.As(err, &f) {
 				t.Fatalf("expected *Fault, got %T: %v", err, err)
 			}

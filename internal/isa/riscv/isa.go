@@ -133,6 +133,18 @@ func (o Op) Class() Class {
 	}
 }
 
+// IsImmALU reports whether o is an ALU operation whose second operand is
+// the immediate (ADDI through SRAI).
+//
+//lint:hotpath
+func (o Op) IsImmALU() bool {
+	switch o {
+	case ADDI, SLTI, SLTIU, XORI, ORI, ANDI, SLLI, SRLI, SRAI:
+		return true
+	}
+	return false
+}
+
 // Inst is a decoded RV32IM instruction. Imm is the fully sign-extended
 // immediate with its format-specific scaling already applied (byte offsets
 // for branches/jumps, the shifted value for LUI/AUIPC).
@@ -239,7 +251,8 @@ func (i Inst) String() string {
 		return fmt.Sprintf("jalr %s, %d(%s)", RegNames[i.Rd], i.Imm, RegNames[i.Rs1])
 	case ECALL, EBREAK, FENCE, ILLEGAL:
 		return i.Op.String()
-	case ADDI, SLTI, SLTIU, XORI, ORI, ANDI, SLLI, SRLI, SRAI:
+	}
+	if i.Op.IsImmALU() {
 		return fmt.Sprintf("%s %s, %s, %d", i.Op, RegNames[i.Rd], RegNames[i.Rs1], i.Imm)
 	}
 	return fmt.Sprintf("%s %s, %s, %s", i.Op, RegNames[i.Rd], RegNames[i.Rs1], RegNames[i.Rs2])

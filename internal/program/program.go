@@ -36,9 +36,6 @@ type Image struct {
 	Data []byte
 	// Symbols maps label names to addresses (text or data).
 	Symbols map[string]uint32
-	// Source optionally maps text indexes to source descriptions
-	// (assembler line or compiler origin) for disassembly and tracing.
-	Source map[int]string
 }
 
 // New returns an empty image with the default layout.
@@ -47,7 +44,6 @@ func New() *Image {
 		TextBase: DefaultTextBase,
 		DataBase: DefaultDataBase,
 		Symbols:  make(map[string]uint32),
-		Source:   make(map[int]string),
 	}
 }
 

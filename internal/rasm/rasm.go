@@ -12,673 +12,292 @@
 //	    lui  t1, %hi(sym)
 //	    addi t1, t1, %lo(sym)
 //
-// plus the pseudo-instructions li, la, mv, nop, ret, j, call, and the
-// directives .text/.data/.entry/.word/.half/.byte/.ascii/.asciz/.space/.align.
-// Pseudo-instructions expand to a fixed instruction count so layout is
-// predictable in the first pass.
+// plus the pseudo-instructions li, la, mv, nop, ret, j and call.
+// Mnemonics and register names are case-insensitive. Pseudo-instructions
+// expand to a fixed instruction count so layout is predictable in the
+// first pass. Sections, labels and directives are those of the shared
+// driver (internal/asm); this package supplies the instruction encoding.
 package rasm
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
+	"straight/internal/asm"
 	"straight/internal/isa/riscv"
 	"straight/internal/program"
 )
 
-// Error describes an assembly failure with its source position.
-type Error struct {
-	Line int
-	Msg  string
-}
-
-func (e *Error) Error() string { return fmt.Sprintf("rasm: line %d: %s", e.Line, e.Msg) }
-
-type section int
-
-const (
-	secText section = iota
-	secData
-)
-
-type item struct {
-	line int
-	mnem string
-	ops  []string
-	addr uint32
-}
-
-type dataFixup struct {
-	offset int
-	symbol string
-	line   int
-}
-
-type assembler struct {
-	items      []item
-	data       []byte
-	symbols    map[string]uint32
-	dataFixups []dataFixup
-	entryName  string
-	textBase   uint32
-	dataBase   uint32
+var isa = &asm.ISA{
+	Name: "rasm",
+	// li and la always expand to lui+addi, for layout predictability.
+	Size: func(mnem string) int {
+		if m := strings.ToLower(mnem); m == "li" || m == "la" {
+			return 2
+		}
+		return 1
+	},
+	Encode: encode,
+	Format: func(w uint32) string { return riscv.Decode(w).String() },
 }
 
 // Assemble assembles RV32IM source into a linked image.
-func Assemble(src string) (*program.Image, error) {
-	a := &assembler{
-		symbols:  make(map[string]uint32),
-		textBase: program.DefaultTextBase,
-		dataBase: program.DefaultDataBase,
-	}
-	if err := a.firstPass(src); err != nil {
-		return nil, err
-	}
-	return a.secondPass()
-}
+func Assemble(src string) (*program.Image, error) { return isa.Assemble(src) }
 
-// pseudoSize returns how many machine instructions a mnemonic expands to.
-func pseudoSize(mnem string, ops []string) int {
-	switch mnem {
-	case "li":
-		// li always expands to lui+addi for layout predictability.
-		return 2
-	case "la":
-		return 2
-	case "call":
-		return 1 // jal ra, target
-	default:
-		return 1
-	}
-}
+// Disassemble renders the text segment for debugging.
+func Disassemble(im *program.Image) string { return isa.Disassemble(im) }
 
-func (a *assembler) firstPass(src string) error {
-	sec := secText
-	textAddr := a.textBase
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		for {
-			trimmed := strings.TrimSpace(line)
-			i := indexLabel(trimmed)
-			if i < 0 {
-				line = trimmed
-				break
-			}
-			name := trimmed[:i]
-			if _, dup := a.symbols[name]; dup {
-				return &Error{lineNo + 1, fmt.Sprintf("duplicate label %q", name)}
-			}
-			if sec == secText {
-				a.symbols[name] = textAddr
-			} else {
-				a.symbols[name] = a.dataBase + uint32(len(a.data))
-			}
-			line = trimmed[i+1:]
-		}
-		if line == "" {
-			continue
-		}
-		fields := splitOperands(line)
-		mnem := strings.ToLower(fields[0])
-		ops := fields[1:]
-		if strings.HasPrefix(mnem, ".") {
-			var err error
-			sec, err = a.directive(lineNo+1, sec, mnem, ops, line)
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if sec != secText {
-			return &Error{lineNo + 1, fmt.Sprintf("instruction %q in data section", mnem)}
-		}
-		a.items = append(a.items, item{line: lineNo + 1, mnem: mnem, ops: ops, addr: textAddr})
-		textAddr += uint32(pseudoSize(mnem, ops)) * program.InstructionBytes
+func encode(words []uint32, it *asm.Item, symbols map[string]uint32) ([]uint32, error) {
+	p := &parser{it: it, mnem: strings.ToLower(it.Mnem), symbols: symbols}
+	insts := p.expand()
+	if p.err != nil {
+		return words, p.err
 	}
-	return nil
-}
-
-func (a *assembler) directive(line int, sec section, mnem string, ops []string, full string) (section, error) {
-	switch mnem {
-	case ".text":
-		return secText, nil
-	case ".data":
-		return secData, nil
-	case ".globl", ".global", ".type", ".size", ".option", ".attribute", ".p2align":
-		return sec, nil
-	case ".entry":
-		if len(ops) != 1 {
-			return sec, &Error{line, ".entry requires one symbol"}
-		}
-		a.entryName = ops[0]
-		return sec, nil
-	case ".word", ".half", ".byte":
-		if sec != secData {
-			return sec, &Error{line, mnem + " outside .data"}
-		}
-		width := map[string]int{".word": 4, ".half": 2, ".byte": 1}[mnem]
-		for _, op := range ops {
-			if n, err := parseInt(op); err == nil {
-				for i := 0; i < width; i++ {
-					a.data = append(a.data, byte(uint32(n)>>(8*i)))
-				}
-			} else if width == 4 {
-				a.dataFixups = append(a.dataFixups, dataFixup{offset: len(a.data), symbol: op, line: line})
-				a.data = append(a.data, 0, 0, 0, 0)
-			} else {
-				return sec, &Error{line, fmt.Sprintf("bad %s operand %q", mnem, op)}
-			}
-		}
-		return sec, nil
-	case ".ascii", ".asciz":
-		if sec != secData {
-			return sec, &Error{line, mnem + " outside .data"}
-		}
-		i := strings.IndexByte(full, '"')
-		if i < 0 {
-			return sec, &Error{line, "missing string literal"}
-		}
-		s, err := strconv.Unquote(strings.TrimSpace(full[i:]))
+	for _, inst := range insts {
+		w, err := riscv.Encode(inst)
 		if err != nil {
-			return sec, &Error{line, "bad string literal"}
+			return words, err
 		}
-		a.data = append(a.data, s...)
-		if mnem == ".asciz" {
-			a.data = append(a.data, 0)
-		}
-		return sec, nil
-	case ".space":
-		if len(ops) != 1 {
-			return sec, &Error{line, ".space requires a size"}
-		}
-		n, err := parseInt(ops[0])
-		if err != nil || n < 0 {
-			return sec, &Error{line, "bad .space size"}
-		}
-		a.data = append(a.data, make([]byte, n)...)
-		return sec, nil
-	case ".align":
-		n, err := parseInt(ops[0])
-		if err != nil || n <= 0 || n&(n-1) != 0 {
-			return sec, &Error{line, "bad .align boundary"}
-		}
-		if sec == secData {
-			for len(a.data)%int(n) != 0 {
-				a.data = append(a.data, 0)
-			}
-		}
-		return sec, nil
+		words = append(words, w)
 	}
-	return sec, &Error{line, fmt.Sprintf("unknown directive %q", mnem)}
+	return words, nil
 }
 
-func (a *assembler) secondPass() (*program.Image, error) {
-	im := program.New()
-	im.TextBase = a.textBase
-	im.DataBase = a.dataBase
-	im.Symbols = a.symbols
-	im.Data = a.data
-	for _, fx := range a.dataFixups {
-		addr, ok := a.symbols[fx.symbol]
-		if !ok {
-			return nil, &Error{fx.line, fmt.Sprintf("undefined symbol %q in .word", fx.symbol)}
-		}
-		for i := 0; i < 4; i++ {
-			im.Data[fx.offset+i] = byte(addr >> (8 * i))
-		}
+// parser reads one item's operands. The first error sticks: later reads
+// return zero values, so an expansion reports the error of the first
+// operand that fails, in operand order.
+type parser struct {
+	it      *asm.Item
+	mnem    string
+	symbols map[string]uint32
+	err     error
+}
+
+func (p *parser) fail(format string, args ...any) {
+	if p.err == nil {
+		p.err = fmt.Errorf(format, args...)
 	}
-	for _, it := range a.items {
-		insts, err := a.expand(it)
-		if err != nil {
-			return nil, err
+}
+
+// want checks the operand count.
+func (p *parser) want(n int) bool {
+	if len(p.it.Ops) != n {
+		p.fail("%s expects %d operands, got %d", p.mnem, n, len(p.it.Ops))
+	}
+	return p.err == nil
+}
+
+// expand resolves the item into machine instructions.
+func (p *parser) expand() []riscv.Inst {
+	ops := p.it.Ops
+	switch p.mnem {
+	case "nop":
+		return []riscv.Inst{{Op: riscv.ADDI}}
+	case "ret":
+		return []riscv.Inst{{Op: riscv.JALR, Rs1: riscv.RegRA}}
+	case "ecall":
+		return []riscv.Inst{{Op: riscv.ECALL}}
+	case "ebreak":
+		return []riscv.Inst{{Op: riscv.EBREAK}}
+	case "fence":
+		return []riscv.Inst{{Op: riscv.FENCE}}
+	case "mv":
+		if !p.want(2) {
+			return nil
 		}
-		for _, inst := range insts {
-			w, encErr := riscv.Encode(inst)
-			if encErr != nil {
-				return nil, &Error{it.line, encErr.Error()}
+		return []riscv.Inst{{Op: riscv.ADDI, Rd: p.reg(0), Rs1: p.reg(1)}}
+	case "li", "la":
+		if !p.want(2) {
+			return nil
+		}
+		rd := p.reg(0)
+		var v uint32
+		if p.mnem == "la" {
+			addr, ok := p.symbols[ops[1]]
+			if !ok {
+				p.fail("la: undefined symbol %q", ops[1])
 			}
-			im.Text = append(im.Text, w)
-		}
-	}
-	switch {
-	case a.entryName != "":
-		e, ok := a.symbols[a.entryName]
-		if !ok {
-			return nil, &Error{0, fmt.Sprintf("undefined .entry symbol %q", a.entryName)}
-		}
-		im.Entry = e
-	default:
-		if e, ok := a.symbols["main"]; ok {
-			im.Entry = e
-		} else if e, ok := a.symbols["_start"]; ok {
-			im.Entry = e
+			v = addr
 		} else {
-			im.Entry = a.textBase
+			n, err := asm.ParseInt(ops[1])
+			if err != nil {
+				p.fail("li: bad immediate %q", ops[1])
+			}
+			v = uint32(n)
 		}
+		return []riscv.Inst{
+			{Op: riscv.LUI, Rd: rd, Imm: hi20(v)},
+			{Op: riscv.ADDI, Rd: rd, Rs1: rd, Imm: lo12(v)},
+		}
+	case "j", "call":
+		if !p.want(1) {
+			return nil
+		}
+		var rd uint8
+		if p.mnem == "call" {
+			rd = riscv.RegRA
+		}
+		return []riscv.Inst{{Op: riscv.JAL, Rd: rd, Imm: p.branch(0, 1<<20)}}
 	}
-	return im, nil
-}
 
-// expand resolves one source item into machine instructions.
-func (a *assembler) expand(it item) ([]riscv.Inst, error) {
-	bad := func(msg string, args ...any) ([]riscv.Inst, error) {
-		return nil, &Error{it.line, fmt.Sprintf("%s: %s", it.mnem, fmt.Sprintf(msg, args...))}
-	}
-	reg := func(tok string) (uint8, error) {
-		r, ok := regIndex(tok)
-		if !ok {
-			return 0, &Error{it.line, fmt.Sprintf("bad register %q", tok)}
-		}
-		return r, nil
-	}
-	needOps := func(n int) error {
-		if len(it.ops) != n {
-			return &Error{it.line, fmt.Sprintf("%s expects %d operands, got %d", it.mnem, n, len(it.ops))}
-		}
+	op, ok := mnemonics[p.mnem]
+	if !ok {
+		p.fail("%s: unknown mnemonic", p.mnem)
 		return nil
 	}
-
-	switch it.mnem {
-	case "nop":
-		return []riscv.Inst{{Op: riscv.ADDI}}, nil
-	case "ret":
-		return []riscv.Inst{{Op: riscv.JALR, Rs1: riscv.RegRA}}, nil
-	case "ecall":
-		return []riscv.Inst{{Op: riscv.ECALL}}, nil
-	case "ebreak":
-		return []riscv.Inst{{Op: riscv.EBREAK}}, nil
-	case "fence":
-		return []riscv.Inst{{Op: riscv.FENCE}}, nil
-	case "mv":
-		if err := needOps(2); err != nil {
-			return nil, err
+	switch {
+	case op.Class() == riscv.ClassBranch:
+		if !p.want(3) {
+			return nil
 		}
-		rd, err := reg(it.ops[0])
-		if err != nil {
-			return nil, err
+		return []riscv.Inst{{Op: op, Rs1: p.reg(0), Rs2: p.reg(1), Imm: p.branch(2, 1<<12)}}
+	case op.Class() == riscv.ClassLoad || op == riscv.JALR:
+		if !p.want(2) {
+			return nil
 		}
-		rs, err := reg(it.ops[1])
-		if err != nil {
-			return nil, err
+		rd := p.reg(0)
+		base, off := p.mem(1)
+		return []riscv.Inst{{Op: op, Rd: rd, Rs1: base, Imm: off}}
+	case op.Class() == riscv.ClassStore:
+		if !p.want(2) {
+			return nil
 		}
-		return []riscv.Inst{{Op: riscv.ADDI, Rd: rd, Rs1: rs}}, nil
-	case "li":
-		if err := needOps(2); err != nil {
-			return nil, err
+		rs2 := p.reg(0)
+		base, off := p.mem(1)
+		return []riscv.Inst{{Op: op, Rs1: base, Rs2: rs2, Imm: off}}
+	case op == riscv.LUI || op == riscv.AUIPC:
+		if !p.want(2) {
+			return nil
 		}
-		rd, err := reg(it.ops[0])
-		if err != nil {
-			return nil, err
+		return []riscv.Inst{{Op: op, Rd: p.reg(0), Imm: p.upper(1)}}
+	case op == riscv.JAL:
+		if !p.want(2) {
+			return nil
 		}
-		n, perr := parseInt(it.ops[1])
-		if perr != nil {
-			return bad("bad immediate %q", it.ops[1])
-		}
-		return expandLI(rd, uint32(n)), nil
-	case "la":
-		if err := needOps(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(it.ops[0])
-		if err != nil {
-			return nil, err
-		}
-		addr, ok := a.symbols[it.ops[1]]
-		if !ok {
-			return bad("undefined symbol %q", it.ops[1])
-		}
-		return expandLI(rd, addr), nil
-	case "j":
-		if err := needOps(1); err != nil {
-			return nil, err
-		}
-		off, err := a.branchOffset(it, it.ops[0], 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		return []riscv.Inst{{Op: riscv.JAL, Rd: 0, Imm: off}}, nil
-	case "call":
-		if err := needOps(1); err != nil {
-			return nil, err
-		}
-		off, err := a.branchOffset(it, it.ops[0], 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		return []riscv.Inst{{Op: riscv.JAL, Rd: riscv.RegRA, Imm: off}}, nil
+		return []riscv.Inst{{Op: op, Rd: p.reg(0), Imm: p.branch(1, 1<<20)}}
 	}
-
-	op, ok := mnemonics[it.mnem]
-	if !ok {
-		return bad("unknown mnemonic")
+	// Register-register and register-immediate ALU.
+	if !p.want(3) {
+		return nil
 	}
-	switch op.Class() {
-	case riscv.ClassBranch:
-		if err := needOps(3); err != nil {
-			return nil, err
-		}
-		rs1, err := reg(it.ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs2, err := reg(it.ops[1])
-		if err != nil {
-			return nil, err
-		}
-		off, err := a.branchOffset(it, it.ops[2], 1<<12)
-		if err != nil {
-			return nil, err
-		}
-		return []riscv.Inst{{Op: op, Rs1: rs1, Rs2: rs2, Imm: off}}, nil
-	case riscv.ClassLoad:
-		if err := needOps(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(it.ops[0])
-		if err != nil {
-			return nil, err
-		}
-		base, off, err := parseMem(it.line, it.ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []riscv.Inst{{Op: op, Rd: rd, Rs1: base, Imm: off}}, nil
-	case riscv.ClassStore:
-		if err := needOps(2); err != nil {
-			return nil, err
-		}
-		rs2, err := reg(it.ops[0])
-		if err != nil {
-			return nil, err
-		}
-		base, off, err := parseMem(it.line, it.ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []riscv.Inst{{Op: op, Rs1: base, Rs2: rs2, Imm: off}}, nil
+	rd, rs1 := p.reg(0), p.reg(1)
+	if op.IsImmALU() {
+		return []riscv.Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: p.lower(2)}}
 	}
-	switch op {
-	case riscv.LUI, riscv.AUIPC:
-		if err := needOps(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(it.ops[0])
-		if err != nil {
-			return nil, err
-		}
-		imm, err := a.upperImm(it, it.ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []riscv.Inst{{Op: op, Rd: rd, Imm: imm}}, nil
-	case riscv.JAL:
-		if err := needOps(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(it.ops[0])
-		if err != nil {
-			return nil, err
-		}
-		off, err := a.branchOffset(it, it.ops[1], 1<<20)
-		if err != nil {
-			return nil, err
-		}
-		return []riscv.Inst{{Op: riscv.JAL, Rd: rd, Imm: off}}, nil
-	case riscv.JALR:
-		if err := needOps(2); err != nil {
-			return nil, err
-		}
-		rd, err := reg(it.ops[0])
-		if err != nil {
-			return nil, err
-		}
-		base, off, err := parseMem(it.line, it.ops[1])
-		if err != nil {
-			return nil, err
-		}
-		return []riscv.Inst{{Op: riscv.JALR, Rd: rd, Rs1: base, Imm: off}}, nil
-	default: // reg-reg and reg-imm ALU
-		if err := needOps(3); err != nil {
-			return nil, err
-		}
-		rd, err := reg(it.ops[0])
-		if err != nil {
-			return nil, err
-		}
-		rs1, err := reg(it.ops[1])
-		if err != nil {
-			return nil, err
-		}
-		if isImmALU(op) {
-			imm, err := a.lowImm(it, it.ops[2])
-			if err != nil {
-				return nil, err
-			}
-			return []riscv.Inst{{Op: op, Rd: rd, Rs1: rs1, Imm: imm}}, nil
-		}
-		rs2, err := reg(it.ops[2])
-		if err != nil {
-			return nil, err
-		}
-		return []riscv.Inst{{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2}}, nil
-	}
+	return []riscv.Inst{{Op: op, Rd: rd, Rs1: rs1, Rs2: p.reg(2)}}
 }
 
-// expandLI materializes a 32-bit constant as lui+addi (always two
-// instructions; rd is its own temporary).
-func expandLI(rd uint8, v uint32) []riscv.Inst {
-	lo := int32(v<<20) >> 20 // sign-extended low 12 bits
-	hi := int32((v - uint32(lo)) & 0xFFFFF000)
-	return []riscv.Inst{
-		{Op: riscv.LUI, Rd: rd, Imm: hi},
-		{Op: riscv.ADDI, Rd: rd, Rs1: rd, Imm: lo},
+// lo12 is the sign-extended low 12 bits of v; hi20 is the LUI immediate
+// that, added to lo12, rebuilds v.
+func lo12(v uint32) int32 { return int32(v<<20) >> 20 }
+func hi20(v uint32) int32 { return int32((v - uint32(lo12(v))) & 0xFFFFF000) }
+
+func (p *parser) reg(i int) uint8 {
+	r, ok := regAliases[strings.ToLower(p.it.Ops[i])]
+	if !ok {
+		p.fail("bad register %q", p.it.Ops[i])
 	}
+	return r
 }
 
-func (a *assembler) branchOffset(it item, tok string, limit int32) (int32, error) {
-	if n, err := parseInt(tok); err == nil {
-		return int32(n), nil
+// branch resolves a PC-relative target: a literal byte offset or a
+// symbol within ±limit bytes.
+func (p *parser) branch(i int, limit int32) int32 {
+	tok := p.it.Ops[i]
+	if n, err := asm.ParseInt(tok); err == nil {
+		return int32(n)
 	}
-	addr, ok := a.symbols[tok]
+	addr, ok := p.symbols[tok]
 	if !ok {
-		return 0, &Error{it.line, fmt.Sprintf("undefined symbol %q", tok)}
+		p.fail("undefined symbol %q", tok)
+		return 0
 	}
-	off := int64(addr) - int64(it.addr)
+	off := int64(addr) - int64(p.it.Addr)
 	if off < -int64(limit) || off >= int64(limit) {
-		return 0, &Error{it.line, fmt.Sprintf("branch target %q out of range", tok)}
+		p.fail("branch target %q out of range", tok)
 	}
-	return int32(off), nil
+	return int32(off)
 }
 
-// upperImm resolves a LUI/AUIPC operand: literal (unshifted 20-bit value)
+// upper resolves a LUI/AUIPC operand: literal (unshifted 20-bit value)
 // or %hi(sym).
-func (a *assembler) upperImm(it item, tok string) (int32, error) {
-	if sym, ok := strings.CutPrefix(tok, "%hi("); ok && strings.HasSuffix(sym, ")") {
-		addr, found := a.symbols[sym[:len(sym)-1]]
-		if !found {
-			return 0, &Error{it.line, fmt.Sprintf("undefined symbol in %q", tok)}
-		}
-		lo := int32(addr<<20) >> 20
-		return int32((addr - uint32(lo)) & 0xFFFFF000), nil
+func (p *parser) upper(i int) int32 {
+	tok := p.it.Ops[i]
+	if addr, ok := p.symbolIn(tok, "%hi("); ok {
+		return hi20(addr)
 	}
-	n, err := parseInt(tok)
+	n, err := asm.ParseInt(tok)
 	if err != nil {
-		return 0, &Error{it.line, fmt.Sprintf("bad upper immediate %q", tok)}
+		p.fail("bad upper immediate %q", tok)
 	}
-	return int32(uint32(n) << 12), nil
+	return int32(uint32(n) << 12)
 }
 
-// lowImm resolves an I-type immediate: literal or %lo(sym).
-func (a *assembler) lowImm(it item, tok string) (int32, error) {
-	if sym, ok := strings.CutPrefix(tok, "%lo("); ok && strings.HasSuffix(sym, ")") {
-		addr, found := a.symbols[sym[:len(sym)-1]]
-		if !found {
-			return 0, &Error{it.line, fmt.Sprintf("undefined symbol in %q", tok)}
-		}
-		return int32(addr<<20) >> 20, nil
+// lower resolves an I-type immediate: literal or %lo(sym).
+func (p *parser) lower(i int) int32 {
+	tok := p.it.Ops[i]
+	if addr, ok := p.symbolIn(tok, "%lo("); ok {
+		return lo12(addr)
 	}
-	n, err := parseInt(tok)
+	n, err := asm.ParseInt(tok)
 	if err != nil {
-		return 0, &Error{it.line, fmt.Sprintf("bad immediate %q", tok)}
+		p.fail("bad immediate %q", tok)
 	}
-	return int32(n), nil
+	return int32(n)
 }
 
-// parseMem parses "off(reg)" or "(reg)" or "%lo(sym)(reg)".
-func parseMem(line int, tok string) (base uint8, off int32, err error) {
+// symbolIn resolves the symbol of an operand function like "%hi(sym)";
+// ok is false when tok is not a call of fn.
+func (p *parser) symbolIn(tok, fn string) (addr uint32, ok bool) {
+	sym, ok := strings.CutPrefix(tok, fn)
+	if !ok || !strings.HasSuffix(sym, ")") {
+		return 0, false
+	}
+	addr, found := p.symbols[sym[:len(sym)-1]]
+	if !found {
+		p.fail("undefined symbol in %q", tok)
+	}
+	return addr, true
+}
+
+// mem parses "off(reg)" or "(reg)".
+func (p *parser) mem(i int) (base uint8, off int32) {
+	tok := p.it.Ops[i]
 	open := strings.LastIndexByte(tok, '(')
 	if open < 0 || !strings.HasSuffix(tok, ")") {
-		return 0, 0, &Error{line, fmt.Sprintf("bad memory operand %q", tok)}
+		p.fail("bad memory operand %q", tok)
+		return 0, 0
 	}
-	r, ok := regIndex(tok[open+1 : len(tok)-1])
+	r, ok := regAliases[strings.ToLower(tok[open+1:len(tok)-1])]
 	if !ok {
-		return 0, 0, &Error{line, fmt.Sprintf("bad base register in %q", tok)}
+		p.fail("bad base register in %q", tok)
+		return 0, 0
 	}
-	offStr := tok[:open]
-	if offStr == "" {
-		return r, 0, nil
+	if open == 0 {
+		return r, 0
 	}
-	n, perr := parseInt(offStr)
-	if perr != nil {
-		return 0, 0, &Error{line, fmt.Sprintf("bad offset in %q", tok)}
+	n, err := asm.ParseInt(tok[:open])
+	if err != nil {
+		p.fail("bad offset in %q", tok)
 	}
-	return r, int32(n), nil
+	return r, int32(n)
 }
 
-func isImmALU(op riscv.Op) bool {
-	switch op {
-	case riscv.ADDI, riscv.SLTI, riscv.SLTIU, riscv.XORI, riscv.ORI, riscv.ANDI,
-		riscv.SLLI, riscv.SRLI, riscv.SRAI:
-		return true
+// mnemonics maps every machine mnemonic the driver can hand over.
+var mnemonics = func() map[string]riscv.Op {
+	m := make(map[string]riscv.Op, riscv.NumOps)
+	for op := riscv.LUI; int(op) < riscv.NumOps; op++ {
+		m[op.String()] = op
 	}
-	return false
-}
-
-var mnemonics = map[string]riscv.Op{
-	"lui": riscv.LUI, "auipc": riscv.AUIPC, "jal": riscv.JAL, "jalr": riscv.JALR,
-	"beq": riscv.BEQ, "bne": riscv.BNE, "blt": riscv.BLT, "bge": riscv.BGE,
-	"bltu": riscv.BLTU, "bgeu": riscv.BGEU,
-	"lb": riscv.LB, "lh": riscv.LH, "lw": riscv.LW, "lbu": riscv.LBU, "lhu": riscv.LHU,
-	"sb": riscv.SB, "sh": riscv.SH, "sw": riscv.SW,
-	"addi": riscv.ADDI, "slti": riscv.SLTI, "sltiu": riscv.SLTIU,
-	"xori": riscv.XORI, "ori": riscv.ORI, "andi": riscv.ANDI,
-	"slli": riscv.SLLI, "srli": riscv.SRLI, "srai": riscv.SRAI,
-	"add": riscv.ADD, "sub": riscv.SUB, "sll": riscv.SLL, "slt": riscv.SLT,
-	"sltu": riscv.SLTU, "xor": riscv.XOR, "srl": riscv.SRL, "sra": riscv.SRA,
-	"or": riscv.OR, "and": riscv.AND,
-	"mul": riscv.MUL, "mulh": riscv.MULH, "mulhsu": riscv.MULHSU, "mulhu": riscv.MULHU,
-	"div": riscv.DIV, "divu": riscv.DIVU, "rem": riscv.REM, "remu": riscv.REMU,
-}
+	return m
+}()
 
 var regAliases = func() map[string]uint8 {
 	m := make(map[string]uint8, 64)
 	for i, n := range riscv.RegNames {
 		m[n] = uint8(i)
-	}
-	for i := 0; i < 32; i++ {
 		m[fmt.Sprintf("x%d", i)] = uint8(i)
 	}
 	m["fp"] = riscv.RegS0
 	return m
 }()
-
-func regIndex(tok string) (uint8, bool) {
-	r, ok := regAliases[strings.ToLower(tok)]
-	return r, ok
-}
-
-func parseInt(tok string) (int64, error) {
-	n, err := strconv.ParseInt(tok, 0, 64)
-	if err != nil {
-		if u, uerr := strconv.ParseUint(tok, 0, 32); uerr == nil {
-			return int64(int32(uint32(u))), nil
-		}
-		return 0, err
-	}
-	return n, nil
-}
-
-func stripComment(line string) string {
-	inStr := false
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if c == '"' {
-			inStr = !inStr
-			continue
-		}
-		if inStr {
-			if c == '\\' {
-				i++
-			}
-			continue
-		}
-		if c == '#' || c == ';' {
-			return line[:i]
-		}
-		if c == '/' && i+1 < len(line) && line[i+1] == '/' {
-			return line[:i]
-		}
-	}
-	return line
-}
-
-func indexLabel(s string) int {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == ':' {
-			return i
-		}
-		if !(c == '_' || c == '.' || c == '$' ||
-			('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')) {
-			return -1
-		}
-	}
-	return -1
-}
-
-// splitOperands splits on commas and whitespace outside parentheses so
-// "lw t0, 8(sp)" tokenizes as ["lw","t0","8(sp)"].
-func splitOperands(line string) []string {
-	var out []string
-	var cur strings.Builder
-	depth := 0
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case c == '(':
-			depth++
-			cur.WriteByte(c)
-		case c == ')':
-			depth--
-			cur.WriteByte(c)
-		case (c == ' ' || c == '\t' || c == ',') && depth == 0:
-			flush()
-		default:
-			cur.WriteByte(c)
-		}
-	}
-	flush()
-	return out
-}
-
-// Disassemble renders the text segment for debugging.
-func Disassemble(im *program.Image) string {
-	var b strings.Builder
-	for i, w := range im.Text {
-		addr := im.TextBase + uint32(i)*program.InstructionBytes
-		for _, name := range im.SymbolNames() {
-			if im.Symbols[name] == addr && im.ContainsText(addr) {
-				fmt.Fprintf(&b, "%s:\n", name)
-			}
-		}
-		fmt.Fprintf(&b, "  %08x: %08x  %s\n", addr, w, riscv.Decode(w))
-	}
-	return b.String()
-}

@@ -1,7 +1,6 @@
 package rasm
 
 import (
-	"strings"
 	"testing"
 
 	"straight/internal/isa/riscv"
@@ -148,23 +147,50 @@ e:
 	}
 }
 
+// TestErrors pins the full text of each error, "rasm: line N: " prefix
+// included. The cases after the first seven are behaviours rasm took
+// from the shared driver.
 func TestErrors(t *testing.T) {
-	cases := []struct{ name, src, wantSub string }{
-		{"unknown mnemonic", "frob a0, a1", "unknown mnemonic"},
-		{"bad register", "addi q7, a0, 1", "bad register"},
-		{"undefined label", "j nowhere", "undefined symbol"},
-		{"imm range", "addi a0, a0, 5000", "out of range"},
-		{"duplicate label", "x:\nnop\nx:\nnop", "duplicate label"},
-		{"data in text", ".word 5", "outside .data"},
-		{"bad mem operand", "lw a0, a1", "bad memory operand"},
+	cases := []struct{ name, src, want string }{
+		{"unknown mnemonic", "frob a0, a1", `rasm: line 1: frob: unknown mnemonic`},
+		{"bad register", "addi q7, a0, 1", `rasm: line 1: bad register "q7"`},
+		{"undefined label", "j nowhere", `rasm: line 1: undefined symbol "nowhere"`},
+		{"imm range", "addi a0, a0, 5000", `rasm: line 1: riscv: I-immediate 5000 out of range`},
+		{"duplicate label", "x:\nnop\nx:\nnop", `rasm: line 3: duplicate label "x"`},
+		{"data in text", ".word 5", `rasm: line 1: .word outside .data`},
+		{"bad mem operand", "lw a0, a1", `rasm: line 1: bad memory operand "a1"`},
+		{"space in text", ".space 4", `rasm: line 1: .space outside .data`},
+		{"empty label", ":\nnop", `rasm: line 1: invalid label ""`},
+		{"digit label", "1a:\nnop", `rasm: line 1: invalid label "1a"`},
+		{"align without boundary", " .align\n", `rasm: line 1: .align requires a boundary`},
+		{"align not power of two", ".align 3", `rasm: line 1: bad .align boundary (power of two)`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Assemble(c.src)
-			if err == nil || !strings.Contains(err.Error(), c.wantSub) {
-				t.Errorf("error %v does not contain %q", err, c.wantSub)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("error %v, want %s", err, c.want)
 			}
 		})
+	}
+}
+
+// TestMalformedLines covers two inputs that once crashed the assembler
+// (index out of range): a line of nothing but separators after a label,
+// and .align with no operand.
+func TestMalformedLines(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"main:\n ,\n", ""},
+		{" .align\n", "rasm: line 1: .align requires a boundary"},
+	}
+	for _, c := range cases {
+		got := ""
+		if _, err := Assemble(c.src); err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("Assemble(%q) error %q, want %q", c.src, got, c.want)
+		}
 	}
 }
 

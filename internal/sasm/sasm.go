@@ -17,8 +17,8 @@
 // functions hi(label) and lo(label) yield the upper 24 and lower 8 bits of
 // a symbol address for LUI/ORi constant materialization.
 //
-// Directives: .text, .data, .entry NAME, .globl NAME (accepted, no-op),
-// .word, .half, .byte, .ascii, .asciz, .space, .align.
+// Sections, labels and directives are those of the shared driver
+// (internal/asm); this package supplies the instruction encoding.
 package sasm
 
 import (
@@ -26,62 +26,41 @@ import (
 	"strconv"
 	"strings"
 
+	"straight/internal/asm"
 	"straight/internal/isa/straight"
 	"straight/internal/program"
 	"straight/internal/sverify"
 )
 
-// Error describes an assembly failure with its source position.
-type Error struct {
-	Line int
-	Msg  string
+var isa = &asm.ISA{
+	Name:   "sasm",
+	Size:   func(string) int { return 1 },
+	Encode: encode,
+	Format: func(w uint32) string {
+		inst, err := straight.Decode(w)
+		if err != nil {
+			return "<invalid>"
+		}
+		return inst.String()
+	},
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("sasm: line %d: %s", e.Line, e.Msg) }
-
-type section int
-
-const (
-	secText section = iota
-	secData
-)
-
-type item struct {
-	line    int
-	mnem    string
-	ops     []string
-	addr    uint32
-	comment string
-}
-
-type assembler struct {
-	textItems  []item
-	data       []byte
-	symbols    map[string]uint32
-	entryName  string
-	textBase   uint32
-	dataBase   uint32
-	dataFixups []dataFixup
-	verify     bool
-	verifyCfg  sverify.Config
+type config struct {
+	verify    bool
+	verifyCfg sverify.Config
 }
 
 // Option configures the assembler.
-type Option func(*assembler)
-
-// WithBases overrides the default text/data load addresses.
-func WithBases(textBase, dataBase uint32) Option {
-	return func(a *assembler) { a.textBase, a.dataBase = textBase, dataBase }
-}
+type Option func(*config)
 
 // WithVerify runs the static invariant verifier (internal/sverify) over
 // the linked image and fails assembly if any STRAIGHT invariant is
 // violated. maxDistance is the operand-distance bound to verify against
 // (0 means the ISA maximum).
 func WithVerify(maxDistance int) Option {
-	return func(a *assembler) {
-		a.verify = true
-		a.verifyCfg = sverify.Config{MaxDistance: maxDistance}
+	return func(c *config) {
+		c.verify = true
+		c.verifyCfg = sverify.Config{MaxDistance: maxDistance}
 	}
 }
 
@@ -89,238 +68,51 @@ func WithVerify(maxDistance int) Option {
 // The entry point is the .entry symbol if given, else "main", else
 // "_start", else the start of the text segment.
 func Assemble(src string, opts ...Option) (*program.Image, error) {
-	a := &assembler{
-		symbols:  make(map[string]uint32),
-		textBase: program.DefaultTextBase,
-		dataBase: program.DefaultDataBase,
-	}
+	var c config
 	for _, o := range opts {
-		o(a)
+		o(&c)
 	}
-	if err := a.firstPass(src); err != nil {
-		return nil, err
-	}
-	im, err := a.secondPass()
+	im, err := isa.Assemble(src)
 	if err != nil {
 		return nil, err
 	}
-	if a.verify {
-		if err := sverify.Check(im, a.verifyCfg); err != nil {
-			return nil, &Error{0, err.Error()}
+	if c.verify {
+		if err := sverify.Check(im, c.verifyCfg); err != nil {
+			return nil, &asm.Error{Asm: isa.Name, Line: 0, Msg: err.Error()}
 		}
 	}
 	return im, nil
 }
 
-// firstPass splits the source into labeled items, lays out both sections
-// and records symbol addresses.
-func (a *assembler) firstPass(src string) error {
-	sec := secText
-	textAddr := a.textBase
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		// Peel off any leading labels (several may share a line).
-		for {
-			trimmed := strings.TrimSpace(line)
-			i := indexLabel(trimmed)
-			if i < 0 {
-				line = trimmed
-				break
-			}
-			name := trimmed[:i]
-			if !validIdent(name) {
-				return &Error{lineNo + 1, fmt.Sprintf("invalid label %q", name)}
-			}
-			if _, dup := a.symbols[name]; dup {
-				return &Error{lineNo + 1, fmt.Sprintf("duplicate label %q", name)}
-			}
-			if sec == secText {
-				a.symbols[name] = textAddr
-			} else {
-				a.symbols[name] = a.dataBase + uint32(len(a.data))
-			}
-			line = trimmed[i+1:]
-		}
-		if line == "" {
-			continue
-		}
-		fields := splitOperands(line)
-		if len(fields) == 0 {
-			continue // nothing but separators
-		}
-		mnem := fields[0]
-		ops := fields[1:]
-		if strings.HasPrefix(mnem, ".") {
-			var err error
-			sec, textAddr, err = a.directive(lineNo+1, sec, textAddr, mnem, ops, line)
-			if err != nil {
-				return err
-			}
-			continue
-		}
-		if sec != secText {
-			return &Error{lineNo + 1, fmt.Sprintf("instruction %q in data section", mnem)}
-		}
-		a.textItems = append(a.textItems, item{line: lineNo + 1, mnem: mnem, ops: ops, addr: textAddr, comment: strings.TrimSpace(raw)})
-		textAddr += program.InstructionBytes
+// Disassemble renders the text segment with addresses and symbols, for
+// debugging and golden tests.
+func Disassemble(im *program.Image) string { return isa.Disassemble(im) }
+
+func encode(words []uint32, it *asm.Item, symbols map[string]uint32) ([]uint32, error) {
+	inst, err := encodeItem(it, symbols)
+	if err != nil {
+		return words, err
 	}
-	return nil
+	w, err := straight.Encode(inst)
+	return append(words, w), err
 }
 
-func (a *assembler) directive(line int, sec section, textAddr uint32, mnem string, ops []string, full string) (section, uint32, error) {
-	switch mnem {
-	case ".text":
-		return secText, textAddr, nil
-	case ".data":
-		return secData, textAddr, nil
-	case ".globl", ".global", ".type", ".size", ".p2align":
-		return sec, textAddr, nil
-	case ".entry":
-		if len(ops) != 1 {
-			return sec, textAddr, &Error{line, ".entry requires one symbol"}
-		}
-		a.entryName = ops[0]
-		return sec, textAddr, nil
-	case ".word", ".half", ".byte":
-		if sec != secData {
-			return sec, textAddr, &Error{line, mnem + " outside .data"}
-		}
-		width := map[string]int{".word": 4, ".half": 2, ".byte": 1}[mnem]
-		for _, op := range ops {
-			// Symbol references are patched in the second pass; reserve
-			// space now and remember the fixup.
-			if n, err := parseInt(op); err == nil {
-				a.appendLE(uint32(n), width)
-			} else if validIdent(op) {
-				if width != 4 {
-					return sec, textAddr, &Error{line, "symbol data must be .word"}
-				}
-				a.dataFixups = append(a.dataFixups, dataFixup{offset: len(a.data), symbol: op, line: line})
-				a.appendLE(0, 4)
-			} else {
-				return sec, textAddr, &Error{line, fmt.Sprintf("bad %s operand %q", mnem, op)}
-			}
-		}
-		return sec, textAddr, nil
-	case ".ascii", ".asciz":
-		if sec != secData {
-			return sec, textAddr, &Error{line, mnem + " outside .data"}
-		}
-		s, err := extractString(full)
-		if err != nil {
-			return sec, textAddr, &Error{line, err.Error()}
-		}
-		a.data = append(a.data, s...)
-		if mnem == ".asciz" {
-			a.data = append(a.data, 0)
-		}
-		return sec, textAddr, nil
-	case ".space":
-		if sec != secData {
-			return sec, textAddr, &Error{line, ".space outside .data"}
-		}
-		if len(ops) != 1 {
-			return sec, textAddr, &Error{line, ".space requires a size"}
-		}
-		n, err := parseInt(ops[0])
-		if err != nil || n < 0 {
-			return sec, textAddr, &Error{line, "bad .space size"}
-		}
-		a.data = append(a.data, make([]byte, n)...)
-		return sec, textAddr, nil
-	case ".align":
-		if len(ops) != 1 {
-			return sec, textAddr, &Error{line, ".align requires a boundary"}
-		}
-		n, err := parseInt(ops[0])
-		if err != nil || n <= 0 || n&(n-1) != 0 {
-			return sec, textAddr, &Error{line, "bad .align boundary (power of two)"}
-		}
-		if sec == secData {
-			for len(a.data)%int(n) != 0 {
-				a.data = append(a.data, 0)
-			}
-		}
-		return sec, textAddr, nil
-	}
-	return sec, textAddr, &Error{line, fmt.Sprintf("unknown directive %q", mnem)}
-}
-
-type dataFixup struct {
-	offset int
-	symbol string
-	line   int
-}
-
-func (a *assembler) appendLE(v uint32, width int) {
-	for i := 0; i < width; i++ {
-		a.data = append(a.data, byte(v>>(8*i)))
-	}
-}
-
-// secondPass encodes every instruction with symbols resolved.
-func (a *assembler) secondPass() (*program.Image, error) {
-	im := program.New()
-	im.TextBase = a.textBase
-	im.DataBase = a.dataBase
-	im.Symbols = a.symbols
-	im.Data = a.data
-	for _, fx := range a.dataFixups {
-		addr, ok := a.symbols[fx.symbol]
-		if !ok {
-			return nil, &Error{fx.line, fmt.Sprintf("undefined symbol %q in .word", fx.symbol)}
-		}
-		for i := 0; i < 4; i++ {
-			im.Data[fx.offset+i] = byte(addr >> (8 * i))
-		}
-	}
-	for idx, it := range a.textItems {
-		inst, err := a.encodeItem(it)
-		if err != nil {
-			return nil, err
-		}
-		w, encErr := straight.Encode(inst)
-		if encErr != nil {
-			return nil, &Error{it.line, encErr.Error()}
-		}
-		im.Text = append(im.Text, w)
-		im.Source[idx] = it.comment
-	}
-	switch {
-	case a.entryName != "":
-		e, ok := a.symbols[a.entryName]
-		if !ok {
-			return nil, &Error{0, fmt.Sprintf("undefined .entry symbol %q", a.entryName)}
-		}
-		im.Entry = e
-	default:
-		if e, ok := a.symbols["main"]; ok {
-			im.Entry = e
-		} else if e, ok := a.symbols["_start"]; ok {
-			im.Entry = e
-		} else {
-			im.Entry = a.textBase
-		}
-	}
-	return im, nil
-}
-
-func (a *assembler) encodeItem(it item) (straight.Inst, error) {
-	op, ok := straight.Lookup(it.mnem)
+func encodeItem(it *asm.Item, symbols map[string]uint32) (straight.Inst, error) {
+	op, ok := straight.Lookup(it.Mnem)
 	if !ok {
-		return straight.Inst{}, &Error{it.line, fmt.Sprintf("unknown mnemonic %q", it.mnem)}
+		return straight.Inst{}, fmt.Errorf("unknown mnemonic %q", it.Mnem)
 	}
 	inst := straight.Inst{Op: op}
-	want, got := operandSpec(op), len(it.ops)
+	want, got := operandSpec(op), len(it.Ops)
 	if got < want.min || got > want.max {
-		return straight.Inst{}, &Error{it.line, fmt.Sprintf("%s expects %s operands, got %d", op, want, got)}
+		return straight.Inst{}, fmt.Errorf("%s expects %s operands, got %d", op, want, got)
 	}
 	next := 0
-	take := func() string { s := it.ops[next]; next++; return s }
+	take := func() string { s := it.Ops[next]; next++; return s }
 	dist := func(role string) (uint16, error) {
 		d, err := parseDistance(take())
 		if err != nil {
-			return 0, &Error{it.line, fmt.Sprintf("%s %s: %v", op, role, err)}
+			return 0, fmt.Errorf("%s %s: %v", op, role, err)
 		}
 		return d, nil
 	}
@@ -342,18 +134,12 @@ func (a *assembler) encodeItem(it item) (straight.Inst, error) {
 		if inst.Src1, err = dist("src1"); err != nil {
 			return inst, err
 		}
-		imm, err := a.resolveImm(it, take(), op)
-		if err != nil {
-			return inst, err
-		}
-		inst.Imm = imm
+		inst.Imm, err = resolveImm(it, take(), op, symbols)
 	case straight.FmtS:
 		if op == straight.SYS {
-			f, err := parseSysFunc(take())
-			if err != nil {
-				return inst, &Error{it.line, err.Error()}
+			if inst.Imm, err = parseSysFunc(take()); err != nil {
+				return inst, err
 			}
-			inst.Imm = f
 			if next < got {
 				if inst.Src1, err = dist("src1"); err != nil {
 					return inst, err
@@ -372,33 +158,29 @@ func (a *assembler) encodeItem(it item) (straight.Inst, error) {
 				return inst, err
 			}
 			if next < got {
-				n, perr := parseInt(take())
+				n, perr := asm.ParseInt(take())
 				if perr != nil {
-					return inst, &Error{it.line, fmt.Sprintf("%s offset: %v", op, perr)}
+					return inst, fmt.Errorf("%s offset: %v", op, perr)
 				}
 				inst.Imm = int32(n)
 			}
 		}
 	case straight.FmtJ:
-		imm, err := a.resolveImm(it, take(), op)
-		if err != nil {
-			return inst, err
-		}
-		inst.Imm = imm
+		inst.Imm, err = resolveImm(it, take(), op, symbols)
 	}
-	return inst, nil
+	return inst, err
 }
 
 // resolveImm resolves an immediate operand, which may be a literal, a
 // label (PC-relative for control flow), or hi(sym)/lo(sym).
-func (a *assembler) resolveImm(it item, tok string, op straight.Op) (int32, error) {
-	if n, err := parseInt(tok); err == nil {
+func resolveImm(it *asm.Item, tok string, op straight.Op, symbols map[string]uint32) (int32, error) {
+	if n, err := asm.ParseInt(tok); err == nil {
 		return int32(n), nil
 	}
 	if fn, sym, ok := splitFunc(tok); ok {
-		addr, found := a.symbols[sym]
+		addr, found := symbols[sym]
 		if !found {
-			return 0, &Error{it.line, fmt.Sprintf("undefined symbol %q", sym)}
+			return 0, fmt.Errorf("undefined symbol %q", sym)
 		}
 		switch fn {
 		case "hi":
@@ -406,27 +188,26 @@ func (a *assembler) resolveImm(it item, tok string, op straight.Op) (int32, erro
 		case "lo":
 			return int32(addr & 0xFF), nil
 		}
-		return 0, &Error{it.line, fmt.Sprintf("unknown operand function %q", fn)}
+		return 0, fmt.Errorf("unknown operand function %q", fn)
 	}
-	if validIdent(tok) {
-		addr, found := a.symbols[tok]
-		if !found {
-			return 0, &Error{it.line, fmt.Sprintf("undefined symbol %q", tok)}
-		}
-		switch op {
-		case straight.BEZ, straight.BNZ, straight.J, straight.JAL:
-			delta := int64(addr) - int64(it.addr)
-			if delta%program.InstructionBytes != 0 {
-				return 0, &Error{it.line, "misaligned branch target"}
-			}
-			return int32(delta / program.InstructionBytes), nil
-		case straight.LUI:
-			return int32(addr >> 8), nil
-		default:
-			return 0, &Error{it.line, fmt.Sprintf("%s cannot take a symbol operand", op)}
-		}
+	if !asm.ValidIdent(tok) {
+		return 0, fmt.Errorf("bad operand %q", tok)
 	}
-	return 0, &Error{it.line, fmt.Sprintf("bad operand %q", tok)}
+	addr, found := symbols[tok]
+	if !found {
+		return 0, fmt.Errorf("undefined symbol %q", tok)
+	}
+	switch op {
+	case straight.BEZ, straight.BNZ, straight.J, straight.JAL:
+		delta := int64(addr) - int64(it.Addr)
+		if delta%program.InstructionBytes != 0 {
+			return 0, fmt.Errorf("misaligned branch target")
+		}
+		return int32(delta / program.InstructionBytes), nil
+	case straight.LUI:
+		return int32(addr >> 8), nil
+	}
+	return 0, fmt.Errorf("%s cannot take a symbol operand", op)
 }
 
 type spec struct{ min, max int }
@@ -440,20 +221,14 @@ func (s spec) String() string {
 
 func operandSpec(op straight.Op) spec {
 	switch op.Format() {
-	case straight.FmtN:
-		return spec{0, 0}
-	case straight.FmtR:
-		return spec{2, 2}
-	case straight.FmtI:
+	case straight.FmtR, straight.FmtI:
 		return spec{2, 2}
 	case straight.FmtS:
 		if op == straight.SYS {
 			return spec{1, 3}
 		}
 		return spec{2, 3} // offset optional, defaults to 0
-	case straight.FmtJ:
-		return spec{1, 1}
-	case straight.FmtJR:
+	case straight.FmtJ, straight.FmtJR:
 		return spec{1, 1}
 	}
 	return spec{0, 0}
@@ -472,7 +247,7 @@ func parseSysFunc(tok string) (int32, error) {
 	if f, ok := sysNames[strings.ToLower(tok)]; ok {
 		return f, nil
 	}
-	n, err := parseInt(tok)
+	n, err := asm.ParseInt(tok)
 	if err != nil {
 		return 0, fmt.Errorf("bad SYS function %q", tok)
 	}
@@ -490,152 +265,10 @@ func parseDistance(tok string) (uint16, error) {
 	return uint16(n), nil
 }
 
-func parseInt(tok string) (int64, error) {
-	tok = strings.ReplaceAll(tok, "_", "")
-	n, err := strconv.ParseInt(tok, 0, 64)
-	if err != nil {
-		// Allow unsigned hex like 0xFFFFFFFF.
-		if u, uerr := strconv.ParseUint(tok, 0, 32); uerr == nil {
-			return int64(int32(uint32(u))), nil
-		}
-		return 0, err
-	}
-	return n, nil
-}
-
 func splitFunc(tok string) (fn, arg string, ok bool) {
 	i := strings.IndexByte(tok, '(')
 	if i <= 0 || !strings.HasSuffix(tok, ")") {
 		return "", "", false
 	}
 	return tok[:i], tok[i+1 : len(tok)-1], true
-}
-
-func stripComment(line string) string {
-	inStr := false
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if c == '"' {
-			inStr = !inStr
-			continue
-		}
-		if inStr {
-			if c == '\\' {
-				i++
-			}
-			continue
-		}
-		if c == '#' || c == ';' {
-			return line[:i]
-		}
-		if c == '/' && i+1 < len(line) && line[i+1] == '/' {
-			return line[:i]
-		}
-	}
-	return line
-}
-
-// indexLabel returns the index of a label-terminating ':' at the start of
-// the trimmed line, or -1.
-func indexLabel(s string) int {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == ':' {
-			return i
-		}
-		if !identChar(c) {
-			return -1
-		}
-	}
-	return -1
-}
-
-func identChar(c byte) bool {
-	return c == '_' || c == '.' || c == '$' ||
-		('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
-}
-
-func validIdent(s string) bool {
-	if s == "" || (s[0] >= '0' && s[0] <= '9') {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if !identChar(s[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// splitOperands splits an instruction line into mnemonic and operands.
-// Commas and whitespace both separate operands (the paper writes
-// "ADD [4] [3]" and "SLTi [2], 100" interchangeably).
-func splitOperands(line string) []string {
-	var out []string
-	cur := strings.Builder{}
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
-		}
-	}
-	depth := 0
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		switch {
-		case c == '(':
-			depth++
-			cur.WriteByte(c)
-		case c == ')':
-			depth--
-			cur.WriteByte(c)
-		case (c == ' ' || c == '\t' || c == ',') && depth == 0:
-			flush()
-		default:
-			cur.WriteByte(c)
-		}
-	}
-	flush()
-	return out
-}
-
-func extractString(line string) (string, error) {
-	i := strings.IndexByte(line, '"')
-	if i < 0 {
-		return "", fmt.Errorf("missing string literal")
-	}
-	s, err := strconv.Unquote(line[i:])
-	if err != nil {
-		// strconv.Unquote needs the exact quoted region; find the closing quote.
-		for j := len(line) - 1; j > i; j-- {
-			if line[j] == '"' {
-				if u, uerr := strconv.Unquote(line[i : j+1]); uerr == nil {
-					return u, nil
-				}
-			}
-		}
-		return "", fmt.Errorf("bad string literal: %v", err)
-	}
-	return s, nil
-}
-
-// Disassemble renders the text segment with addresses and symbols, for
-// debugging and golden tests.
-func Disassemble(im *program.Image) string {
-	var b strings.Builder
-	for i, w := range im.Text {
-		addr := im.TextBase + uint32(i)*program.InstructionBytes
-		for _, name := range im.SymbolNames() {
-			if im.Symbols[name] == addr && im.ContainsText(addr) {
-				fmt.Fprintf(&b, "%s:\n", name)
-			}
-		}
-		inst, err := straight.Decode(w)
-		if err != nil {
-			fmt.Fprintf(&b, "  %08x: %08x  <invalid>\n", addr, w)
-			continue
-		}
-		fmt.Fprintf(&b, "  %08x: %08x  %s\n", addr, w, inst)
-	}
-	return b.String()
 }

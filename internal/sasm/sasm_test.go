@@ -157,30 +157,27 @@ start:
 	}
 }
 
+// TestErrors pins the full text of each error, "sasm: line N: " prefix
+// included.
 func TestErrors(t *testing.T) {
-	cases := []struct {
-		name, src, wantSub string
-	}{
-		{"unknown mnemonic", "FOO [1], [2]", "unknown mnemonic"},
-		{"bad distance", "ADD [9999], [1]", "out of range"},
-		{"missing operand", "ADD [1]", "expects"},
-		{"undefined label", "J nowhere", "undefined symbol"},
-		{"duplicate label", "a:\nNOP\na:\nNOP", "duplicate label"},
-		{"data in text", ".word 1", "outside .data"},
-		{"insn in data", ".data\nNOP", "in data section"},
-		{"imm overflow", "ADDi [1], 100000", "out of 14-bit range"},
-		{"store offset overflow", "ST [1], [2], 100", "out of 4-bit range"},
-		{"bad sys", "SYS frobnicate", "bad SYS function"},
-		{"bad entry", ".entry nowhere\nNOP", "undefined .entry"},
+	cases := []struct{ name, src, want string }{
+		{"unknown mnemonic", "FOO [1], [2]", `sasm: line 1: unknown mnemonic "FOO"`},
+		{"bad distance", "ADD [9999], [1]", `sasm: line 1: ADD src1: distance "[9999]" out of range 0..1023`},
+		{"missing operand", "ADD [1]", `sasm: line 1: ADD expects 2 operands, got 1`},
+		{"undefined label", "J nowhere", `sasm: line 1: undefined symbol "nowhere"`},
+		{"duplicate label", "a:\nNOP\na:\nNOP", `sasm: line 3: duplicate label "a"`},
+		{"data in text", ".word 1", `sasm: line 1: .word outside .data`},
+		{"insn in data", ".data\nNOP", `sasm: line 2: instruction "NOP" in data section`},
+		{"imm overflow", "ADDi [1], 100000", `sasm: line 1: straight: encode ADDi: imm 100000 out of 14-bit range`},
+		{"store offset overflow", "ST [1], [2], 100", `sasm: line 1: straight: encode SW: imm 100 out of 4-bit range`},
+		{"bad sys", "SYS frobnicate", `sasm: line 1: bad SYS function "frobnicate"`},
+		{"bad entry", ".entry nowhere\nNOP", `sasm: line 0: undefined .entry symbol "nowhere"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Assemble(c.src)
-			if err == nil {
-				t.Fatalf("expected error containing %q", c.wantSub)
-			}
-			if !strings.Contains(err.Error(), c.wantSub) {
-				t.Errorf("error %q does not contain %q", err, c.wantSub)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("error %v, want %s", err, c.want)
 			}
 		})
 	}

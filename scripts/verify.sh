@@ -64,6 +64,10 @@ go test -race ./internal/sampling -run 'TestSampledDeterminism|TestSampledNoIdle
 # this additionally sweeps fresh seeds.
 go run ./cmd/straight-fuzz -seeds 200 -budget 60s
 
+# Fuzz smoke of the assembler driver shared by both ISAs (internal/asm):
+# every input goes through sasm and rasm, and must never panic.
+go test -run '^$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm
+
 # Smoke-test the observability pipeline end to end: run both simulators
 # with -trace on tiny programs, then analyze the resulting Kanata files
 # with straight-trace (which also validates the format by parsing).
