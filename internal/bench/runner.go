@@ -189,7 +189,7 @@ func (r *Runner) Run(points []SweepPoint) ([]PointResult, error) {
 					errs[idx] = errSkipped
 					continue
 				}
-				res, err := runPoint(points[idx], nil)
+				res, err := runPoint(points[idx])
 				if err != nil {
 					errs[idx] = fmt.Errorf("%s: %w", points[idx].Name(), err)
 					failed.Store(true)
@@ -222,62 +222,108 @@ var errSkipped = fmt.Errorf("skipped after earlier failure")
 
 // runPoint executes one point: consult the result store, simulate on a
 // miss (or when tracing forces a live run), and record what was
-// computed. key is the point's content address when the caller already
-// derived it (the daemon keys every point to coalesce it), or nil to
-// derive it here only when the store is consulted.
-func runPoint(p SweepPoint, key *resultstore.Key) (PointResult, error) {
+// computed.
+func runPoint(p SweepPoint) (PointResult, error) {
 	if Interrupted() {
 		return PointResult{}, uarch.ErrInterrupted
 	}
-	var tgt *TraceTarget
-	if p.Core.Cycle() {
-		tgt = claimTrace(p.Name())
-	}
-	st := resultStore.Load()
-	if st == nil || tgt != nil {
-		key = nil
-	} else if key == nil {
-		if k, err := PointKey(p); err == nil {
-			key = &k
-		}
-	}
-	if key != nil {
-		if raw, ok := st.Get(*key); ok {
-			if res, derr := decodeStored(p, raw); derr == nil {
-				bumpStore(p.Section, func(c *StoreCounts) { c.Hits++ })
-				return res, nil
+	tgt, st := traceOrStore(p)
+	var key resultstore.Key
+	if st != nil {
+		var err error
+		if key, err = PointKey(p); err != nil {
+			st = nil // unkeyable: the build below reports the error
+		} else {
+			if raw, ok := st.Get(key); ok {
+				if res, derr := decodeStored(p, raw); derr == nil {
+					bumpStore(p.Section, func(c *StoreCounts) { c.Hits++ })
+					return res, nil
+				}
+				// Undecodable or inconsistent entry: treat as a miss and
+				// recompute (the Put below supersedes it).
 			}
-			// Undecodable or inconsistent entry: treat as a miss and
-			// recompute (the Put below supersedes it).
-		}
-		bumpStore(p.Section, func(c *StoreCounts) { c.Misses++ })
-	}
-	res, err := simulatePoint(p, tgt)
-	if err != nil {
-		return res, err
-	}
-	bumpStore(p.Section, func(c *StoreCounts) { c.Recomputes++ })
-	if key != nil {
-		if raw, merr := json.Marshal(res.Data()); merr == nil {
-			if perr := st.Put(*key, raw); perr != nil {
-				// A store write failure must not fail the science; the
-				// entry is simply recomputed next time.
-				storePutErrors.Add(1)
-			}
+			bumpStore(p.Section, func(c *StoreCounts) { c.Misses++ })
 		}
 	}
-	return res, nil
+	res, _, err := recompute(p, tgt, st, key)
+	return res, err
 }
 
 // ExecutePoint runs one sweep point through the store-aware execution
 // path without journaling (batch callers use RunPoints).
-func ExecutePoint(p SweepPoint) (PointResult, error) { return runPoint(p, nil) }
+func ExecutePoint(p SweepPoint) (PointResult, error) { return runPoint(p) }
 
-// ExecuteKeyed is ExecutePoint for a caller that already holds the
-// point's content address, key = PointKey(p): the daemon's per-point
-// entry, which keys every point once to coalesce it.
-func ExecuteKeyed(p SweepPoint, key resultstore.Key) (PointResult, error) {
-	return runPoint(p, &key)
+// ExecuteWire is the daemon's per-point entry. key is PointKey(p),
+// which the daemon derives once to coalesce the point. It returns the
+// point's ResultData as JSON, the bytes the store holds and the
+// /v1/run wire carries: on a hit the store's own slice (read-only),
+// checked by decodeStored on the first read of that entry only; on a
+// miss the bytes just stored. cached reports a hit. Store counts are
+// the same as ExecutePoint's.
+func ExecuteWire(p SweepPoint, key resultstore.Key) (wire []byte, cached bool, err error) {
+	if Interrupted() {
+		return nil, false, uarch.ErrInterrupted
+	}
+	tgt, st := traceOrStore(p)
+	if st != nil {
+		raw, ok := st.GetChecked(key, func(raw []byte) error { return checkStored(p, raw) })
+		if ok {
+			bumpStore(p.Section, func(c *StoreCounts) { c.Hits++ })
+			return raw, true, nil
+		}
+		bumpStore(p.Section, func(c *StoreCounts) { c.Misses++ })
+	}
+	res, wire, err := recompute(p, tgt, st, key)
+	if err == nil && wire == nil {
+		wire, err = json.Marshal(res.Data())
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	return wire, false, nil
+}
+
+// checkStored is the check ExecuteWire hands the store: decodeStored's
+// decode and Stats.Check. It is a variable only so tests can count its
+// calls.
+var checkStored = func(p SweepPoint, raw []byte) error {
+	_, err := decodeStored(p, raw)
+	return err
+}
+
+// traceOrStore claims the trace target for a cycle-core point, or else
+// returns the store the point consults: a traced point always
+// simulates and is never stored.
+func traceOrStore(p SweepPoint) (*TraceTarget, *resultstore.Store) {
+	if p.Core.Cycle() {
+		if tgt := claimTrace(p.Name()); tgt != nil {
+			return tgt, nil
+		}
+	}
+	return nil, resultStore.Load()
+}
+
+// recompute simulates p and, when st is set, stores the result in it
+// under key. raw is the stored encoding, nil when nothing was stored.
+func recompute(p SweepPoint, tgt *TraceTarget, st *resultstore.Store, key resultstore.Key) (PointResult, []byte, error) {
+	res, err := simulatePoint(p, tgt)
+	if err != nil {
+		return res, nil, err
+	}
+	bumpStore(p.Section, func(c *StoreCounts) { c.Recomputes++ })
+	if st == nil {
+		return res, nil, nil
+	}
+	raw, merr := json.Marshal(res.Data())
+	if merr != nil {
+		return res, nil, nil
+	}
+	if perr := st.Put(key, raw); perr != nil {
+		// A store write failure must not fail the science; the entry is
+		// simply recomputed next time.
+		storePutErrors.Add(1)
+	}
+	return res, raw, nil
 }
 
 // storePutErrors counts result-store appends that failed (disk full,

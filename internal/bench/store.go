@@ -174,7 +174,9 @@ func (d ResultData) Result(p SweepPoint, cached bool) PointResult {
 
 // decodeStored rebuilds a cached result and re-checks the counters'
 // internal consistency, so a store entry that decodes but carries
-// damaged numbers is recomputed instead of trusted.
+// damaged numbers is recomputed instead of trusted. ExecutePoint runs
+// it on every read; ExecuteWire on the first read of each stored
+// entry, through resultstore's GetChecked.
 func decodeStored(p SweepPoint, raw []byte) (PointResult, error) {
 	var d ResultData
 	if err := json.Unmarshal(raw, &d); err != nil {

@@ -1,10 +1,13 @@
 package bench
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"straight/internal/resultstore"
@@ -260,6 +263,166 @@ func TestStoreRejectsDamagedEntry(t *testing.T) {
 	}
 	if got := StoreTotals(); got.Hits != 1 {
 		t.Fatalf("repaired entry totals = %+v, want hit", got)
+	}
+}
+
+// TestPointKeyPinned pins the content address of one point per kind of
+// engine. A key that changes orphans every stored result, so a change
+// here must be deliberate (and bump resultSchema if the derivation
+// changed shape).
+func TestPointKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		p    SweepPoint
+		want string
+	}{
+		{StraightPoint("s", "l", workloads.Dhrystone, 200, ModeREP, uarch.Straight4Way()),
+			"f7784b2b3d23083f8eb1aae98ee9a4c0f4b442de9f6f263457cfa137e128aa9f"},
+		{SSPoint("s", "l", workloads.CoreMark, 1, uarch.SS4Way()),
+			"3cf72ed3986cab135daf9a856bb78953b411ddf5b958cca12f1a049d6f541a3c"},
+		{SweepPoint{Workload: workloads.MicroFib, Core: CoreEmuRISCV, Iters: 3},
+			"57d19141a798083dd0e2df2407569509dc42b86cccc3a17c672ea28325d89247"},
+	} {
+		k, err := PointKey(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k.String() != c.want {
+			t.Errorf("%s point key = %s, want %s", c.p.Core, k, c.want)
+		}
+	}
+}
+
+// countChecks replaces ExecuteWire's stored-entry check with one that
+// counts its calls, for the rest of the test.
+func countChecks(t *testing.T) *atomic.Int64 {
+	var calls atomic.Int64
+	saved := checkStored
+	checkStored = func(p SweepPoint, raw []byte) error {
+		calls.Add(1)
+		return saved(p, raw)
+	}
+	t.Cleanup(func() { checkStored = saved })
+	return &calls
+}
+
+// TestExecuteWireChecksOncePerEntry follows one cycle-core point
+// through the daemon's entry: a miss returns the stored bytes unchecked;
+// hits return the store's bytes and check them on the first read only;
+// a superseding Put and a reopened store each check again; a damaged
+// entry is recomputed, never returned.
+func TestExecuteWireChecksOncePerEntry(t *testing.T) {
+	st := withStore(t, 1)
+	calls := countChecks(t)
+	p := SSPoint("store-test", "wire", workloads.MicroFib, 1, uarch.SS2Way())
+	key, err := PointKey(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(wantCached bool, wantCalls int64) []byte {
+		t.Helper()
+		wire, cached, err := ExecuteWire(p, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached != wantCached {
+			t.Fatalf("cached = %v, want %v", cached, wantCached)
+		}
+		if stored, _ := st.Get(key); !bytes.Equal(wire, stored) {
+			t.Fatalf("wire bytes differ from the stored entry")
+		}
+		if n := calls.Load(); n != wantCalls {
+			t.Fatalf("check ran %d times, want %d", n, wantCalls)
+		}
+		return wire
+	}
+
+	first := serve(false, 0)
+	serve(true, 1)
+	serve(true, 1)
+	if got := StoreTotals(); got != (StoreCounts{Hits: 2, Misses: 1, Recomputes: 1}) {
+		t.Fatalf("totals = %+v, want 2 hits / 1 miss / 1 recompute", got)
+	}
+
+	// The same bytes put again form a new, unchecked entry.
+	if err := st.Put(key, bytes.Clone(first)); err != nil {
+		t.Fatal(err)
+	}
+	serve(true, 2)
+	serve(true, 2)
+
+	// Damaged numbers that still decode fail the check: recompute.
+	var d ResultData
+	if err := json.Unmarshal(first, &d); err != nil {
+		t.Fatal(err)
+	}
+	d.Stats.Retired += 12345
+	bad, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, bad); err != nil {
+		t.Fatal(err)
+	}
+	ResetStoreStats()
+	if wire := serve(false, 3); bytes.Equal(wire, bad) {
+		t.Fatal("damaged entry returned")
+	}
+	if got := StoreTotals(); got != (StoreCounts{Misses: 1, Recomputes: 1}) {
+		t.Fatalf("damaged entry totals = %+v, want 1 miss / 1 recompute", got)
+	}
+	serve(true, 4)
+
+	// A reopened store starts unchecked.
+	path := st.Path()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = resultstore.Open(path, resultstore.Options{Salt: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	SetStore(st)
+	serve(true, 5)
+	serve(true, 5)
+}
+
+// TestExecuteWireConcurrentFirstReads serves one unchecked entry to
+// many goroutines at once (run under -race in verify.sh): every read is
+// a hit on the stored bytes, and the entry is checked afterwards.
+func TestExecuteWireConcurrentFirstReads(t *testing.T) {
+	st := withStore(t, 1)
+	p := StraightPoint("store-test", "wire", workloads.MicroFib, 1, ModeREP, uarch.Straight2Way())
+	key, err := PointKey(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ExecuteWire(p, key); err != nil {
+		t.Fatal(err)
+	}
+	stored, _ := st.Get(key)
+	calls := countChecks(t)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wire, cached, err := ExecuteWire(p, key)
+			if err != nil || !cached || !bytes.Equal(wire, stored) {
+				t.Errorf("concurrent read: cached=%v err=%v, bytes equal=%v", cached, err, bytes.Equal(wire, stored))
+			}
+		}()
+	}
+	wg.Wait()
+	if n := calls.Load(); n < 1 || n > 8 {
+		t.Fatalf("check ran %d times for 8 first reads, want 1..8", n)
+	}
+	n := calls.Load()
+	if _, _, err := ExecuteWire(p, key); err != nil {
+		t.Fatal(err)
+	}
+	if calls.Load() != n {
+		t.Fatal("check ran again after the entry was checked")
 	}
 }
 

@@ -81,7 +81,7 @@ type Store struct {
 
 	mu        sync.RWMutex
 	f         *os.File
-	index     map[Key][]byte
+	index     map[Key]*entry
 	fileBytes int64 // header + every frame appended, dead or live
 	liveBytes int64 // frames that would survive compaction
 	puts      int64
@@ -90,6 +90,14 @@ type Store struct {
 	tailDropped int64
 	invalidated bool
 	compactions int64
+}
+
+// entry is one live value. checked records that a GetChecked check
+// passed on exactly these bytes; a superseding Put installs a new,
+// unchecked entry, and a reopened store loads every entry unchecked.
+type entry struct {
+	value   []byte
+	checked atomic.Bool
 }
 
 func frameSize(valueLen int) int64 {
@@ -110,7 +118,7 @@ func Open(path string, opts Options) (*Store, error) {
 		path:  path,
 		salt:  opts.Salt,
 		f:     f,
-		index: make(map[Key][]byte),
+		index: make(map[Key]*entry),
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -171,9 +179,9 @@ func (s *Store) load(data []byte) error {
 		value := make([]byte, bodyLen-KeySize)
 		copy(value, body[KeySize:])
 		if old, ok := s.index[k]; ok {
-			s.liveBytes -= frameSize(len(old))
+			s.liveBytes -= frameSize(len(old.value))
 		}
-		s.index[k] = value
+		s.index[k] = &entry{value: value}
 		s.liveBytes += frameSize(len(value))
 		off += frameHead + bodyLen + frameFoot
 	}
@@ -201,7 +209,7 @@ func (s *Store) reinit() error {
 	if err := s.f.Sync(); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	s.index = make(map[Key][]byte)
+	s.index = make(map[Key]*entry)
 	s.fileBytes = int64(headerSize)
 	s.liveBytes = 0
 	return nil
@@ -213,15 +221,46 @@ func (s *Store) reinit() error {
 // //lint:hotpath root; it still avoids defer and allocation on the hit
 // path.
 func (s *Store) Get(key Key) ([]byte, bool) {
+	e := s.lookup(key)
+	if e == nil {
+		return nil, false
+	}
+	return e.value, true
+}
+
+// GetChecked is Get for values that must pass check before use. check
+// runs on the first read of each stored value only: success is
+// recorded on the entry, so later reads of the same bytes skip it. A
+// value that fails check is reported as absent and stays unchecked.
+// check must be deterministic in the value's bytes, which is what
+// makes recording one success sound; concurrent first reads may each
+// run it. In the Stats counters a found key is a hit whatever check
+// decides.
+func (s *Store) GetChecked(key Key, check func([]byte) error) ([]byte, bool) {
+	e := s.lookup(key)
+	if e == nil {
+		return nil, false
+	}
+	if !e.checked.Load() {
+		if check(e.value) != nil {
+			return nil, false
+		}
+		e.checked.Store(true)
+	}
+	return e.value, true
+}
+
+// lookup finds key's entry (nil when absent) and counts the hit or miss.
+func (s *Store) lookup(key Key) *entry {
 	s.mu.RLock()
-	v, ok := s.index[key]
+	e := s.index[key]
 	s.mu.RUnlock()
-	if ok {
+	if e != nil {
 		s.hits.Add(1)
 	} else {
 		s.misses.Add(1)
 	}
-	return v, ok
+	return e
 }
 
 // Len reports the number of live entries.
@@ -259,11 +298,11 @@ func (s *Store) Put(key Key, value []byte) error {
 		return fmt.Errorf("resultstore: append: %w", err)
 	}
 	if old, ok := s.index[key]; ok {
-		s.liveBytes -= frameSize(len(old))
+		s.liveBytes -= frameSize(len(old.value))
 	}
 	stored := make([]byte, len(value))
 	copy(stored, value)
-	s.index[key] = stored
+	s.index[key] = &entry{value: stored}
 	s.liveBytes += frameSize(len(value))
 	s.fileBytes += int64(need)
 	s.puts++
@@ -318,7 +357,8 @@ func (s *Store) compactLocked() error {
 	}
 	written := int64(headerSize)
 	var frame []byte
-	for k, v := range s.index {
+	for k, e := range s.index {
+		v := e.value
 		bodyLen := KeySize + len(v)
 		need := frameHead + bodyLen + frameFoot
 		if cap(frame) < need {

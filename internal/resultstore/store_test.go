@@ -87,15 +87,102 @@ func TestLastRecordWins(t *testing.T) {
 	}
 }
 
+// TestGetCheckedOncePerEntry counts check calls: one on the first read
+// of a value, none on later reads, one again after a superseding Put
+// and after a reopen, and a failed check reads as absent and re-runs.
+func TestGetCheckedOncePerEntry(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checked.store")
+	s := openT(t, path, Options{Salt: 1})
+	k := testKey(0)
+	calls := 0
+	reject := false
+	check := func(v []byte) error {
+		calls++
+		if reject {
+			return fmt.Errorf("rejected %q", v)
+		}
+		return nil
+	}
+	get := func(s *Store, want string, wantCalls int) {
+		t.Helper()
+		got, ok := s.GetChecked(k, check)
+		if want == "" {
+			if ok {
+				t.Fatalf("GetChecked = %q, want a miss", got)
+			}
+		} else if !ok || string(got) != want {
+			t.Fatalf("GetChecked = %q, %v, want %q", got, ok, want)
+		}
+		if calls != wantCalls {
+			t.Fatalf("check ran %d times, want %d", calls, wantCalls)
+		}
+	}
+
+	get(s, "", 0) // absent: nothing to check
+	if err := s.Put(k, []byte("gen-0")); err != nil {
+		t.Fatal(err)
+	}
+	get(s, "gen-0", 1)
+	get(s, "gen-0", 1)
+	if err := s.Put(k, []byte("gen-1")); err != nil {
+		t.Fatal(err)
+	}
+	reject = true
+	get(s, "", 2)
+	get(s, "", 3) // a failed check is not recorded
+	reject = false
+	get(s, "gen-1", 4)
+	get(s, "gen-1", 4)
+	if st := s.Stats(); st.Hits != 6 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want every found key counted as a hit", st)
+	}
+	s.Close()
+
+	r := openT(t, path, Options{Salt: 1})
+	get(r, "gen-1", 5)
+	get(r, "gen-1", 5)
+}
+
+// TestGetCheckedConcurrentFirstReads has many goroutines read one
+// unchecked entry at once (run under -race in verify.sh): every read
+// returns the value, and once the reads finish the entry is checked.
+func TestGetCheckedConcurrentFirstReads(t *testing.T) {
+	s := openT(t, filepath.Join(t.TempDir(), "race.store"), Options{Salt: 1})
+	k := testKey(1)
+	if err := s.Put(k, testValue(1)); err != nil {
+		t.Fatal(err)
+	}
+	check := func(v []byte) error {
+		if !bytes.Equal(v, testValue(1)) {
+			return fmt.Errorf("check saw %q", v)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if v, ok := s.GetChecked(k, check); !ok || !bytes.Equal(v, testValue(1)) {
+				t.Errorf("GetChecked = %q, %v", v, ok)
+			}
+		}()
+	}
+	wg.Wait()
+	if _, ok := s.GetChecked(k, func([]byte) error { return fmt.Errorf("check re-ran") }); !ok {
+		t.Fatal("entry not recorded as checked after concurrent first reads")
+	}
+}
+
 // TestRecovery is the table-driven robustness suite of DESIGN.md §14:
 // each case damages the file after a clean run of Puts and states what
 // must survive reopening.
 func TestRecovery(t *testing.T) {
 	const n = 10
 	cases := []struct {
-		name    string
-		damage  func(t *testing.T, path string)
-		salt    uint64 // reopen salt (write salt is 1)
+		name   string
+		damage func(t *testing.T, path string)
+		salt   uint64 // reopen salt (write salt is 1)
 		surviving
 	}{
 		{
@@ -146,9 +233,9 @@ func TestRecovery(t *testing.T) {
 			surviving: surviving{entries: 0, intactPrefix: 0, tailDropped: true},
 		},
 		{
-			name: "version-salt bump invalidates",
+			name:   "version-salt bump invalidates",
 			damage: func(t *testing.T, path string) {},
-			salt:  2,
+			salt:   2,
 			surviving: surviving{
 				entries: 0, intactPrefix: 0, invalidated: true,
 			},

@@ -28,4 +28,13 @@
 // ask for a key simulates it, and every concurrent request for the same
 // key waits on the same flight and shares the one result. Flights are
 // pooled and reused across jobs (resetcomplete-checked, DESIGN.md §12).
+// A flight whose owning request ends while it queues for a slot passes
+// to the waiters still holding it; it fails only when no one does.
+//
+// A flight's result is the point's bench.ResultData as JSON, which is
+// also the stored value: a store hit streams the stored bytes unchanged
+// (checked once per store entry, not per hit), spliced into each
+// record's encoded envelope as its last field, so every record is byte
+// for byte what json.Encoder writes for the PointUpdate (DESIGN.md
+// §14.3).
 package served

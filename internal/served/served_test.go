@@ -3,6 +3,7 @@ package served
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"straight/internal/bench"
+	"straight/internal/perf"
 	"straight/internal/resultstore"
 	"straight/internal/uarch"
 	"straight/internal/workloads"
@@ -481,12 +483,254 @@ func TestProgressStreamsPerPoint(t *testing.T) {
 	}
 }
 
-// BenchmarkWarmJob times one 30-point job of tiny points against a
-// store that already holds every point: the daemon's store-hit path
-// (key, store get, decode, encode, HTTP) with no simulation.
+// TestStreamBytesMatchEncoder holds the only worker slot while a job
+// mixing store hits, misses, a coalesced duplicate, an unkeyable point
+// and emulator points queues, then checks every NDJSON line against
+// json.Encoder's output for the PointUpdate it decodes to: splicing the
+// stored bytes in must write exactly what encoding the decoded result
+// writes.
+func TestStreamBytesMatchEncoder(t *testing.T) {
+	srv, client := newTestDaemon(t, Config{Workers: 1})
+	hits := testPoints() // cycle cores and an emulator
+	if _, err := client.Run(hits); err != nil {
+		t.Fatal(err)
+	}
+	bench.ResetStoreStats()
+	dup := bench.StraightPoint("served-test", "fib/straight@2", workloads.MicroFib, 2, bench.ModeREP, uarch.Straight2Way())
+	job := []bench.SweepPoint{dup, dup}
+	job = append(job, hits...)
+	job = append(job,
+		bench.SSPoint("served-test", "fib/ss@2", workloads.MicroFib, 2, uarch.SS2Way()),
+		bench.SweepPoint{Section: "served-test", Label: "fib/emu-straight", Workload: workloads.MicroFib,
+			Core: bench.CoreEmuStraight, Iters: 2, Mode: bench.ModeREP, MaxDist: 31},
+		bench.SweepPoint{Section: "served-test", Label: "bogus", Workload: "no-such-workload", Core: bench.CoreEmuRISCV, Iters: 1},
+	)
+	body, err := json.Marshal(JobRequest{Points: job})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv.sem <- struct{}{} // the job's two workers both queue on dup
+	stream := make(chan []byte, 1)
+	go func() {
+		resp, err := http.Post(client.url("/v1/run"), "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			stream <- nil
+			return
+		}
+		defer resp.Body.Close()
+		var b bytes.Buffer
+		b.ReadFrom(resp.Body)
+		stream <- b.Bytes()
+	}()
+	waitFor(t, func() bool { return srv.Stats().PointsCoalesced == 1 })
+	<-srv.sem
+
+	lines := bytes.SplitAfter(<-stream, []byte("\n"))
+	if last := lines[len(lines)-1]; len(last) == 0 {
+		lines = lines[:len(lines)-1]
+	}
+	if len(lines) != len(job)+1 {
+		t.Fatalf("stream has %d lines, want %d points + 1 summary", len(lines), len(job))
+	}
+	var cached, coalesced, errs, fresh int
+	for _, line := range lines {
+		var u PointUpdate
+		if err := json.Unmarshal(line, &u); err != nil {
+			t.Fatalf("bad line %q: %v", line, err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(&u); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(line, want.Bytes()) {
+			t.Fatalf("stream line differs from the encoder's:\ngot  %s\nwant %s", line, want.Bytes())
+		}
+		switch {
+		case u.Done:
+		case u.Status == "error":
+			errs++
+		case u.Coalesced:
+			coalesced++
+		case u.Cached:
+			cached++
+		default:
+			fresh++
+		}
+	}
+	if cached != len(hits) || coalesced != 1 || errs != 1 || fresh != 3 {
+		t.Fatalf("stream mix: %d cached, %d coalesced, %d errors, %d fresh; want %d, 1, 1, 3",
+			cached, coalesced, errs, fresh, len(hits))
+	}
+	if got := bench.StoreTotals(); got != (bench.StoreCounts{Hits: 3, Misses: 3, Recomputes: 3}) {
+		t.Fatalf("store totals = %+v, want 3 hits / 3 misses / 3 recomputes", got)
+	}
+}
+
+// TestDaemonRecomputesDamagedEntry is TestStoreRejectsDamagedEntry on
+// the daemon path: an entry that was served (and so checked) is
+// superseded by one that decodes but fails Stats.Check. The next job
+// must recompute the point and stream the recomputed result, never the
+// damaged one.
+func TestDaemonRecomputesDamagedEntry(t *testing.T) {
+	_, client := newTestDaemon(t, Config{Workers: 1})
+	p := testPoints()[:1]
+	want, err := client.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := client.Run(p); err != nil || !res[0].Cached {
+		t.Fatalf("warm run: cached=%v err=%v", err == nil && res[0].Cached, err)
+	}
+
+	st := bench.ResultStore()
+	key, err := bench.PointKey(p[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := st.Get(key)
+	var d bench.ResultData
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatal(err)
+	}
+	d.Stats.Retired += 12345 // breaks Stats.Check
+	bad, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, bad); err != nil {
+		t.Fatal(err)
+	}
+
+	bench.ResetStoreStats()
+	got, err := client.Run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Cached || got[0].Stats.Retired != want[0].Stats.Retired {
+		t.Fatalf("damaged entry served: cached=%v retired=%d, want a recompute retiring %d",
+			got[0].Cached, got[0].Stats.Retired, want[0].Stats.Retired)
+	}
+	if tot := bench.StoreTotals(); tot != (bench.StoreCounts{Misses: 1, Recomputes: 1}) {
+		t.Fatalf("damaged entry totals = %+v, want 1 miss / 1 recompute", tot)
+	}
+	if res, err := client.Run(p); err != nil || !res[0].Cached {
+		t.Fatalf("repaired entry not served from the store: err=%v", err)
+	}
+}
+
+// TestOwnerLeavesQueuedFlightToWaiter fills the only slot, then has a
+// job own a queued point's flight and disconnect while another job is
+// coalesced onto it. The waiter's client is still connected, so its
+// point must run and succeed once the slot frees. An owner that leaves
+// with no one else on its flight still fails and detaches it.
+func TestOwnerLeavesQueuedFlightToWaiter(t *testing.T) {
+	points := distinctPoints(3)
+	holder, lone, shared := points[0], points[1], points[2]
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before the daemon's cleanup waits for the requests
+	srv, client := newTestDaemon(t, Config{
+		Workers: 1,
+		Exec: func(p bench.SweepPoint) (bench.PointResult, error) {
+			if p.Iters == holder.Iters {
+				<-release
+			}
+			return fakeResult(p)
+		},
+	})
+	// post submits one job whose request ends when the returned cancel
+	// is called.
+	post := func(p bench.SweepPoint) context.CancelFunc {
+		body, err := json.Marshal(JobRequest{Points: []bench.SweepPoint{p}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		req, err := http.NewRequestWithContext(ctx, "POST", client.url("/v1/run"), bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		return cancel
+	}
+
+	errHolder := make(chan error, 1)
+	go func() { _, err := client.Run([]bench.SweepPoint{holder}); errHolder <- err }()
+	waitFor(t, func() bool { return srv.Stats().Inflight == 1 })
+
+	cancelLone := post(lone)
+	waitFor(t, func() bool { return srv.Stats().Inflight == 2 })
+	cancelLone()
+	waitFor(t, func() bool { return srv.Stats().Inflight == 1 })
+
+	cancelOwner := post(shared)
+	defer cancelOwner()
+	waitFor(t, func() bool { return srv.Stats().Inflight == 2 })
+	errWaiter := make(chan error, 1)
+	go func() { _, err := client.Run([]bench.SweepPoint{shared}); errWaiter <- err }()
+	waitFor(t, func() bool { return srv.Stats().PointsCoalesced == 1 })
+	cancelOwner()
+	select {
+	case err := <-errWaiter:
+		t.Fatalf("waiter finished while the only slot is held: %v", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+
+	unblock()
+	for job, ch := range map[string]chan error{"slot holder": errHolder, "waiter": errWaiter} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("%s: %v", job, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: job hung", job)
+		}
+	}
+	waitFor(t, func() bool { return srv.Stats().Inflight == 0 })
+}
+
+// warmJobKernels are the five machines of the repo benchmark's mix.
+var warmJobKernels = []string{"straight-4way", "straight-2way", "ss-4way", "ss-2way", "cg-4way"}
+
+// warmJobPoints returns 30 tiny cycle-core points with distinct content
+// addresses: three microkernels at two iteration counts on each kernel.
+func warmJobPoints(tb testing.TB) []bench.SweepPoint {
+	var pts []bench.SweepPoint
+	for _, name := range warmJobKernels {
+		k, err := perf.KernelByName(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, w := range []workloads.Workload{workloads.MicroFib, workloads.MicroPointer, workloads.MicroBranch} {
+			for iters := 1; iters <= 2; iters++ {
+				label := fmt.Sprintf("%s/%s@%d", name, w, iters)
+				p := bench.SweepPoint{Section: "warm-job", Label: label, Workload: w,
+					Core: k.Kind, Iters: iters, Config: k.Cfg}
+				if k.Kind == perf.KindStraight {
+					p.Mode, p.MaxDist = bench.ModeREP, k.Cfg.MaxDistance
+				}
+				pts = append(pts, p)
+			}
+		}
+	}
+	return pts
+}
+
+// BenchmarkWarmJob times one 30-point job of tiny cycle-core points
+// against a store that already holds every point: the daemon's
+// store-hit path (key with config JSON, store get, stream encode, HTTP)
+// with no simulation, as the repo benchmark's daemon-warm runs it.
 func BenchmarkWarmJob(b *testing.B) {
 	_, client := newTestDaemon(b, Config{Workers: 2})
-	points := distinctPoints(30)
+	points := warmJobPoints(b)
 	if _, err := client.Run(points); err != nil {
 		b.Fatal(err)
 	}

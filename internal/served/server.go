@@ -1,6 +1,7 @@
 package served
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -68,36 +69,49 @@ type Config struct {
 	// Workers bounds concurrently simulating points across ALL requests;
 	// <= 0 means bench.Parallelism().
 	Workers int
-	// Exec runs one point; nil means bench.ExecuteKeyed with the key
+	// Exec runs one point; nil means bench.ExecuteWire with the key
 	// the server already derived. Tests inject a controllable executor
 	// to make coalescing windows deterministic.
 	Exec func(p bench.SweepPoint) (bench.PointResult, error)
 }
 
+// errShutdown fails points that would start after Shutdown.
+var errShutdown = errors.New("server shutting down")
+
 // flight is one in-flight point execution that concurrent identical
-// requests attach to. Flights are pooled; refs counts every party
-// holding the pointer (owner + waiters) and the last release returns it
-// to the pool.
+// requests attach to. Its result is the point's ResultData as JSON
+// (wire), possibly the store's own read-only slice. Flights are pooled;
+// refs counts every party holding the pointer (owner + waiters) and the
+// last release returns it to the pool.
 type flight struct {
-	done chan struct{}
-	res  bench.PointResult
-	err  error
-	refs int
+	done   chan struct{}
+	wire   []byte
+	cached bool
+	err    error
+	refs   int
 }
 
 // Reset restores a flight for pool reuse (resetcomplete-checked).
 func (f *flight) Reset() {
 	f.done = nil
-	f.res = bench.PointResult{}
+	f.wire = nil
+	f.cached = false
 	f.err = nil
 	f.refs = 0
+}
+
+// record is one point's stream record: the envelope, and the result
+// bytes spliced in as its "result" field when the point is done.
+type record struct {
+	u    PointUpdate
+	wire []byte
 }
 
 // Server is the daemon's HTTP handler set plus the shared execution
 // state. Construct with NewServer, mount via Handler, stop via Shutdown.
 type Server struct {
 	workers int
-	exec    func(p bench.SweepPoint, key resultstore.Key) (bench.PointResult, error)
+	exec    func(p bench.SweepPoint, key resultstore.Key) (wire []byte, cached bool, err error)
 	sem     chan struct{}
 
 	quitOnce sync.Once
@@ -120,9 +134,16 @@ func NewServer(cfg Config) *Server {
 	if workers <= 0 {
 		workers = bench.Parallelism()
 	}
-	exec := bench.ExecuteKeyed
+	exec := bench.ExecuteWire
 	if cfg.Exec != nil {
-		exec = func(p bench.SweepPoint, _ resultstore.Key) (bench.PointResult, error) { return cfg.Exec(p) }
+		exec = func(p bench.SweepPoint, _ resultstore.Key) ([]byte, bool, error) {
+			res, err := cfg.Exec(p)
+			if err != nil {
+				return nil, false, err
+			}
+			wire, err := json.Marshal(res.Data())
+			return wire, res.Cached, err
+		}
 	}
 	s := &Server{
 		workers:  workers,
@@ -186,7 +207,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// Sized to the job so no worker ever blocks on a send, even after
 	// the client has gone away.
-	updates := make(chan PointUpdate, len(req.Points))
+	updates := make(chan record, len(req.Points))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(len(req.Points), 2*s.workers) {
@@ -203,29 +224,32 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 
-	enc := json.NewEncoder(w)
+	// One buffer per stream holds each line until it is written.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	errs := 0
-	var encErr error
+	var writeErr error
 	for range req.Points {
-		u := <-updates
-		if u.Status == "error" {
+		rec := <-updates
+		if rec.u.Status == "error" {
 			errs++
 		}
-		if encErr != nil {
+		if writeErr != nil {
 			// Client went away; the workers still finish (results land in
 			// the store, and coalesced peers are unaffected).
 			continue
 		}
-		encErr = enc.Encode(&u)
+		_, writeErr = w.Write(rec.line(&buf, enc))
 		// Flush only when the queue has drained: records that are
 		// already waiting go out in the same write, and a lone slow
 		// point still reaches the client at once.
-		if encErr == nil && flusher != nil && len(updates) == 0 {
+		if writeErr == nil && flusher != nil && len(updates) == 0 {
 			flusher.Flush()
 		}
 	}
 	wg.Wait()
-	_ = enc.Encode(&PointUpdate{Done: true, Errors: errs})
+	last := record{u: PointUpdate{Done: true, Errors: errs}}
+	_, _ = w.Write(last.line(&buf, enc))
 
 	s.mu.Lock()
 	s.jobsFinished++
@@ -233,31 +257,49 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 }
 
-// runOne executes one point with cross-request coalescing.
-func (s *Server) runOne(ctx context.Context, idx int, p bench.SweepPoint) PointUpdate {
-	u := PointUpdate{Index: idx, Name: p.Name()}
-	res, coalesced, err := s.execute(ctx, p)
-	if err != nil {
-		u.Status = "error"
-		u.Error = err.Error()
-		return u
+// line renders rec as one NDJSON line in buf, which enc writes to. A
+// done record's envelope is encoded without its result, and the wire
+// bytes are spliced in before the closing brace. "result" is the last
+// non-empty field of a done record, so the line is byte for byte what
+// json.Encoder writes for the whole PointUpdate, without decoding and
+// re-encoding the stored bytes. The wire slice is only read.
+func (rec *record) line(buf *bytes.Buffer, enc *json.Encoder) []byte {
+	buf.Reset()
+	_ = enc.Encode(&rec.u) // plain fields into a bytes.Buffer: cannot fail
+	if rec.wire != nil {
+		buf.Truncate(buf.Len() - len("}\n"))
+		buf.WriteString(`,"result":`)
+		buf.Write(rec.wire)
+		buf.WriteString("}\n")
 	}
-	u.Status = "done"
-	u.Cached = res.Cached
-	u.Coalesced = coalesced
-	data := res.Data()
-	u.Result = &data
-	return u
+	return buf.Bytes()
+}
+
+// runOne executes one point with cross-request coalescing.
+func (s *Server) runOne(ctx context.Context, idx int, p bench.SweepPoint) record {
+	rec := record{u: PointUpdate{Index: idx, Name: p.Name()}}
+	wire, cached, coalesced, err := s.execute(ctx, p)
+	if err != nil {
+		rec.u.Status = "error"
+		rec.u.Error = err.Error()
+		return rec
+	}
+	rec.u.Status = "done"
+	rec.u.Cached = cached
+	rec.u.Coalesced = coalesced
+	rec.wire = wire
+	return rec
 }
 
 // execute runs p, attaching to an identical in-flight execution when
-// one exists (coalescing). The bool result reports attachment.
-func (s *Server) execute(ctx context.Context, p bench.SweepPoint) (bench.PointResult, bool, error) {
+// one exists (coalescing, reported by coalesced). wire is the point's
+// ResultData as JSON and cached reports a store hit.
+func (s *Server) execute(ctx context.Context, p bench.SweepPoint) (wire []byte, cached, coalesced bool, err error) {
 	key, kerr := bench.PointKey(p)
 	if kerr != nil {
 		// Unkeyable points (unknown workload) can't coalesce; report the
 		// error directly rather than simulating something undefined.
-		return bench.PointResult{}, false, kerr
+		return nil, false, false, kerr
 	}
 
 	s.mu.Lock()
@@ -265,7 +307,8 @@ func (s *Server) execute(ctx context.Context, p bench.SweepPoint) (bench.PointRe
 		f.refs++
 		s.coalesced++
 		s.mu.Unlock()
-		return s.await(ctx, key, f)
+		wire, cached, err = s.await(ctx, f)
+		return wire, cached, true, err
 	}
 	f := s.flightPool.Get().(*flight)
 	f.done = make(chan struct{})
@@ -273,24 +316,10 @@ func (s *Server) execute(ctx context.Context, p bench.SweepPoint) (bench.PointRe
 	s.inflight[key] = f
 	s.mu.Unlock()
 
-	// Bounded worker pool: simulate only while holding a slot. The quit
-	// check comes first on its own so a stopped server never starts new
-	// work even when a slot happens to be free.
-	select {
-	case <-s.quit:
-		f.err = fmt.Errorf("server shutting down")
-	default:
-		select {
-		case s.sem <- struct{}{}:
-			f.res, f.err = s.run(p, key)
-			<-s.sem
-		case <-s.quit:
-			f.err = fmt.Errorf("server shutting down")
-		case <-ctx.Done():
-			// The owning request died while queued. Fail the flight so
-			// coalesced waiters don't hang; they re-submit if they care.
-			f.err = ctx.Err()
-		}
+	// Bounded worker pool: simulate only while holding a slot.
+	if f.err = s.acquire(ctx, key, f); f.err == nil {
+		f.wire, f.cached, f.err = s.run(p, key)
+		<-s.sem
 	}
 	if f.err == nil {
 		s.mu.Lock()
@@ -306,40 +335,76 @@ func (s *Server) execute(ctx context.Context, p bench.SweepPoint) (bench.PointRe
 		delete(s.inflight, key)
 	}
 	s.mu.Unlock()
-	res, err := f.res, f.err
+	wire, cached, err = f.wire, f.cached, f.err
 	s.release(f)
-	return res, false, err
+	return wire, cached, false, err
+}
+
+// acquire takes a worker slot for the owner of flight f. The quit check
+// comes first on its own so a stopped server never starts new work even
+// when a slot happens to be free. If the owner's request ends while it
+// queues, the owner hands the flight to the coalesced waiters still
+// holding it: it queues on in their name (only quit aborts), and the
+// flight completes as a running one does when its waiters leave. With
+// no one else holding the flight, the owner fails it, detaching it from
+// the map in the same critical section so no new waiter can join it.
+func (s *Server) acquire(ctx context.Context, key resultstore.Key, f *flight) error {
+	select {
+	case <-s.quit:
+		return errShutdown
+	default:
+	}
+	gone := ctx.Done()
+	for {
+		select {
+		case s.sem <- struct{}{}:
+			return nil
+		case <-s.quit:
+			return errShutdown
+		case <-gone:
+			s.mu.Lock()
+			shared := f.refs > 1
+			if !shared && s.inflight[key] == f {
+				delete(s.inflight, key)
+			}
+			s.mu.Unlock()
+			if !shared {
+				return ctx.Err()
+			}
+			gone = nil
+		}
+	}
 }
 
 // run calls the executor, turning a panic into an error for this point
 // alone. The error carries the point's content address and the stack,
 // so the failure reproduces with one command.
-func (s *Server) run(p bench.SweepPoint, key resultstore.Key) (res bench.PointResult, err error) {
+func (s *Server) run(p bench.SweepPoint, key resultstore.Key) (wire []byte, cached bool, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			res, err = bench.PointResult{}, fmt.Errorf("panic executing point %s: %v\n%s", key, v, debug.Stack())
+			wire, cached, err = nil, false, fmt.Errorf("panic executing point %s: %v\n%s", key, v, debug.Stack())
 		}
 	}()
 	return s.exec(p, key)
 }
 
 // await blocks on another request's flight for the same key.
-func (s *Server) await(ctx context.Context, key resultstore.Key, f *flight) (bench.PointResult, bool, error) {
+func (s *Server) await(ctx context.Context, f *flight) ([]byte, bool, error) {
 	select {
 	case <-f.done:
-		res, err := f.res, f.err
+		wire, cached, err := f.wire, f.cached, f.err
 		s.release(f)
-		return res, true, err
+		return wire, cached, err
 	case <-ctx.Done():
 		// Abandon the flight; the owner still completes it and the result
 		// still lands in the store.
 		s.release(f)
-		return bench.PointResult{}, true, ctx.Err()
+		return nil, false, ctx.Err()
 	}
 }
 
 // release drops one reference; the last holder resets and pools the
-// flight. Callers must have finished reading f.res / f.err.
+// flight. Callers must have finished reading f's results.
 func (s *Server) release(f *flight) {
 	s.mu.Lock()
 	f.refs--

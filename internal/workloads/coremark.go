@@ -1,15 +1,15 @@
 package workloads
 
-import "fmt"
-
 // CoreMarkSource returns a CoreMark-equivalent MiniC program running the
 // given number of outer iterations over the three CoreMark kernels —
 // linked-list processing (find/sort with function-pointer comparators),
 // integer matrix operations, and a switch-driven state machine — all
 // validated by a CRC16 exactly like the original's crcu16 chaining.
 func CoreMarkSource(iterations int) string {
-	return fmt.Sprintf(coremarkTemplate, iterations)
+	return coremarkSource.render(iterations)
 }
+
+var coremarkSource = split(coremarkTemplate)
 
 const coremarkTemplate = `
 /* CoreMark equivalent (see package comment). */

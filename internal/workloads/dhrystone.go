@@ -11,15 +11,15 @@
 // RAW code is RMOV-heavy in Fig 15). See DESIGN.md §5.
 package workloads
 
-import "fmt"
-
 // DhrystoneSource returns a Dhrystone-2.1-equivalent MiniC program
 // executing the given number of loop iterations. The program prints a
 // checksum line derived from the same variables Dhrystone validates and
 // exits 0 on success.
 func DhrystoneSource(iterations int) string {
-	return fmt.Sprintf(dhrystoneTemplate, iterations)
+	return dhrystoneSource.render(iterations)
 }
+
+var dhrystoneSource = split(dhrystoneTemplate)
 
 const dhrystoneTemplate = `
 /* Dhrystone 2.1 equivalent (see package comment). */

@@ -1,6 +1,11 @@
 package workloads
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+)
 
 // Workload names the benchmark programs used by the experiments.
 type Workload string
@@ -45,18 +50,40 @@ func Source(w Workload, iterations int) (string, error) {
 		return DhrystoneSource(iterations * LongScale), nil
 	case CoreMark:
 		return CoreMarkSource(iterations), nil
-	case MicroFib:
-		return fmt.Sprintf(microFib, iterations), nil
-	case MicroSieve:
-		return fmt.Sprintf(microSieve, iterations), nil
-	case MicroPointer:
-		return fmt.Sprintf(microPointer, iterations), nil
-	case MicroBranch:
-		return fmt.Sprintf(microBranch, iterations), nil
-	case MicroStream:
-		return fmt.Sprintf(microStream, iterations), nil
+	}
+	if t, ok := micro[w]; ok {
+		return t.render(iterations), nil
 	}
 	return "", fmt.Errorf("workloads: unknown workload %q", w)
+}
+
+// template is a workload source format with one %d verb (the iteration
+// count), rendered once around it: a source is then one concatenation
+// instead of a fmt.Sprintf over the whole text. Sources are rendered
+// for every content address and every compile.
+type template struct{ prefix, suffix string }
+
+// split renders format with a sentinel count and cuts the text around
+// it, so the %% escapes resolve exactly as fmt.Sprintf resolves them.
+func split(format string) template {
+	mark := strconv.Itoa(math.MinInt)
+	prefix, suffix, ok := strings.Cut(fmt.Sprintf(format, math.MinInt), mark)
+	if !ok || strings.Contains(suffix, mark) {
+		panic("workloads: template needs exactly one count verb")
+	}
+	return template{prefix, suffix}
+}
+
+func (t template) render(iterations int) string {
+	return t.prefix + strconv.Itoa(iterations) + t.suffix
+}
+
+var micro = map[Workload]template{
+	MicroFib:     split(microFib),
+	MicroSieve:   split(microSieve),
+	MicroPointer: split(microPointer),
+	MicroBranch:  split(microBranch),
+	MicroStream:  split(microStream),
 }
 
 // microFib: call-heavy recursive workload.

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -118,6 +119,44 @@ func TestAllWorkloadsAgreeAcrossEngines(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSourceMatchesSprintf pins the pre-rendered templates to the
+// formats they came from: every workload's source, at every iteration
+// count tried, is the text fmt.Sprintf renders (CoreMark's %% escapes
+// included).
+func TestSourceMatchesSprintf(t *testing.T) {
+	formats := []struct {
+		w      Workload
+		format string
+		scale  int
+	}{
+		{Dhrystone, dhrystoneTemplate, 1},
+		{DhrystoneLong, dhrystoneTemplate, LongScale},
+		{CoreMark, coremarkTemplate, 1},
+		{MicroFib, microFib, 1},
+		{MicroSieve, microSieve, 1},
+		{MicroPointer, microPointer, 1},
+		{MicroBranch, microBranch, 1},
+		{MicroStream, microStream, 1},
+	}
+	if want := len(All) + len(Micro) + 1; len(formats) != want {
+		t.Fatalf("table covers %d workloads, want %d", len(formats), want)
+	}
+	for _, f := range formats {
+		for _, n := range []int{-7, 0, 1, 2, 9, 10, 99, 100, 300, 12345, 1 << 30} {
+			got, err := Source(f.w, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fmt.Sprintf(f.format, n*f.scale); got != want {
+				t.Fatalf("Source(%s, %d) differs from fmt.Sprintf", f.w, n)
+			}
+		}
+	}
+	if _, err := Source("no-such-workload", 1); err == nil {
+		t.Fatal("unknown workload accepted")
 	}
 }
 

@@ -41,7 +41,7 @@ go test -race ./internal/resultstore/...
 go test -race ./internal/served/...
 # Layer benchmark of the daemon's store-hit path, once, as a smoke test
 # (no threshold).
-go test -run '^$' -bench BenchmarkWarmJob -benchtime 1x ./internal/served
+go test -run '^$' -bench BenchmarkWarmJob -benchtime 1x -benchmem ./internal/served
 # The perf harness (golden stats + KIPS measurement) also runs inside
 # the concurrent sweep machinery, so it must be race-clean; the
 # allocation-budget tests skip themselves under -race (instrumentation
