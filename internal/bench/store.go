@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,7 +100,15 @@ func ResetStoreStats() {
 // Section and Label are deliberately excluded: the same simulation
 // appearing in two figures shares one entry.
 func PointKey(p SweepPoint) (resultstore.Key, error) {
-	src, err := workloads.Source(p.Workload, p.Iters)
+	return PointKeyWith(p, nil)
+}
+
+// PointKeyWith is PointKey for a caller that already holds config =
+// json.Marshal(p.Config): the daemon marshals each distinct
+// configuration of a job once and shares the bytes among its points.
+// A nil config is marshalled here; it is read only for cycle cores.
+func PointKeyWith(p SweepPoint, config []byte) (resultstore.Key, error) {
+	prefix, count, suffix, err := workloads.SourceParts(p.Workload, p.Iters)
 	if err != nil {
 		return resultstore.Key{}, err
 	}
@@ -110,17 +119,18 @@ func PointKey(p SweepPoint) (resultstore.Key, error) {
 	kh := resultstore.NewKeyHasher(resultSchema)
 	kh.String("core", string(p.Core))
 	kh.String("workload", string(p.Workload))
-	kh.Bytes("source", []byte(src))
+	kh.Strings("source", prefix, strconv.Itoa(count), suffix)
 	if isa == cores.ISAStraight {
 		kh.String("mode", string(p.Mode))
 		kh.Int("maxdist", int64(p.MaxDist))
 	}
 	if p.Core.Cycle() {
-		cfg, err := json.Marshal(p.Config)
-		if err != nil {
-			return resultstore.Key{}, fmt.Errorf("%s: hashing config: %w", p.Name(), err)
+		if config == nil {
+			if config, err = json.Marshal(p.Config); err != nil {
+				return resultstore.Key{}, fmt.Errorf("%s: hashing config: %w", p.Name(), err)
+			}
 		}
-		kh.Bytes("config", cfg)
+		kh.Bytes("config", config)
 	}
 	return kh.Sum(), nil
 }

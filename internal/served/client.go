@@ -90,7 +90,7 @@ func (c *Client) Run(points []bench.SweepPoint) ([]bench.PointResult, error) {
 	var firstErr error
 	sawDone := false
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc.Buffer(make([]byte, 0, 4<<10), 16<<20) // records are ~1 KB; grows on demand
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {

@@ -22,6 +22,14 @@
 // cmd/experiments -server delegates whole sweeps to a daemon without
 // the experiment code knowing.
 //
+// A job is decoded once. Each point's "Config" is captured raw, and
+// each distinct configuration of the job is decoded and marshalled
+// once: its points share the decoded value (each with its own L3) and
+// the JSON that bench.PointKeyWith hashes, so the workers derive every
+// content address without marshalling a configuration again. The
+// points are exactly those a plain json.Decoder decode of JobRequest
+// yields (FuzzDecodeJob).
+//
 // Coalescing extends the build-cache singleflight idea (bench.buildOnce)
 // across process boundaries: points are identified by their
 // content-addressed result key (bench.PointKey), the first request to

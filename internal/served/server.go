@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"sync"
@@ -13,11 +14,87 @@ import (
 
 	"straight/internal/bench"
 	"straight/internal/resultstore"
+	"straight/internal/uarch"
 )
 
 // JobRequest is the body of POST /v1/run.
 type JobRequest struct {
 	Points []bench.SweepPoint `json:"points"`
+}
+
+// jobPoint is one point of a job as handleRun decodes it. Its Config
+// field shadows the embedded SweepPoint.Config, so the body's
+// configuration is captured raw and decoded once per distinct value in
+// the job (decodeJob); canon is then that configuration's JSON, the
+// bytes bench.PointKeyWith hashes, shared by every point that sent it.
+type jobPoint struct {
+	bench.SweepPoint
+	Config rawConfig
+	canon  []byte
+}
+
+// rawConfig records a point's "Config" member as sent. encoding/json
+// decodes a repeated or case-variant key into the same field again,
+// merging into what the earlier occurrences set, so every occurrence is
+// kept, in order and NUL-separated (no JSON value contains a raw NUL),
+// and decoding them in turn reproduces the merge.
+type rawConfig []byte
+
+func (c *rawConfig) UnmarshalJSON(b []byte) error {
+	if *c != nil {
+		*c = append(*c, 0)
+	}
+	*c = append(*c, b...)
+	return nil
+}
+
+// decodeJob reads one job body from r. Its points are those
+// json.NewDecoder(r).Decode(&JobRequest{}) yields, but each distinct
+// raw configuration is decoded and marshalled once for the whole job
+// (each point still gets its own L3). On error it also returns the
+// HTTP status: 413 past MaxJobBytes, else 400.
+func decodeJob(r io.Reader) ([]jobPoint, int, error) {
+	var job struct {
+		Points []jobPoint `json:"points"`
+	}
+	if err := json.NewDecoder(r).Decode(&job); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, http.StatusRequestEntityTooLarge, err
+		}
+		return nil, http.StatusBadRequest, err
+	}
+	type config struct {
+		cfg   uarch.Config
+		canon []byte
+	}
+	configs := make(map[string]*config)
+	for i := range job.Points {
+		p := &job.Points[i]
+		c := configs[string(p.Config)]
+		if c == nil {
+			c = new(config)
+			for rest := []byte(p.Config); len(rest) > 0; {
+				var v []byte
+				v, rest, _ = bytes.Cut(rest, []byte{0})
+				if err := json.Unmarshal(v, &c.cfg); err != nil {
+					return nil, http.StatusBadRequest, err
+				}
+			}
+			var err error
+			if c.canon, err = json.Marshal(&c.cfg); err != nil {
+				return nil, http.StatusBadRequest, err
+			}
+			configs[string(p.Config)] = c
+		}
+		p.SweepPoint.Config = c.cfg
+		if c.cfg.L3 != nil {
+			l3 := *c.cfg.L3
+			p.SweepPoint.Config.L3 = &l3
+		}
+		p.canon = c.canon
+	}
+	return job.Points, 0, nil
 }
 
 // PointUpdate is one line of the /v1/run response stream. Records with
@@ -183,17 +260,12 @@ func (s *Server) Shutdown() {
 // Workers beyond the server-wide slots keep a job moving while some of
 // its points wait on flights owned by other jobs.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxJobBytes)).Decode(&req); err != nil {
-		code := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			code = http.StatusRequestEntityTooLarge
-		}
+	points, code, err := decodeJob(http.MaxBytesReader(w, r.Body, MaxJobBytes))
+	if err != nil {
 		http.Error(w, "bad job: "+err.Error(), code)
 		return
 	}
-	if len(req.Points) == 0 {
+	if len(points) == 0 {
 		http.Error(w, "bad job: no points", http.StatusBadRequest)
 		return
 	}
@@ -207,19 +279,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// Sized to the job so no worker ever blocks on a send, even after
 	// the client has gone away.
-	updates := make(chan record, len(req.Points))
+	updates := make(chan record, len(points))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(len(req.Points), 2*s.workers) {
+	for range min(len(points), 2*s.workers) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(req.Points) {
+				if i >= len(points) {
 					return
 				}
-				updates <- s.runOne(r.Context(), i, req.Points[i])
+				updates <- s.runOne(r.Context(), i, &points[i])
 			}
 		}()
 	}
@@ -229,7 +301,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	enc := json.NewEncoder(&buf)
 	errs := 0
 	var writeErr error
-	for range req.Points {
+	for range points {
 		rec := <-updates
 		if rec.u.Status == "error" {
 			errs++
@@ -276,9 +348,9 @@ func (rec *record) line(buf *bytes.Buffer, enc *json.Encoder) []byte {
 }
 
 // runOne executes one point with cross-request coalescing.
-func (s *Server) runOne(ctx context.Context, idx int, p bench.SweepPoint) record {
+func (s *Server) runOne(ctx context.Context, idx int, p *jobPoint) record {
 	rec := record{u: PointUpdate{Index: idx, Name: p.Name()}}
-	wire, cached, coalesced, err := s.execute(ctx, p)
+	wire, cached, coalesced, err := s.execute(ctx, p.SweepPoint, p.canon)
 	if err != nil {
 		rec.u.Status = "error"
 		rec.u.Error = err.Error()
@@ -292,10 +364,11 @@ func (s *Server) runOne(ctx context.Context, idx int, p bench.SweepPoint) record
 }
 
 // execute runs p, attaching to an identical in-flight execution when
-// one exists (coalescing, reported by coalesced). wire is the point's
-// ResultData as JSON and cached reports a store hit.
-func (s *Server) execute(ctx context.Context, p bench.SweepPoint) (wire []byte, cached, coalesced bool, err error) {
-	key, kerr := bench.PointKey(p)
+// one exists (coalescing, reported by coalesced). config is p.Config's
+// JSON (see bench.PointKeyWith). wire is the point's ResultData as JSON
+// and cached reports a store hit.
+func (s *Server) execute(ctx context.Context, p bench.SweepPoint, config []byte) (wire []byte, cached, coalesced bool, err error) {
+	key, kerr := bench.PointKeyWith(p, config)
 	if kerr != nil {
 		// Unkeyable points (unknown workload) can't coalesce; report the
 		// error directly rather than simulating something undefined.

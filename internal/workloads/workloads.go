@@ -43,24 +43,41 @@ var Micro = []Workload{MicroFib, MicroSieve, MicroPointer, MicroBranch, MicroStr
 // Source returns the MiniC source of a workload with the given iteration
 // count.
 func Source(w Workload, iterations int) (string, error) {
+	t, n, err := lookup(w, iterations)
+	if err != nil {
+		return "", err
+	}
+	return t.render(n), nil
+}
+
+// SourceParts returns Source(w, iterations) without building it: the
+// source is prefix + strconv.Itoa(count) + suffix. Content addresses
+// hash these parts in place (resultstore.KeyHasher.Strings).
+func SourceParts(w Workload, iterations int) (prefix string, count int, suffix string, err error) {
+	t, n, err := lookup(w, iterations)
+	return t.prefix, n, t.suffix, err
+}
+
+// lookup returns w's template and the count rendered into it.
+func lookup(w Workload, iterations int) (template, int, error) {
 	switch w {
 	case Dhrystone:
-		return DhrystoneSource(iterations), nil
+		return dhrystoneSource, iterations, nil
 	case DhrystoneLong:
-		return DhrystoneSource(iterations * LongScale), nil
+		return dhrystoneSource, iterations * LongScale, nil
 	case CoreMark:
-		return CoreMarkSource(iterations), nil
+		return coremarkSource, iterations, nil
 	}
 	if t, ok := micro[w]; ok {
-		return t.render(iterations), nil
+		return t, iterations, nil
 	}
-	return "", fmt.Errorf("workloads: unknown workload %q", w)
+	return template{}, 0, fmt.Errorf("workloads: unknown workload %q", w)
 }
 
 // template is a workload source format with one %d verb (the iteration
 // count), rendered once around it: a source is then one concatenation
-// instead of a fmt.Sprintf over the whole text. Sources are rendered
-// for every content address and every compile.
+// instead of a fmt.Sprintf over the whole text, rendered for every
+// compile, and content addresses hash the parts without rendering.
 type template struct{ prefix, suffix string }
 
 // split renders format with a sentinel count and cuts the text around

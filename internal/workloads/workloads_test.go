@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -157,6 +158,32 @@ func TestSourceMatchesSprintf(t *testing.T) {
 	}
 	if _, err := Source("no-such-workload", 1); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestSourcePartsMatchSource checks that the parts content addresses
+// hash are Source's text, for every workload at several counts, and
+// that an unknown workload fails with Source's exact error.
+func TestSourcePartsMatchSource(t *testing.T) {
+	for _, w := range append(append([]Workload{DhrystoneLong}, All...), Micro...) {
+		for _, n := range []int{-3, 0, 1, 7, 100, 300, 1 << 20} {
+			want, err := Source(w, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix, count, suffix, err := SourceParts(w, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := prefix + strconv.Itoa(count) + suffix; got != want {
+				t.Fatalf("SourceParts(%s, %d) = %d B around %d, want Source's %d B", w, n, len(got), count, len(want))
+			}
+		}
+	}
+	_, srcErr := Source("no-such-workload", 1)
+	_, _, _, err := SourceParts("no-such-workload", 1)
+	if srcErr == nil || err == nil || err.Error() != srcErr.Error() {
+		t.Fatalf("unknown workload: SourceParts error %v, Source error %v", err, srcErr)
 	}
 }
 

@@ -39,9 +39,9 @@ go test -race ./internal/ptrace/...
 # clients and writers by design, so both must be race-clean.
 go test -race ./internal/resultstore/...
 go test -race ./internal/served/...
-# Layer benchmark of the daemon's store-hit path, once, as a smoke test
-# (no threshold).
-go test -run '^$' -bench BenchmarkWarmJob -benchtime 1x -benchmem ./internal/served
+# Layer benchmarks of the daemon's store-hit path and of one content
+# address, once each, as a smoke test (no threshold).
+go test -run '^$' -bench 'BenchmarkWarmJob|BenchmarkPointKey' -benchtime 1x -benchmem ./internal/served ./internal/bench
 # The perf harness (golden stats + KIPS measurement) also runs inside
 # the concurrent sweep machinery, so it must be race-clean; the
 # allocation-budget tests skip themselves under -race (instrumentation
@@ -67,6 +67,12 @@ go run ./cmd/straight-fuzz -seeds 200 -budget 60s
 # Fuzz smoke of the assembler driver shared by both ISAs (internal/asm):
 # every input goes through sasm and rasm, and must never panic.
 go test -run '^$' -fuzz FuzzAssemble -fuzztime 10s ./internal/asm
+# Fuzz smoke of straightd's per-job decoder (internal/served): every body
+# must decode to the points a plain json.Decoder yields, or be refused
+# with the same status. The package links the whole simulator, so each
+# coverage-guided run is slow; a bounded minimization keeps the smoke
+# fuzzing rather than shrinking one input for a minute.
+go test -run '^$' -fuzz FuzzDecodeJob -fuzztime 10s -fuzzminimizetime 50x ./internal/served
 
 # Smoke-test the observability pipeline end to end: run both simulators
 # with -trace on tiny programs, then analyze the resulting Kanata files
