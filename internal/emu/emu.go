@@ -157,21 +157,24 @@ func (s *Shell) Faultf(kind FaultKind, format string, args ...any) error {
 }
 
 // Fetch is the fetch check: it returns the index of the instruction at
-// the PC in the n-entry predecoded text table, or the fetch fault when
-// the PC is misaligned or outside text. The fault carries
-// Image.FetchWord's message, which only the fault path computes.
+// the PC in the n-entry predecoded text table, and false when the PC is
+// misaligned or outside text. It is small enough to inline into Step;
+// the caller words the fault with FetchFault.
 //
 //lint:hotpath
-func (s *Shell) Fetch(n int) (int, error) {
+func (s *Shell) Fetch(n int) (int, bool) {
 	off := s.Pc - s.Image.TextBase
 	if s.Pc%program.InstructionBytes != 0 || off/program.InstructionBytes >= uint32(n) {
-		return 0, s.fetchFault()
+		return 0, false
 	}
-	return int(off / program.InstructionBytes), nil
+	return int(off / program.InstructionBytes), true
 }
 
+// FetchFault is the fault for a PC that Fetch refused. It carries
+// Image.FetchWord's message, which only the fault path computes.
+//
 //lint:coldpath fault construction; a fault aborts the run
-func (s *Shell) fetchFault() error {
+func (s *Shell) FetchFault() error {
 	_, err := s.Image.FetchWord(s.Pc)
 	return s.Faultf(FaultFetch, "%v", err)
 }

@@ -113,112 +113,176 @@ func (m *Machine) Reg(i int) uint32 { return m.regs[i] }
 func (m *Machine) Stats() *Stats { return &m.stats }
 
 //lint:coldpath fault construction; a fault aborts the run
+func (m *Machine) fetchFault() error { return m.FetchFault() }
+
+//lint:coldpath fault construction; a fault aborts the run
 func (m *Machine) fault(kind emu.FaultKind, format string, args ...any) error {
 	return m.Faultf(kind, format, args...)
 }
 
 // Step executes one instruction. It returns io.EOF after exit.
 //
+// Execution is one switch on the opcode that computes the result, the
+// next PC and the memory effect directly: it is the fast-forward and
+// lockstep-oracle hot path, run once per simulated instruction
+// (DESIGN.md §6.1). The common ALU ops are written out; the rarer
+// multiply-high and divide ops call riscv.Eval, which the cycle cores
+// share.
+//
 //lint:hotpath
 func (m *Machine) Step() error {
 	if m.Halted {
 		return io.EOF
 	}
-	i, err := m.Fetch(len(m.dec))
-	if err != nil {
-		return err
+	i, ok := m.Fetch(len(m.dec))
+	if !ok {
+		return m.fetchFault()
 	}
 	inst := m.dec[i]
 	op := inst.Op
-	if op == riscv.ILLEGAL {
-		return m.fault(emu.FaultDecode, "illegal instruction %#08x", m.Image.Text[i])
-	}
-
+	pc := m.Pc
 	rs1 := m.regs[inst.Rs1]
 	rs2 := m.regs[inst.Rs2]
-	nextPC := m.Pc + 4
-	var result uint32
-	var memAddr uint32
-	writes := inst.WritesRd()
+	imm := uint32(inst.Imm)
+	nextPC := pc + 4
+	// rd is the register written, 0 for none: x0 is never written.
+	rd := inst.Rd
+	var result, memAddr uint32
 
-	switch op.Class() {
-	case riscv.ClassALU, riscv.ClassMul, riscv.ClassDiv:
-		switch op {
-		case riscv.LUI:
-			result = uint32(inst.Imm)
-		case riscv.AUIPC:
-			result = m.Pc + uint32(inst.Imm)
-		case riscv.FENCE:
-			// no-op
-		default:
-			b := rs2
-			if op.IsImmALU() {
-				b = uint32(inst.Imm)
-			}
-			result = riscv.Eval(op, rs1, b)
+	switch op {
+	case riscv.ADD:
+		result = rs1 + rs2
+	case riscv.SUB:
+		result = rs1 - rs2
+	case riscv.SLL:
+		result = rs1 << (rs2 & 31)
+	case riscv.SLT:
+		result = b2u(int32(rs1) < int32(rs2))
+	case riscv.SLTU:
+		result = b2u(rs1 < rs2)
+	case riscv.XOR:
+		result = rs1 ^ rs2
+	case riscv.SRL:
+		result = rs1 >> (rs2 & 31)
+	case riscv.SRA:
+		result = uint32(int32(rs1) >> (rs2 & 31))
+	case riscv.OR:
+		result = rs1 | rs2
+	case riscv.AND:
+		result = rs1 & rs2
+	case riscv.MUL:
+		result = rs1 * rs2
+	case riscv.MULH, riscv.MULHSU, riscv.MULHU, riscv.DIV, riscv.DIVU, riscv.REM, riscv.REMU:
+		result = riscv.Eval(op, rs1, rs2)
+	case riscv.ADDI:
+		result = rs1 + imm
+	case riscv.SLTI:
+		result = b2u(int32(rs1) < inst.Imm)
+	case riscv.SLTIU:
+		result = b2u(rs1 < imm)
+	case riscv.XORI:
+		result = rs1 ^ imm
+	case riscv.ORI:
+		result = rs1 | imm
+	case riscv.ANDI:
+		result = rs1 & imm
+	case riscv.SLLI:
+		result = rs1 << (imm & 31)
+	case riscv.SRLI:
+		result = rs1 >> (imm & 31)
+	case riscv.SRAI:
+		result = uint32(int32(rs1) >> (imm & 31))
+	case riscv.LUI:
+		result = imm
+	case riscv.AUIPC:
+		result = pc + imm
+	case riscv.LW:
+		memAddr = rs1 + imm
+		if memAddr%4 != 0 {
+			return m.misaligned(op, memAddr)
 		}
-	case riscv.ClassLoad:
-		addr := rs1 + uint32(inst.Imm)
-		memAddr = addr
-		width, _ := riscv.LoadWidth(op)
-		if addr%uint32(width) != 0 {
-			return m.fault(emu.FaultMisaligned, "misaligned %s at %#08x", op, addr)
-		}
-		result = riscv.ExtendLoad(op, m.Memory.Load(addr, width))
+		result = m.Memory.Load(memAddr, 4)
 		m.stats.Loads++
-	case riscv.ClassStore:
-		addr := rs1 + uint32(inst.Imm)
-		memAddr = addr
-		width := riscv.StoreWidth(op)
-		if addr%uint32(width) != 0 {
-			return m.fault(emu.FaultMisaligned, "misaligned %s at %#08x", op, addr)
+	case riscv.LH, riscv.LHU:
+		memAddr = rs1 + imm
+		if memAddr%2 != 0 {
+			return m.misaligned(op, memAddr)
 		}
-		m.Memory.Store(addr, rs2, width)
+		result = riscv.ExtendLoad(op, m.Memory.Load(memAddr, 2))
+		m.stats.Loads++
+	case riscv.LB, riscv.LBU:
+		memAddr = rs1 + imm
+		result = riscv.ExtendLoad(op, m.Memory.Load(memAddr, 1))
+		m.stats.Loads++
+	case riscv.SW, riscv.SH, riscv.SB:
+		memAddr = rs1 + imm
+		width := riscv.StoreWidth(op)
+		if memAddr%uint32(width) != 0 {
+			return m.misaligned(op, memAddr)
+		}
+		m.Memory.Store(memAddr, rs2, width)
 		m.stats.Stores++
-	case riscv.ClassBranch:
+		rd = 0
+	case riscv.BEQ, riscv.BNE, riscv.BLT, riscv.BGE, riscv.BLTU, riscv.BGEU:
 		m.stats.Branches++
 		if riscv.BranchTaken(op, rs1, rs2) {
 			m.stats.TakenBranches++
-			nextPC = m.Pc + uint32(inst.Imm)
+			nextPC = pc + imm
 		}
-	case riscv.ClassJump:
-		result = m.Pc + 4
+		rd = 0
+	case riscv.JAL, riscv.JALR:
+		result = nextPC
 		if op == riscv.JAL {
-			nextPC = m.Pc + uint32(inst.Imm)
+			nextPC = pc + imm
 		} else {
-			nextPC = (rs1 + uint32(inst.Imm)) &^ 1
+			nextPC = (rs1 + imm) &^ 1
 		}
 		if nextPC%4 != 0 {
 			return m.fault(emu.FaultMisaligned, "jump to misaligned address %#08x", nextPC)
 		}
-	case riscv.ClassSys:
-		if op == riscv.EBREAK {
-			return m.fault(emu.FaultDecode, "ebreak")
-		}
+	case riscv.ECALL:
 		if err := m.syscall(); err != nil {
 			return err
 		}
+		rd = 0
 		if m.regs[riscv.RegA7] == SysCycle {
 			result = uint32(m.Count)
-			writes = true
+			rd = riscv.RegA0
 			inst.Rd = riscv.RegA0
 		}
+	case riscv.FENCE:
+		rd = 0
+	case riscv.EBREAK:
+		return m.fault(emu.FaultDecode, "ebreak")
+	default:
+		return m.fault(emu.FaultDecode, "illegal instruction %#08x", m.Image.Text[i])
 	}
 
-	if writes && inst.Rd != 0 {
-		m.regs[inst.Rd] = result
+	if rd != 0 {
+		m.regs[rd] = result
 	}
-	prevPC := m.Pc
 	m.Pc = nextPC
 	m.Count++
 	m.stats.Retired[op]++
 	if m.TraceFn != nil {
-		m.TraceFn(Retired{Count: m.Count - 1, PC: prevPC, Inst: inst, Result: result, NextPC: nextPC, MemAddr: memAddr})
+		m.TraceFn(Retired{Count: m.Count - 1, PC: pc, Inst: inst, Result: result, NextPC: nextPC, MemAddr: memAddr})
 	}
 	if m.Halted {
 		return io.EOF
 	}
 	return nil
+}
+
+//lint:coldpath fault construction; a fault aborts the run
+func (m *Machine) misaligned(op riscv.Op, addr uint32) error {
+	return m.fault(emu.FaultMisaligned, "misaligned %s at %#08x", op, addr)
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (m *Machine) syscall() error {

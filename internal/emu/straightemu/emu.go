@@ -64,13 +64,12 @@ type Machine struct {
 	// the dynamic counterpart of the static checks in internal/sverify.
 	strictBound uint16 //lint:resetless checking configuration, survives Reset by design
 
-	// dec/decOK cache the decode of every text word so Step pays the
-	// decoder once per static instruction instead of once per dynamic one
-	// — the dominant cost of the architectural loop when it serves as the
-	// sampled simulator's fast-forward engine (DESIGN.md §16). Slices are
-	// replaced wholesale (never mutated in place) so Clone can share them.
-	dec   []straight.Inst //lint:resetless predecoded text cache, keyed to the image; Reset rebuilds it on image change
-	decOK []bool          //lint:resetless predecoded text validity, rebuilt together with dec
+	// dec caches the decode of every text word so Step pays the decoder
+	// once per static instruction instead of once per dynamic one — the
+	// dominant cost of the architectural loop when it serves as the
+	// sampled simulator's fast-forward engine (DESIGN.md §16). Replaced
+	// wholesale (never mutated in place) so Clone can share it.
+	dec []straight.Inst //lint:resetless predecoded text cache, keyed to the image; Reset rebuilds it on image change
 
 	// TraceFn, when non-nil, receives every retired instruction. The cycle
 	// simulator's cross-validation and the examples' tracing hook in here.
@@ -97,19 +96,20 @@ func New(im *program.Image) *Machine {
 }
 
 // predecode decodes every text word once. Words that fail to decode
-// (data or padding placed in text) are marked invalid; Step falls back
-// to the real decoder there, reproducing the exact fault. Fresh slices
-// are allocated on every rebuild so clones sharing the old cache stay
-// consistent.
+// (data or padding placed in text) predecode to an out-of-range op;
+// Step decodes them again there, reproducing the exact fault. A fresh
+// slice is allocated on every rebuild so clones sharing the old cache
+// stay consistent.
 func (m *Machine) predecode() {
 	dec := make([]straight.Inst, len(m.Image.Text))
-	ok := make([]bool, len(m.Image.Text))
 	for i, w := range m.Image.Text {
-		if inst, err := straight.Decode(w); err == nil {
-			dec[i], ok[i] = inst, true
+		inst, err := straight.Decode(w)
+		if err != nil {
+			inst = straight.Inst{Op: straight.Op(straight.NumOps)}
 		}
+		dec[i] = inst
 	}
-	m.dec, m.decOK = dec, ok
+	m.dec = dec
 }
 
 // Reset returns the machine to power-on state for img (nil = rerun the
@@ -156,6 +156,9 @@ func (m *Machine) Reg(distance uint16) uint32 {
 	}
 	return m.ring[(m.Count-uint64(distance))&(ringSize-1)]
 }
+
+//lint:coldpath fault construction; a fault aborts the run
+func (m *Machine) fetchFault() error { return m.FetchFault() }
 
 //lint:coldpath fault construction; a fault aborts the run
 func (m *Machine) fault(kind emu.FaultKind, format string, args ...any) error {
@@ -209,115 +212,168 @@ func (m *Machine) checkDistance(op straight.Op, d uint16) error {
 
 // Step executes one instruction. It returns io.EOF after SYS exit.
 //
+// Execution is one switch on the opcode that computes the result, the
+// next PC and the memory effect directly: it is the fast-forward and
+// lockstep-oracle hot path, run once per simulated instruction
+// (DESIGN.md §6.1). The common ALU ops are written out; the rarer
+// multiply-high and divide ops call straight.EvalALU, which the cycle
+// core shares. An undecodable word predecodes to an out-of-range op and
+// lands in the default case.
+//
 //lint:hotpath
 func (m *Machine) Step() error {
 	if m.Halted {
 		return io.EOF
 	}
-	i, err := m.Fetch(len(m.dec))
-	if err != nil {
-		return err
+	i, ok := m.Fetch(len(m.dec))
+	if !ok {
+		return m.fetchFault()
 	}
 	inst := m.dec[i]
-	if !m.decOK[i] {
-		if inst, err = straight.Decode(m.Image.Text[i]); err != nil {
-			return m.fault(emu.FaultDecode, "%v", err)
-		}
-	}
 	if m.strictBound != 0 {
 		if err := m.strictCheck(inst); err != nil {
 			return err
 		}
 	}
 
-	var result uint32
-	var memAddr uint32
-	nextPC := m.Pc + program.InstructionBytes
 	op := inst.Op
-	switch op.Class() {
-	case straight.ClassNop:
+	pc := m.Pc
+	imm := uint32(inst.Imm)
+	nextPC := pc + program.InstructionBytes
+	var result, memAddr uint32
+	switch op {
+	case straight.NOP:
 		// result 0
-	case straight.ClassALU, straight.ClassMul, straight.ClassDiv:
-		switch {
-		case op == straight.RMOV:
-			result = m.read(inst.Src1)
-		case op == straight.SPADD:
-			m.sp += uint32(inst.Imm)
-			result = m.sp
-		case op == straight.LUI:
-			result = straight.LUIValue(inst.Imm)
-		case op.Format() == straight.FmtR:
-			result = straight.EvalALU(op, m.read(inst.Src1), m.read(inst.Src2))
-		default:
-			result = straight.EvalALUImm(op, m.read(inst.Src1), inst.Imm)
+	case straight.ADD:
+		result = m.read(inst.Src1) + m.read(inst.Src2)
+	case straight.SUB:
+		result = m.read(inst.Src1) - m.read(inst.Src2)
+	case straight.AND:
+		result = m.read(inst.Src1) & m.read(inst.Src2)
+	case straight.OR:
+		result = m.read(inst.Src1) | m.read(inst.Src2)
+	case straight.XOR:
+		result = m.read(inst.Src1) ^ m.read(inst.Src2)
+	case straight.SLL:
+		result = m.read(inst.Src1) << (m.read(inst.Src2) & 31)
+	case straight.SRL:
+		result = m.read(inst.Src1) >> (m.read(inst.Src2) & 31)
+	case straight.SRA:
+		result = uint32(int32(m.read(inst.Src1)) >> (m.read(inst.Src2) & 31))
+	case straight.SLT:
+		result = b2u(int32(m.read(inst.Src1)) < int32(m.read(inst.Src2)))
+	case straight.SLTU:
+		result = b2u(m.read(inst.Src1) < m.read(inst.Src2))
+	case straight.MUL:
+		result = m.read(inst.Src1) * m.read(inst.Src2)
+	case straight.MULH, straight.MULHU, straight.DIV, straight.DIVU, straight.REM, straight.REMU:
+		result = straight.EvalALU(op, m.read(inst.Src1), m.read(inst.Src2))
+	case straight.ADDI:
+		result = m.read(inst.Src1) + imm
+	case straight.ANDI:
+		result = m.read(inst.Src1) & imm
+	case straight.ORI:
+		result = m.read(inst.Src1) | imm
+	case straight.XORI:
+		result = m.read(inst.Src1) ^ imm
+	case straight.SLLI:
+		result = m.read(inst.Src1) << (imm & 31)
+	case straight.SRLI:
+		result = m.read(inst.Src1) >> (imm & 31)
+	case straight.SRAI:
+		result = uint32(int32(m.read(inst.Src1)) >> (imm & 31))
+	case straight.SLTI:
+		result = b2u(int32(m.read(inst.Src1)) < inst.Imm)
+	case straight.SLTIU:
+		result = b2u(m.read(inst.Src1) < imm)
+	case straight.LUI:
+		result = straight.LUIValue(inst.Imm)
+	case straight.LW:
+		memAddr = m.read(inst.Src1) + imm
+		if memAddr%4 != 0 {
+			return m.misaligned(op, memAddr)
 		}
-	case straight.ClassLoad:
-		addr := m.read(inst.Src1) + uint32(inst.Imm)
-		memAddr = addr
-		width, _ := straight.LoadWidth(op)
-		if addr%uint32(width) != 0 {
-			return m.fault(emu.FaultMisaligned, "misaligned %s at address %#08x", op, addr)
-		}
-		result = straight.ExtendLoad(op, m.Memory.Load(addr, width))
+		result = m.Memory.Load(memAddr, 4)
 		m.stats.Loads++
-	case straight.ClassStore:
-		addr := m.read(inst.Src1) + uint32(inst.Imm)
-		memAddr = addr
-		val := m.read(inst.Src2)
-		width := straight.StoreWidth(op)
-		if addr%uint32(width) != 0 {
-			return m.fault(emu.FaultMisaligned, "misaligned %s at address %#08x", op, addr)
+	case straight.LH, straight.LHU:
+		memAddr = m.read(inst.Src1) + imm
+		if memAddr%2 != 0 {
+			return m.misaligned(op, memAddr)
 		}
-		m.Memory.Store(addr, val, width)
-		result = val // stores return the stored value (paper §III-A)
+		result = straight.ExtendLoad(op, m.Memory.Load(memAddr, 2))
+		m.stats.Loads++
+	case straight.LB, straight.LBU:
+		memAddr = m.read(inst.Src1) + imm
+		result = straight.ExtendLoad(op, m.Memory.Load(memAddr, 1))
+		m.stats.Loads++
+	case straight.SW, straight.SH, straight.SB:
+		memAddr = m.read(inst.Src1) + imm
+		// Stores return the stored value (paper §III-A).
+		result = m.read(inst.Src2)
+		width := straight.StoreWidth(op)
+		if memAddr%uint32(width) != 0 {
+			return m.misaligned(op, memAddr)
+		}
+		m.Memory.Store(memAddr, result, width)
 		m.stats.Stores++
-	case straight.ClassBranch:
-		v := m.read(inst.Src1)
-		taken := straight.BranchTaken(op, v)
+	case straight.BEZ, straight.BNZ:
 		m.stats.Branches++
-		if taken {
+		if straight.BranchTaken(op, m.read(inst.Src1)) {
 			m.stats.TakenBranches++
-			nextPC = m.Pc + uint32(inst.Imm)*program.InstructionBytes
+			nextPC = pc + imm*program.InstructionBytes
 			result = 1
 		}
-	case straight.ClassJump:
-		switch op {
-		case straight.J:
-			nextPC = m.Pc + uint32(inst.Imm)*program.InstructionBytes
-		case straight.JAL:
-			result = m.Pc + program.InstructionBytes
-			nextPC = m.Pc + uint32(inst.Imm)*program.InstructionBytes
-		case straight.JR:
-			nextPC = m.read(inst.Src1)
-		case straight.JALR:
-			result = m.Pc + program.InstructionBytes
-			nextPC = m.read(inst.Src1)
+	case straight.J:
+		nextPC = pc + imm*program.InstructionBytes
+	case straight.JAL:
+		result = nextPC
+		nextPC = pc + imm*program.InstructionBytes
+	case straight.JR, straight.JALR:
+		if op == straight.JALR {
+			result = nextPC
 		}
+		nextPC = m.read(inst.Src1)
 		if nextPC%program.InstructionBytes != 0 {
 			return m.fault(emu.FaultMisaligned, "jump to misaligned address %#08x", nextPC)
 		}
-	case straight.ClassSys:
+	case straight.RMOV:
+		result = m.read(inst.Src1)
+	case straight.SPADD:
+		m.sp += imm
+		result = m.sp
+	case straight.SYS:
 		var err error
-		result, err = m.syscall(inst)
-		if err != nil {
+		if result, err = m.syscall(inst); err != nil {
 			return err
 		}
 	default:
-		return m.fault(emu.FaultDecode, "unimplemented opcode %v", op)
+		_, err := straight.Decode(m.Image.Text[i])
+		return m.fault(emu.FaultDecode, "%v", err)
 	}
 
 	m.ring[m.Count&(ringSize-1)] = result
 	m.Count++
-	prevPC := m.Pc
 	m.Pc = nextPC
 	m.stats.Retired[op]++
 	if m.TraceFn != nil {
-		m.TraceFn(Retired{Count: m.Count - 1, PC: prevPC, Inst: inst, Result: result, NextPC: nextPC, SP: m.sp, MemAddr: memAddr})
+		m.TraceFn(Retired{Count: m.Count - 1, PC: pc, Inst: inst, Result: result, NextPC: nextPC, SP: m.sp, MemAddr: memAddr})
 	}
 	if m.Halted {
 		return io.EOF
 	}
 	return nil
+}
+
+//lint:coldpath fault construction; a fault aborts the run
+func (m *Machine) misaligned(op straight.Op, addr uint32) error {
+	return m.fault(emu.FaultMisaligned, "misaligned %s at address %#08x", op, addr)
+}
+
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // syscall executes a SYS instruction.
@@ -348,7 +404,7 @@ func (m *Machine) syscall(inst straight.Inst) (uint32, error) {
 // Clone returns an independent copy of the architectural state (fresh
 // statistics, discarded output) for oracle replay.
 func (m *Machine) Clone() *Machine {
-	return &Machine{Shell: m.Shell.Clone(), sp: m.sp, ring: m.ring, dec: m.dec, decOK: m.decOK}
+	return &Machine{Shell: m.Shell.Clone(), sp: m.sp, ring: m.ring, dec: m.dec}
 }
 
 // Checkpoint is an opaque snapshot of the architectural state (PC, SP,

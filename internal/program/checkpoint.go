@@ -10,7 +10,7 @@ import (
 // little-endian, in this order:
 //
 //	magic (8 bytes), Lead u32s, u64 Count, u8 Exited, u32 ExitCode,
-//	Words u32s, memory (Memory.AppendBinary)
+//	Words u32s, memory (Memory.appendBinary)
 //
 // The encoding is canonical, so a given architectural state always
 // produces identical bytes. The sampled simulator relies on this: it
@@ -33,9 +33,12 @@ func (f *CheckpointFrame) headSize(magic string) int {
 	return len(magic) + 4*len(f.Lead) + 8 + 1 + 4 + 4*len(f.Words)
 }
 
-// Marshal serializes the frame under magic.
+// Marshal serializes the frame under magic into a buffer of exactly the
+// encoded size: memory contributes only its non-zero pages, however
+// many zero pages are mapped.
 func (f *CheckpointFrame) Marshal(magic string) []byte {
-	b := make([]byte, 0, f.headSize(magic)+f.Mem.MappedBytes()+64)
+	pns := f.Mem.nonZeroPages()
+	b := make([]byte, 0, f.headSize(magic)+binarySize(len(pns)))
 	b = append(b, magic...)
 	for _, v := range f.Lead {
 		b = binary.LittleEndian.AppendUint32(b, v)
@@ -50,7 +53,7 @@ func (f *CheckpointFrame) Marshal(magic string) []byte {
 	for _, v := range f.Words {
 		b = binary.LittleEndian.AppendUint32(b, v)
 	}
-	return f.Mem.AppendBinary(b)
+	return f.Mem.appendBinary(b, pns)
 }
 
 // Unmarshal decodes data into f, validating the magic, the framing,

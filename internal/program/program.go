@@ -260,9 +260,6 @@ func (m *Memory) Clone() *Memory {
 	return c
 }
 
-// MappedBytes returns the number of bytes in mapped pages (for stats).
-func (m *Memory) MappedBytes() int { return len(m.pages) * pageSize }
-
 // CopyFrom makes m's observable contents identical to src's while
 // reusing m's already-allocated page frames — the checkpoint-restore
 // analogue of Reset: pages m has but src lacks are zeroed (observably
@@ -295,13 +292,9 @@ func (m *Memory) CopyFrom(src *Memory) {
 // serialization.
 var zeroPage [pageSize]byte
 
-// AppendBinary appends a canonical serialization of the memory to b:
-// a page count followed by (page number, page bytes) records in strictly
-// ascending page order, with all-zero frames omitted. Because unmapped
-// and zeroed pages are observably identical, two memories with equal
-// contents always serialize to identical bytes — the property the
-// content-addressed sample-window cache relies on (DESIGN.md §16).
-func (m *Memory) AppendBinary(b []byte) []byte {
+// nonZeroPages returns the numbers of the pages appendBinary records:
+// the mapped pages that are not all zero, in ascending order.
+func (m *Memory) nonZeroPages() []uint32 {
 	pns := make([]uint32, 0, len(m.pages))
 	for pn, p := range m.pages {
 		if *p != zeroPage {
@@ -309,6 +302,19 @@ func (m *Memory) AppendBinary(b []byte) []byte {
 		}
 	}
 	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
+	return pns
+}
+
+// binarySize is the length of the appendBinary record of n pages.
+func binarySize(n int) int { return 4 + n*(4+pageSize) }
+
+// appendBinary appends the canonical serialization of the memory to b:
+// a page count followed by (page number, page bytes) records for pns,
+// the result of nonZeroPages. Because unmapped and zeroed pages are
+// observably identical, two memories with equal contents always
+// serialize to identical bytes — the property the content-addressed
+// sample-window cache relies on (DESIGN.md §16).
+func (m *Memory) appendBinary(b []byte, pns []uint32) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(pns)))
 	for _, pn := range pns {
 		b = binary.LittleEndian.AppendUint32(b, pn)
@@ -318,7 +324,7 @@ func (m *Memory) AppendBinary(b []byte) []byte {
 }
 
 // DecodeBinary replaces m's contents with a memory serialized by
-// AppendBinary, returning the remaining bytes. It validates the framing
+// appendBinary, returning the remaining bytes. It validates the framing
 // (length, strictly ascending page numbers) so a truncated or corrupted
 // stream is reported instead of silently misloading.
 func (m *Memory) DecodeBinary(data []byte) (rest []byte, err error) {

@@ -138,3 +138,32 @@ func TestMemoryStoreLoadQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckpointFrameMarshalCapacity: a checkpoint's buffer is sized
+// from the pages it records, not from every mapped page. A program
+// whose data section maps megabytes of zeros serializes to a few pages,
+// and a sampled run holds one such buffer per checkpoint.
+func TestCheckpointFrameMarshalCapacity(t *testing.T) {
+	m := NewMemory()
+	for pn := uint32(0); pn < 1024; pn++ {
+		m.Store(DefaultDataBase+pn*pageSize, 0, 4) // mapped, all zero
+	}
+	m.Store(DefaultDataBase+5*pageSize+8, 0xC0FFEE, 4)
+	m.Store(DefaultStackTop-4, 7, 4)
+	f := CheckpointFrame{Lead: []uint32{0x1000}, Count: 9, Words: make([]uint32, 32), Mem: m}
+	b := f.Marshal("TESTCKP1")
+	if want := f.headSize("TESTCKP1") + 4 + 2*(4+pageSize); len(b) != want {
+		t.Fatalf("encoding is %d bytes, want %d", len(b), want)
+	}
+	if cap(b) != len(b) {
+		t.Errorf("buffer capacity %d for a %d-byte encoding", cap(b), len(b))
+	}
+	var g CheckpointFrame
+	g.Lead, g.Words = make([]uint32, 1), make([]uint32, 32)
+	if err := g.Unmarshal("program", "TESTCKP1", b); err != nil {
+		t.Fatal(err)
+	}
+	if g.Mem.Load(DefaultDataBase+5*pageSize+8, 4) != 0xC0FFEE || g.Mem.Load(DefaultStackTop-4, 4) != 7 || g.Count != 9 {
+		t.Error("round trip lost state")
+	}
+}

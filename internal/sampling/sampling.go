@@ -126,26 +126,25 @@ func (f straightFF) SetWarm(w *uarch.WarmState) {
 	}
 	f.Machine.TraceFn = func(r straightemu.Retired) {
 		w.Inst(r.PC)
-		if r.MemAddr != 0 {
-			w.Data(r.MemAddr)
-		}
-		switch r.Inst.Op.Class() {
-		case straight.ClassBranch:
-			w.Branch(r.PC, r.NextPC != r.PC+program.InstructionBytes)
-		case straight.ClassJump:
-			// RAS and BTB training mirror straightcore's policy exactly:
-			// JAL/JALR push pc+4 and JR pops (RASRecover), while only the
-			// indirect JALR/JR enter the BTB (UpdatesBTB).
-			switch r.Inst.Op {
-			case straight.JAL:
-				w.Call(r.PC + program.InstructionBytes)
-			case straight.JALR:
-				w.Call(r.PC + program.InstructionBytes)
-				w.Indirect(r.PC, r.NextPC)
-			case straight.JR:
-				w.Return()
-				w.Indirect(r.PC, r.NextPC)
+		switch r.Inst.Op {
+		case straight.LW, straight.LH, straight.LHU, straight.LB, straight.LBU,
+			straight.SW, straight.SH, straight.SB:
+			if r.MemAddr != 0 {
+				w.Data(r.MemAddr)
 			}
+		case straight.BEZ, straight.BNZ:
+			w.Branch(r.PC, r.NextPC != r.PC+program.InstructionBytes)
+		// RAS and BTB training mirror straightcore's policy exactly:
+		// JAL/JALR push pc+4 and JR pops (RASRecover), while only the
+		// indirect JALR/JR enter the BTB (UpdatesBTB).
+		case straight.JAL:
+			w.Call(r.PC + program.InstructionBytes)
+		case straight.JALR:
+			w.Call(r.PC + program.InstructionBytes)
+			w.Indirect(r.PC, r.NextPC)
+		case straight.JR:
+			w.Return()
+			w.Indirect(r.PC, r.NextPC)
 		}
 	}
 }
@@ -161,24 +160,23 @@ func (f riscvFF) SetWarm(w *uarch.WarmState) {
 	}
 	f.Machine.TraceFn = func(r riscvemu.Retired) {
 		w.Inst(r.PC)
-		if r.MemAddr != 0 {
-			w.Data(r.MemAddr)
-		}
-		switch r.Inst.Op.Class() {
-		case riscv.ClassBranch:
+		switch r.Inst.Op {
+		case riscv.LB, riscv.LH, riscv.LW, riscv.LBU, riscv.LHU, riscv.SB, riscv.SH, riscv.SW:
+			if r.MemAddr != 0 {
+				w.Data(r.MemAddr)
+			}
+		case riscv.BEQ, riscv.BNE, riscv.BLT, riscv.BGE, riscv.BLTU, riscv.BGEU:
 			w.Branch(r.PC, r.NextPC != r.PC+program.InstructionBytes)
-		case riscv.ClassJump:
-			// RAS and BTB training mirror sscore's policy (cgcore embeds
-			// it): JAL/JALR with rd=ra push pc+4, JALR with rd=x0/rs1=ra
-			// pops (RASRecover); only the indirect JALR enters the BTB
-			// (UpdatesBTB).
-			if r.Inst.Op == riscv.JAL || r.Inst.Op == riscv.JALR {
-				if r.Inst.Rd == riscv.RegRA {
-					w.Call(r.PC + program.InstructionBytes)
-				}
-				if r.Inst.Rd == 0 && r.Inst.Rs1 == riscv.RegRA {
-					w.Return()
-				}
+		// RAS and BTB training mirror sscore's policy (cgcore embeds it):
+		// JAL/JALR with rd=ra push pc+4, JALR with rd=x0/rs1=ra pops
+		// (RASRecover); only the indirect JALR enters the BTB
+		// (UpdatesBTB).
+		case riscv.JAL, riscv.JALR:
+			if r.Inst.Rd == riscv.RegRA {
+				w.Call(r.PC + program.InstructionBytes)
+			}
+			if r.Inst.Rd == 0 && r.Inst.Rs1 == riscv.RegRA {
+				w.Return()
 			}
 			if r.Inst.Op == riscv.JALR {
 				w.Indirect(r.PC, r.NextPC)
@@ -276,64 +274,23 @@ func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 		}
 	}
 
-	// Functional fast-forward on this goroutine, checkpointing every
-	// interval; each checkpoint streams straight to the window workers.
-	// A fast-forward error wins over any window error: the deferred
-	// cancel drops the windows still queued and waits for the workers,
-	// so none outlives Run on any path.
+	// Functional fast-forward on this goroutine; each checkpoint streams
+	// straight to the window workers. A fast-forward error wins over any
+	// window error: the deferred cancel drops the windows still queued
+	// and waits for the workers, so none outlives Run on any path. The
+	// encodings are kept only for the stored checkpoint sequence.
 	ws := startWindows(t, plan, opts)
 	defer ws.cancel()
-	ff := t.newFF()
-	if opts.Output != nil {
-		ff.SetOutput(opts.Output)
-	}
-	// Functional warming: continuous when WarmMem is 0 or covers the
-	// whole interval, else a warming burst over the last WarmMem
-	// instructions before each checkpoint (the tracer is the dominant
-	// fast-forward cost, so bounding it preserves the speedup).
-	warm := uarch.NewWarmState(t.Cfg)
-	warmAll := plan.WarmMem == 0 || plan.WarmMem >= plan.Interval
-	if warmAll {
-		ff.SetWarm(warm)
-	}
 	var pts []point
-	for k := uint64(0); ; k++ {
-		target := plan.Offset + k*plan.Interval
-		if target > limit {
-			break
+	total, exitCode, err := fastForward(t, plan, opts, limit, func(p point, ck checkpoint, warm *uarch.WarmState) {
+		if opts.Store != nil {
+			pts = append(pts, p)
 		}
-		if opts.Interrupt != nil && opts.Interrupt.Load() {
-			return nil, uarch.ErrInterrupted
-		}
-		if !warmAll && target > 0 {
-			burst := target - min(plan.WarmMem, target)
-			ff.SetWarm(nil)
-			if err := ff.RunUntil(burst); err != nil {
-				return nil, fmt.Errorf("sampling: fast-forward: %w", err)
-			}
-			ff.SetWarm(warm)
-		}
-		if err := ff.RunUntil(target); err != nil {
-			return nil, fmt.Errorf("sampling: fast-forward: %w", err)
-		}
-		if done, _ := ff.Exited(); done {
-			break
-		}
-		ck := ff.TakeCheckpoint()
-		enc, err := ck.MarshalBinary()
-		if err != nil {
-			return nil, fmt.Errorf("sampling: marshal checkpoint @%d: %w", target, err)
-		}
-		p := point{start: target, enc: enc}
-		pts = append(pts, p)
 		ws.submit(p, ck, warm)
+	})
+	if err != nil {
+		return nil, err
 	}
-	ff.SetWarm(nil)
-	done, exitCode := ff.Exited()
-	if !done {
-		return nil, fmt.Errorf("sampling: %s/%s did not exit within %d instructions", t.Policy, t.Cfg.Name, limit)
-	}
-	total := ff.InstCount()
 	if opts.Store != nil {
 		// Persist the checkpoint sequence so the next run with this image
 		// and checkpoint geometry (any policy/config on the same ISA) can
@@ -365,6 +322,63 @@ func Run(t *Target, plan Plan, opts Options) (*Report, error) {
 		}
 	}
 	return rep, nil
+}
+
+// fastForward executes the target's workload on the functional
+// emulator of its ISA, checkpointing every plan interval and warming on
+// the plan's schedule, and hands each checkpoint to take as it is made,
+// with the warm state as of that point (take must copy what it keeps of
+// it). It returns the program's retired-instruction count and exit code.
+func fastForward(t *Target, plan Plan, opts Options, limit uint64,
+	take func(p point, ck checkpoint, warm *uarch.WarmState)) (uint64, int32, error) {
+	ff := t.newFF()
+	if opts.Output != nil {
+		ff.SetOutput(opts.Output)
+	}
+	// Functional warming: continuous when WarmMem is 0 or covers the
+	// whole interval, else a warming burst over the last WarmMem
+	// instructions before each checkpoint (a warmed instruction costs
+	// about three plain ones, DESIGN.md §16.3).
+	warm := uarch.NewWarmState(t.Cfg)
+	warmAll := plan.WarmMem == 0 || plan.WarmMem >= plan.Interval
+	if warmAll {
+		ff.SetWarm(warm)
+	}
+	for k := uint64(0); ; k++ {
+		target := plan.Offset + k*plan.Interval
+		if target > limit {
+			break
+		}
+		if opts.Interrupt != nil && opts.Interrupt.Load() {
+			return 0, 0, uarch.ErrInterrupted
+		}
+		if !warmAll && target > 0 {
+			burst := target - min(plan.WarmMem, target)
+			ff.SetWarm(nil)
+			if err := ff.RunUntil(burst); err != nil {
+				return 0, 0, fmt.Errorf("sampling: fast-forward: %w", err)
+			}
+			ff.SetWarm(warm)
+		}
+		if err := ff.RunUntil(target); err != nil {
+			return 0, 0, fmt.Errorf("sampling: fast-forward: %w", err)
+		}
+		if done, _ := ff.Exited(); done {
+			break
+		}
+		ck := ff.TakeCheckpoint()
+		enc, err := ck.MarshalBinary()
+		if err != nil {
+			return 0, 0, fmt.Errorf("sampling: marshal checkpoint @%d: %w", target, err)
+		}
+		take(point{start: target, enc: enc}, ck, warm)
+	}
+	ff.SetWarm(nil)
+	done, exitCode := ff.Exited()
+	if !done {
+		return 0, 0, fmt.Errorf("sampling: %s/%s did not exit within %d instructions", t.Policy, t.Cfg.Name, limit)
+	}
+	return ff.InstCount(), exitCode, nil
 }
 
 // runFromStore attempts the fully-cached run: load the checkpoint
@@ -551,6 +565,7 @@ func (s *windowStream) results() ([]WindowResult, error) {
 func (s *windowStream) runOne(core *cores.Sim, w *job) (WindowResult, error) {
 	t, plan, opts := s.t, s.plan, s.opts
 	key, err := windowKey(t, plan, w.enc)
+	w.enc = nil // the stored sequence keeps its own reference when a store is open
 	if err != nil {
 		return WindowResult{}, err
 	}

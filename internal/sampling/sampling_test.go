@@ -349,3 +349,35 @@ func TestLongWorkloadFullRun(t *testing.T) {
 	rx, rcode := rm.Exited()
 	check("riscv", rm.InstCount(), rx, rcode)
 }
+
+// BenchmarkFastForward times the fast-forward layer of a sampled run on
+// each ISA: dhrystone-long @300 through the functional emulator with
+// DefaultPlan's checkpoints and warming bursts, and no windows. It
+// reports simulated instructions per second.
+func BenchmarkFastForward(b *testing.B) {
+	for _, c := range []struct{ isa, kernel string }{{"straight", "straight-4way"}, {"riscv", "ss-4way"}} {
+		k, err := perf.KernelByName(c.kernel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		im, err := perf.BuildImage(k, workloads.DhrystoneLong, 300)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tgt, err := sampling.NewTarget(string(k.Kind), k.Cfg, im)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.isa, func(b *testing.B) {
+			var insts uint64
+			for i := 0; i < b.N; i++ {
+				n, err := sampling.FastForward(tgt, sampling.DefaultPlan())
+				if err != nil {
+					b.Fatal(err)
+				}
+				insts += n
+			}
+			b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
+		})
+	}
+}

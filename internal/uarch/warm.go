@@ -34,6 +34,10 @@ type WarmState struct {
 	// restart point mispredicts — ruinous for call-heavy workloads.
 	RAS *RAS
 
+	// instLine is the L1I line of the last instruction Inst warmed, plus
+	// one (0: none yet).
+	instLine uint32
+
 	cfg Config // construction config, for Clone
 }
 
@@ -68,6 +72,7 @@ func (w *WarmState) CopyFrom(src *WarmState) {
 		panic("uarch: WarmState.CopyFrom geometry mismatch")
 	}
 	w.Hier.CopyStateFrom(src.Hier)
+	w.instLine = src.instLine
 	w.BTB.CopyFrom(src.BTB)
 	w.RAS.CopyFrom(src.RAS)
 	if w.Dir != nil {
@@ -75,10 +80,23 @@ func (w *WarmState) CopyFrom(src *WarmState) {
 	}
 }
 
-// Inst warms the instruction side for a retired instruction at pc.
+// Inst warms the instruction side for a retired instruction at pc. An
+// instruction in the same L1I line as the previous one is skipped: that
+// line is resident and the most recently used of its set, and LRU
+// compares stamps only within a set, so touching it again changes
+// neither which lines are resident nor their order. Only the L1I's
+// tick and hit count would move: the tick is just the base later stamps
+// count up from, and CopyFrom does not copy hit counts.
 //
 //lint:hotpath
-func (w *WarmState) Inst(pc uint32) { w.Hier.WarmInst(pc) }
+func (w *WarmState) Inst(pc uint32) {
+	line := pc>>w.Hier.L1I.shift + 1
+	if line == w.instLine {
+		return
+	}
+	w.instLine = line
+	w.Hier.WarmInst(pc)
+}
 
 // Data warms the data side for a load or store at addr.
 //

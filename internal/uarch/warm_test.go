@@ -3,6 +3,7 @@ package uarch
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -65,4 +66,66 @@ func TestWarmStateCopyFromGeometryMismatch(t *testing.T) {
 		}
 	}()
 	NewWarmState(tage).CopyFrom(NewWarmState(SS4Way()))
+}
+
+// TestWarmInstSameLine: WarmState.Inst skips an instruction in the L1I
+// line of the one before. That must leave the replica as touching it
+// would: every level holds the same lines, each L1I set orders them
+// alike, and the same accesses afterwards hit and miss alike. Only the
+// L1I's hit count and the base of its LRU stamps differ.
+func TestWarmInstSameLine(t *testing.T) {
+	skip, full := NewWarmState(SS4Way()), NewWarmState(SS4Way())
+	r := rand.New(rand.NewSource(3))
+	pc := uint32(0x1000)
+	for i := 0; i < 50000; i++ {
+		// Mostly straight-line code with jumps, and data in between.
+		if r.Intn(8) == 0 {
+			pc = uint32(r.Intn(1<<18)) &^ 3
+		} else {
+			pc += 4
+		}
+		skip.Inst(pc)
+		full.Hier.WarmInst(pc)
+		if r.Intn(3) == 0 {
+			a := uint32(r.Intn(1 << 22))
+			skip.Data(a)
+			full.Data(a)
+		}
+	}
+	si, fi := skip.Hier.L1I, full.Hier.L1I
+	if si.Hits >= fi.Hits {
+		t.Fatalf("no instruction was skipped: %d hits vs %d", si.Hits, fi.Hits)
+	}
+	for _, lv := range []struct {
+		name string
+		a, b *Cache
+	}{{"L1D", skip.Hier.L1D, full.Hier.L1D}, {"L2", skip.Hier.L2, full.Hier.L2}, {"L3", skip.Hier.L3, full.Hier.L3}} {
+		if !reflect.DeepEqual(lv.a, lv.b) {
+			t.Errorf("%s differs", lv.name)
+		}
+	}
+	for s := range si.tags {
+		if !reflect.DeepEqual(si.tags[s], fi.tags[s]) || !reflect.DeepEqual(lruOrder(si.lru[s]), lruOrder(fi.lru[s])) {
+			t.Fatalf("L1I set %d: tags %v lru %v, want tags %v lru %v", s, si.tags[s], si.lru[s], fi.tags[s], fi.lru[s])
+		}
+	}
+	h0, m0, fh0, fm0 := si.Hits, si.Misses, fi.Hits, fi.Misses
+	for i := 0; i < 20000; i++ {
+		a := uint32(r.Intn(1<<18)) &^ 3
+		skip.Hier.WarmInst(a)
+		full.Hier.WarmInst(a)
+	}
+	if si.Hits-h0 != fi.Hits-fh0 || si.Misses-m0 != fi.Misses-fm0 {
+		t.Errorf("later fetches: %d hits %d misses, want %d and %d", si.Hits-h0, si.Misses-m0, fi.Hits-fh0, fi.Misses-fm0)
+	}
+}
+
+// lruOrder ranks a set's ways from least to most recently used.
+func lruOrder(stamps []uint32) []int {
+	order := make([]int, len(stamps))
+	for w := range order {
+		order[w] = w
+	}
+	sort.Slice(order, func(i, j int) bool { return stamps[order[i]] < stamps[order[j]] })
+	return order
 }

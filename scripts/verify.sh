@@ -39,9 +39,10 @@ go test -race ./internal/ptrace/...
 # clients and writers by design, so both must be race-clean.
 go test -race ./internal/resultstore/...
 go test -race ./internal/served/...
-# Layer benchmarks of the daemon's store-hit path and of one content
-# address, once each, as a smoke test (no threshold).
-go test -run '^$' -bench 'BenchmarkWarmJob|BenchmarkPointKey' -benchtime 1x -benchmem ./internal/served ./internal/bench
+# Layer benchmarks of the daemon's store-hit path, of one content
+# address and of the sampled fast-forward, once each, as a smoke test
+# (no threshold).
+go test -run '^$' -bench 'BenchmarkWarmJob|BenchmarkPointKey|BenchmarkFastForward' -benchtime 1x -benchmem ./internal/served ./internal/bench ./internal/sampling
 # The perf harness (golden stats + KIPS measurement) also runs inside
 # the concurrent sweep machinery, so it must be race-clean; the
 # allocation-budget tests skip themselves under -race (instrumentation
@@ -54,8 +55,9 @@ go test ./internal/perf -run TestSteadyStateAllocs
 # accuracy matrix is too slow under instrumentation; the determinism,
 # idle-skip-invariance, offset and streaming tests (worker-count
 # invariance, snapshot-pool bound, error paths, stored checkpoint
-# sequence) exercise the same pool, store, and fully-cached fast path.
-go test -race ./internal/sampling -run 'TestSampledDeterminism|TestSampledNoIdleSkipInvariance|TestSampledOffset|TestSampledWorkerInvariance|TestSnapshotPoolBound|TestStreamErrorPaths|TestFFSeqBytesPinned'
+# sequence, store-less heap bound) exercise the same pool, store, and
+# fully-cached fast path.
+go test -race ./internal/sampling -run 'TestSampledDeterminism|TestSampledNoIdleSkipInvariance|TestSampledOffset|TestSampledWorkerInvariance|TestSnapshotPoolBound|TestStreamErrorPaths|TestFFSeqBytesPinned|TestStorelessRunHeapBound'
 
 # Bounded differential co-simulation smoke: random programs through the
 # full oracle stack (sverify, strict emulators, cross-ISA observables,
