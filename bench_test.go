@@ -19,6 +19,9 @@ import (
 
 var scale = bench.ScaleDefault
 
+// sess runs every benchmark, so later iterations reuse its build cache.
+var sess = bench.NewSession()
+
 // BenchmarkTableI_Configs checks and reports the Table I model
 // parameters (a configuration self-test more than a timing benchmark).
 func BenchmarkTableI_Configs(b *testing.B) {
@@ -35,7 +38,7 @@ func BenchmarkFig11_Perf4Way(b *testing.B) {
 	var rows []bench.PerfRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.PerfComparison(scale, true, uarch.PredGshare)
+		rows, err = sess.PerfComparison(scale, true, uarch.PredGshare)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +52,7 @@ func BenchmarkFig12_Perf2Way(b *testing.B) {
 	var rows []bench.PerfRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.PerfComparison(scale, false, uarch.PredGshare)
+		rows, err = sess.PerfComparison(scale, false, uarch.PredGshare)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +73,7 @@ func BenchmarkFig13_MissPenalty(b *testing.B) {
 	var rows []bench.MissPenaltyRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.MissPenalty(scale)
+		rows, err = sess.MissPenalty(scale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,11 +91,11 @@ func BenchmarkFig14_TAGE(b *testing.B) {
 	var rows2, rows4 []bench.PerfRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows2, err = bench.PerfComparison(scale, false, uarch.PredTAGE)
+		rows2, err = sess.PerfComparison(scale, false, uarch.PredTAGE)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows4, err = bench.PerfComparison(scale, true, uarch.PredTAGE)
+		rows4, err = sess.PerfComparison(scale, true, uarch.PredTAGE)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -112,7 +115,7 @@ func BenchmarkFig15_InstructionMix(b *testing.B) {
 	var rows []bench.MixRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.InstructionMix(scale)
+		rows, err = sess.InstructionMix(scale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +132,7 @@ func BenchmarkFig16_DistanceCDF(b *testing.B) {
 	var cdfs map[workloads.Workload][]bench.DistancePoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		cdfs, err = bench.DistanceCDF(scale)
+		cdfs, err = sess.DistanceCDF(scale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,7 +155,7 @@ func BenchmarkTableS_MaxDistSweep(b *testing.B) {
 	var pts []bench.MaxDistPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = bench.MaxDistSweep(scale)
+		pts, err = sess.MaxDistSweep(scale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -169,7 +172,7 @@ func BenchmarkFig17_Power(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, share, err = bench.PowerAnalysis(scale)
+		rows, share, err = sess.PowerAnalysis(scale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -205,7 +208,7 @@ func BenchmarkAblations(b *testing.B) {
 	var rows []bench.AblationRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = bench.Ablations(scale)
+		rows, err = sess.Ablations(scale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +226,7 @@ func BenchmarkExt_WindowScaling(b *testing.B) {
 	var pts []bench.WindowPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = bench.WindowScaling(scale)
+		pts, err = sess.WindowScaling(scale)
 		if err != nil {
 			b.Fatal(err)
 		}

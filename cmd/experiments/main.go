@@ -117,18 +117,17 @@ func main() {
 	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	check(err)
 
-	bench.SetParallelism(*workers)
+	sess := bench.NewSession()
+	sess.Workers = *workers
 	if *tracePath != "" {
-		bench.SetTraceTarget(&bench.TraceTarget{
-			Point: *tracePoint, Path: *tracePath, Window: *traceWindow,
-		})
+		sess.Trace = &bench.TraceTarget{Point: *tracePoint, Path: *tracePath, Window: *traceWindow}
 	}
 
 	if *storePath != "" {
 		st, err := resultstore.Open(*storePath, resultstore.Options{Salt: perf.VersionSalt()})
 		check(err)
 		storeHandle = st
-		bench.SetStore(st)
+		sess.SetStore(st)
 		fs := st.Stats()
 		fmt.Printf("result store: %s (%d entries, salt %#x)\n", *storePath, fs.Entries, st.Salt())
 	}
@@ -136,7 +135,7 @@ func main() {
 	if *serverURL != "" {
 		daemon = &served.Client{BaseURL: *serverURL}
 		check(daemon.Healthy())
-		bench.SetRemote(daemon)
+		sess.Remote = daemon
 		fmt.Printf("delegating sweeps to straightd at %s\n", *serverURL)
 	}
 
@@ -148,7 +147,7 @@ func main() {
 	go func() {
 		<-sigc
 		fmt.Fprintln(os.Stderr, "experiments: interrupt — cancelling in-flight sweep points")
-		bench.Interrupt()
+		sess.Interrupt()
 		<-sigc
 		closeStore()
 		os.Exit(130)
@@ -165,7 +164,7 @@ func main() {
 		scale.CoreMarkIters = *coremark
 	}
 	fmt.Printf("scale: dhrystone=%d iterations, coremark=%d iterations; workers=%d\n\n",
-		scale.DhrystoneIters, scale.CoreMarkIters, bench.Parallelism())
+		scale.DhrystoneIters, scale.CoreMarkIters, sess.Parallelism())
 
 	start := time.Now()
 
@@ -174,61 +173,61 @@ func main() {
 	})
 
 	section("Fig 11: 4-way performance", func() {
-		rows, err := bench.PerfComparison(scale, true, uarch.PredGshare)
+		rows, err := sess.PerfComparison(scale, true, uarch.PredGshare)
 		check(err)
 		fmt.Print(bench.FormatPerf("Fig 11: STRAIGHT vs SS (4-way, gshare)", rows))
 	})
 
 	section("Fig 12: 2-way performance", func() {
-		rows, err := bench.PerfComparison(scale, false, uarch.PredGshare)
+		rows, err := sess.PerfComparison(scale, false, uarch.PredGshare)
 		check(err)
 		fmt.Print(bench.FormatPerf("Fig 12: STRAIGHT vs SS (2-way, gshare)", rows))
 	})
 
 	section("Extension: CG-OoO comparison", func() {
-		rows, err := bench.CGComparison(scale, true)
+		rows, err := sess.CGComparison(scale, true)
 		check(err)
 		fmt.Print(bench.FormatCG("CG-OoO vs SS vs STRAIGHT (4-way, gshare)", rows))
-		pts, err := bench.CGBlockSweep(scale)
+		pts, err := sess.CGBlockSweep(scale)
 		check(err)
 		fmt.Print(bench.FormatCGBlocks(pts))
 	})
 
 	section("Fig 13: misprediction penalty", func() {
-		rows, err := bench.MissPenalty(scale)
+		rows, err := sess.MissPenalty(scale)
 		check(err)
 		fmt.Print(bench.FormatMissPenalty(rows))
 	})
 
 	section("Fig 14: TAGE predictor", func() {
-		rows2, err := bench.PerfComparison(scale, false, uarch.PredTAGE)
+		rows2, err := sess.PerfComparison(scale, false, uarch.PredTAGE)
 		check(err)
-		rows4, err := bench.PerfComparison(scale, true, uarch.PredTAGE)
+		rows4, err := sess.PerfComparison(scale, true, uarch.PredTAGE)
 		check(err)
 		fmt.Print(bench.FormatPerf("Fig 14 (2-way, TAGE)", rows2))
 		fmt.Print(bench.FormatPerf("Fig 14 (4-way, TAGE)", rows4))
 	})
 
 	section("Fig 15: instruction mix", func() {
-		rows, err := bench.InstructionMix(scale)
+		rows, err := sess.InstructionMix(scale)
 		check(err)
 		fmt.Print(bench.FormatMix(rows))
 	})
 
 	section("Fig 16: operand distance CDF", func() {
-		cdfs, err := bench.DistanceCDF(scale)
+		cdfs, err := sess.DistanceCDF(scale)
 		check(err)
 		fmt.Print(bench.FormatCDF(cdfs))
 	})
 
 	section("Max-distance sensitivity (§VI-B)", func() {
-		pts, err := bench.MaxDistSweep(scale)
+		pts, err := sess.MaxDistSweep(scale)
 		check(err)
 		fmt.Print(bench.FormatMaxDist(pts))
 	})
 
 	section("Fig 17: RTL power analysis (activity-model substitution)", func() {
-		rows, share, err := bench.PowerAnalysis(scale)
+		rows, share, err := sess.PowerAnalysis(scale)
 		check(err)
 		fmt.Printf("SS rename / other-modules power = %.1f%% (paper: ~5.7%%)\n", 100*share)
 		fmt.Print(power.FormatRows(rows))
@@ -238,38 +237,37 @@ func main() {
 		fmt.Println("(skipping ablations and window scaling at -quick; run without -quick for them)")
 	} else {
 		section("Ablations (design-choice knobs)", func() {
-			rows, err := bench.Ablations(scale)
+			rows, err := sess.Ablations(scale)
 			check(err)
 			fmt.Print(bench.FormatAblations(rows))
 		})
 
 		section("Extension: instruction-window scaling", func() {
-			pts, err := bench.WindowScaling(scale)
+			pts, err := sess.WindowScaling(scale)
 			check(err)
 			fmt.Print(bench.FormatWindowScaling(pts))
 		})
 
 		section("Extension: sampled vs full simulation (DESIGN.md §16)", func() {
-			rows, err := bench.SampledVsFull(scale)
+			rows, err := sess.SampledVsFull(scale)
 			check(err)
 			fmt.Print(bench.FormatSampled(rows))
 		})
 	}
 
 	total := time.Since(start)
-	points := bench.Journal()
+	points := sess.Journal()
 	var serial float64
 	for _, p := range points {
 		serial += p.WallSeconds
 	}
-	hits, misses := bench.BuildCacheStats()
+	hits, misses := sess.BuildCacheStats()
 	fmt.Printf("total: %.1fs wall for %d sweep points (%.1fs simulated serially, %.2fx; builds: %d, cache hits: %d)\n",
 		total.Seconds(), len(points), serial, serial/total.Seconds(), misses, hits)
 
 	var storeRep *storeReport
 	if storeHandle != nil {
-		totals := bench.StoreTotals()
-		bySection := bench.StoreCountsBySection()
+		totals, bySection := sess.StoreCounts()
 		fs := storeHandle.Stats()
 		storeRep = &storeReport{Path: *storePath, Totals: totals, BySection: bySection, File: fs}
 		fmt.Printf("store: %d hits, %d misses, %d recomputed (%d entries, %d bytes live)\n",
@@ -288,7 +286,7 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		if bench.TraceTargetClaimed() {
+		if sess.TraceClaimed() {
 			fmt.Printf("traced %q to %s (analyze with: straight-trace %s)\n", *tracePoint, *tracePath, *tracePath)
 		} else {
 			fmt.Printf("warning: trace point %q never ran; no trace written (check the Section/Label name in -json output)\n", *tracePoint)
@@ -301,7 +299,7 @@ func main() {
 		rep.Scale.CoreMarkIters = scale.CoreMarkIters
 		rep.Scale.MicroIters = scale.MicroIters
 		rep.Quick = *quick
-		rep.Workers = bench.Parallelism()
+		rep.Workers = sess.Parallelism()
 		rep.Sections = sections
 		rep.Points = points
 		rep.BuildCache.Hits = hits
@@ -321,8 +319,8 @@ func main() {
 	closeStore()
 
 	if *requireWarm {
-		if rec := bench.StoreTotals().Recomputes; rec != 0 {
-			log.Fatalf("-require-warm: %d points were re-simulated (store was not warm)", rec)
+		if totals, _ := sess.StoreCounts(); totals.Recomputes != 0 {
+			log.Fatalf("-require-warm: %d points were re-simulated (store was not warm)", totals.Recomputes)
 		}
 		fmt.Println("warm store confirmed: 0 points re-simulated")
 	}

@@ -59,10 +59,11 @@ func run(addr, storePath string, workers int) error {
 	if err != nil {
 		return fmt.Errorf("opening result store: %w", err)
 	}
-	bench.SetStore(store)
-	bench.SetParallelism(workers)
+	sess := bench.NewSession()
+	sess.SetStore(store)
+	sess.Workers = workers
 
-	srv := served.NewServer(served.Config{Workers: workers})
+	srv := served.NewServer(served.Config{Session: sess})
 	httpSrv := newHTTPServer(addr, srv.Handler())
 
 	ln, err := net.Listen("tcp", addr)
@@ -72,7 +73,7 @@ func run(addr, storePath string, workers int) error {
 	}
 	st := store.Stats()
 	log.Printf("straightd listening on %s (store %s: %d entries, salt %#x, workers %d)",
-		ln.Addr(), storePath, st.Entries, store.Salt(), bench.Parallelism())
+		ln.Addr(), storePath, st.Entries, store.Salt(), sess.Parallelism())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -90,7 +91,6 @@ func run(addr, storePath string, workers int) error {
 
 	// Cancel simulations first so draining requests fail fast instead of
 	// holding Shutdown for a full sweep.
-	bench.Interrupt()
 	srv.Shutdown()
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

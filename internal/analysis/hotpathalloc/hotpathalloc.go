@@ -12,10 +12,10 @@
 //
 // Cross-package calls are checked through facts: a hot function may only
 // call module functions that are themselves hot-path-verified (their
-// packages analyze first and export "fn:" facts) or go through an
-// interface marked `//lint:hotpath` (whose in-module implementations are
-// checked where they are defined). Standard-library calls are trusted,
-// except the fmt package.
+// packages analyze first and export "fn:" facts) or cold (exported as
+// "cold:" facts), or go through an interface marked `//lint:hotpath`
+// (whose in-module implementations are checked where they are defined).
+// Standard-library calls are trusted, except the fmt package.
 //
 // Escape hatches, each requiring a reason:
 //   - `//lint:alloc <reason>` on the construct's line (or the line
@@ -86,6 +86,7 @@ func run(pass *lint.Pass) error {
 				ck.funcDecls[fn] = d
 				if dir, ok := lint.FuncDirective(d, "coldpath"); ok {
 					ck.cold[fn] = true
+					pass.ExportFact("cold:"+lint.ObjectKey(fn), "cold")
 					if dir.Reason == "" {
 						pass.Reportf(dir.Pos, "//lint:coldpath on %s needs a reason", d.Name.Name)
 					}
@@ -289,14 +290,23 @@ func (ck *checker) checkFunc(fd *ast.FuncDecl) {
 			if isBuiltin(ck.pass.Info, x, "panic") {
 				return false
 			}
-			if fn := calleeFunc(ck.pass.Info, ast.Unparen(x.Fun)); fn != nil &&
-				fn.Pkg() == ck.pass.Pkg && ck.cold[fn.Origin()] {
+			if fn := calleeFunc(ck.pass.Info, ast.Unparen(x.Fun)); fn != nil && ck.isCold(fn) {
 				return false
 			}
 			ck.checkCall(x, allowedAppend)
 		}
 		return true
 	})
+}
+
+// isCold reports whether fn is marked //lint:coldpath, in this package
+// or, through its exported fact, in a dependency.
+func (ck *checker) isCold(fn *types.Func) bool {
+	if fn.Pkg() == nil || fn.Pkg() == ck.pass.Pkg {
+		return ck.cold[fn.Origin()]
+	}
+	_, ok := ck.pass.DepFact("cold:" + lint.ObjectKey(fn))
+	return ok
 }
 
 // traceRegions computes the nodes that belong to the tracing-enabled

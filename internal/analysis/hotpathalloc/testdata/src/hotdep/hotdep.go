@@ -1,7 +1,10 @@
 // Package hotdep provides cross-package callees for the hotfix fixture:
-// a verified hot function, an unverified one, and a hot interface whose
-// implementations downstream packages must verify.
+// a verified hot function, an unverified one, cold fault constructors,
+// and a hot interface whose implementations downstream packages must
+// verify.
 package hotdep
+
+import "fmt"
 
 // Exec is a per-class execution unit invoked every cycle.
 //
@@ -31,3 +34,18 @@ type Policy[T any] interface {
 	Rename(v T) bool
 	Execute(v T) int
 }
+
+// Shell is embedded by downstream machines, which call its methods as
+// their own.
+type Shell struct{ PC uint32 }
+
+// Faultf builds an error; hot callers reach it only when the run is
+// already failing.
+//
+//lint:coldpath fault construction; a fault aborts the run
+func (s *Shell) Faultf(format string, args ...any) error {
+	return fmt.Errorf(format, args...)
+}
+
+// Describe is not annotated: neither hot-path-verified nor cold.
+func (s *Shell) Describe() string { return fmt.Sprint(s.PC) }

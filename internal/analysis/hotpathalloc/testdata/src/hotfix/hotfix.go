@@ -135,6 +135,25 @@ func (u *Unit) Step(n int) int {
 	return u.m[n] // want `map access in hot path`
 }
 
+// Machine embeds a dependency's shell, as the emulators embed emu.Shell.
+type Machine struct {
+	hotdep.Shell
+	err error
+	out string
+}
+
+// Step calls the dependency's cold fault constructor directly, with
+// allocating arguments: off-budget, as a local cold callee would be. An
+// unannotated method of the same dependency is still flagged.
+//
+//lint:hotpath
+func (m *Machine) Step(n int) {
+	if n < 0 {
+		m.err = m.Faultf("bad step %d at %#x", n, m.PC)
+	}
+	m.out = m.Describe() // want `hot path calls hotdep\.Describe which is not hot-path-verified`
+}
+
 // bystander is not reachable from any root: allocations are fine.
 func (c *Core) bystander() []int {
 	return make([]int, 64)

@@ -22,8 +22,8 @@ type AblationRow struct {
 // Ablations runs the knob sweep: memory-dependence policy, SPADD group
 // limit and predictor on CoreMark; the prefetcher knob on the
 // L1-exceeding micro-stream workload (CoreMark is L1-resident).
-func Ablations(s Scale) ([]AblationRow, error) {
-	n := iters(s, workloads.CoreMark)
+func (s *Session) Ablations(sc Scale) ([]AblationRow, error) {
+	n := iters(sc, workloads.CoreMark)
 	knobs := []struct {
 		name  string
 		w     workloads.Workload
@@ -49,7 +49,7 @@ func Ablations(s Scale) ([]AblationRow, error) {
 			StraightPoint("Ablations", k.name+"/RE+", k.w, k.iters, ModeREP, stCfg),
 		)
 	}
-	results, err := RunPoints(points)
+	results, err := s.Run(points)
 	if err != nil {
 		return nil, err
 	}
@@ -96,8 +96,8 @@ type WindowPoint struct {
 // both cores, growing the SS physical register file and the STRAIGHT
 // MAX_RP with it. The paper argues STRAIGHT's one-read recovery lets the
 // window grow without the ROB-walk penalty growing with it (§III-B).
-func WindowScaling(s Scale) ([]WindowPoint, error) {
-	n := iters(s, workloads.CoreMark)
+func (s *Session) WindowScaling(sc Scale) ([]WindowPoint, error) {
+	n := iters(sc, workloads.CoreMark)
 	robs := []int{64, 128, 224, 448}
 	var points []SweepPoint
 	for _, rob := range robs {
@@ -112,7 +112,7 @@ func WindowScaling(s Scale) ([]WindowPoint, error) {
 			StraightPoint("Window scaling", label+"/RE+", workloads.CoreMark, n, ModeREP, stCfg),
 		)
 	}
-	results, err := RunPoints(points)
+	results, err := s.Run(points)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"straight/internal/backend/riscvbe"
@@ -54,50 +53,6 @@ type buildKey struct {
 	mode    CompilerMode
 }
 
-// buildEntry is a singleflight slot: the first caller for a key runs the
-// build inside the Once; every other caller (concurrent or later) blocks
-// on the Once and then reads the immutable result.
-type buildEntry struct {
-	once sync.Once
-	im   *program.Image
-	err  error
-}
-
-var (
-	builds      sync.Map // buildKey -> *buildEntry
-	buildCalls  atomic.Int64
-	buildMisses atomic.Int64
-)
-
-// BuildCacheStats returns the cumulative build-cache counters: hits is
-// the number of Build* calls served from an already-built (or in-flight)
-// image, misses the number of actual compilations.
-func BuildCacheStats() (hits, misses int64) {
-	m := buildMisses.Load()
-	return buildCalls.Load() - m, m
-}
-
-// ResetBuildCache drops every cached image and zeroes the counters
-// (test helper; not safe concurrently with in-flight builds).
-func ResetBuildCache() {
-	builds = sync.Map{}
-	buildCalls.Store(0)
-	buildMisses.Store(0)
-}
-
-// buildOnce runs f exactly once per key, concurrent callers included,
-// and hands every caller the same immutable image.
-func buildOnce(key buildKey, f func() (*program.Image, error)) (*program.Image, error) {
-	buildCalls.Add(1)
-	e, _ := builds.LoadOrStore(key, &buildEntry{})
-	entry := e.(*buildEntry)
-	entry.once.Do(func() {
-		buildMisses.Add(1)
-		entry.im, entry.err = f()
-	})
-	return entry.im, entry.err
-}
-
 // module parses, lowers and optimizes a workload into a fresh IR module.
 // Each build gets its own module: the backends annotate the module they
 // compile (value-ID counters and synthetic values), so a module shared
@@ -119,11 +74,23 @@ func module(w workloads.Workload, iters int) (*ir.Module, error) {
 	return mod, nil
 }
 
-// BuildRISCV compiles a workload for the SS core. Images are cached by
-// (workload, iters): each distinct key is built exactly once, even under
-// concurrent callers, and the returned image is shared read-only.
+// BuildRISCV compiles a workload for the SS core in the default session.
 func BuildRISCV(w workloads.Workload, iters int) (*program.Image, error) {
-	return buildOnce(buildKey{w: w, iters: iters, target: "riscv"}, func() (*program.Image, error) {
+	return defaultSession.BuildRISCV(w, iters)
+}
+
+// BuildSTRAIGHT compiles a workload for the STRAIGHT core in the
+// default session.
+func BuildSTRAIGHT(w workloads.Workload, iters, maxDist int, mode CompilerMode) (*program.Image, error) {
+	return defaultSession.BuildSTRAIGHT(w, iters, maxDist, mode)
+}
+
+// BuildRISCV compiles a workload for the SS core. Images are cached by
+// (workload, iters): each distinct key is built exactly once per
+// session, even under concurrent callers, and the returned image is
+// shared read-only.
+func (s *Session) BuildRISCV(w workloads.Workload, iters int) (*program.Image, error) {
+	return s.buildOnce(buildKey{w: w, iters: iters, target: "riscv"}, func() (*program.Image, error) {
 		mod, err := module(w, iters)
 		if err != nil {
 			return nil, err
@@ -139,9 +106,9 @@ func BuildRISCV(w workloads.Workload, iters int) (*program.Image, error) {
 // BuildSTRAIGHT compiles a workload for the STRAIGHT core. Images are
 // cached by (workload, iters, maxDist, mode) with the same
 // exactly-once, shared-read-only contract as BuildRISCV.
-func BuildSTRAIGHT(w workloads.Workload, iters, maxDist int, mode CompilerMode) (*program.Image, error) {
+func (s *Session) BuildSTRAIGHT(w workloads.Workload, iters, maxDist int, mode CompilerMode) (*program.Image, error) {
 	key := buildKey{w: w, iters: iters, target: "straight", maxDist: maxDist, mode: mode}
-	return buildOnce(key, func() (*program.Image, error) {
+	return s.buildOnce(key, func() (*program.Image, error) {
 		mod, err := module(w, iters)
 		if err != nil {
 			return nil, err
@@ -171,13 +138,19 @@ const simCycleCap = 2_000_000_000
 
 // Simulate runs an image to completion on the named cycle core, with an
 // optional pipeline tracer attached, and checks the resulting counters
-// for internal consistency. Interrupt cancels it mid-run.
+// for internal consistency.
 func Simulate(core CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*engine.Result, error) {
+	return simulate(core, cfg, im, tr, nil)
+}
+
+// simulate is Simulate with an interrupt flag: raising stop cancels the
+// run within one advance.
+func simulate(core CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tracer, stop *atomic.Bool) (*engine.Result, error) {
 	m, err := cores.Lookup(string(core))
 	if err != nil {
 		return nil, err
 	}
-	opts := engine.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: &interruptFlag}
+	opts := engine.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: stop}
 	res, err := m.New(cfg, im, opts).Run(opts)
 	if err != nil {
 		return nil, err

@@ -13,7 +13,7 @@ import (
 // crossovers) — not absolute numbers.
 
 func TestPerfComparisonShape(t *testing.T) {
-	rows, err := PerfComparison(ScaleQuick, true, uarch.PredGshare)
+	rows, err := NewSession().PerfComparison(ScaleQuick, true, uarch.PredGshare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestPerfComparisonShape(t *testing.T) {
 }
 
 func TestMissPenaltyShape(t *testing.T) {
-	rows, err := MissPenalty(ScaleQuick)
+	rows, err := NewSession().MissPenalty(ScaleQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestMissPenaltyShape(t *testing.T) {
 }
 
 func TestInstructionMixShape(t *testing.T) {
-	rows, err := InstructionMix(ScaleQuick)
+	rows, err := NewSession().InstructionMix(ScaleQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestInstructionMixShape(t *testing.T) {
 }
 
 func TestDistanceCDFShape(t *testing.T) {
-	cdfs, err := DistanceCDF(ScaleQuick)
+	cdfs, err := NewSession().DistanceCDF(ScaleQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDistanceCDFShape(t *testing.T) {
 }
 
 func TestMaxDistSweepShape(t *testing.T) {
-	pts, err := MaxDistSweep(ScaleQuick)
+	pts, err := NewSession().MaxDistSweep(ScaleQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestMaxDistSweepShape(t *testing.T) {
 }
 
 func TestPowerAnalysisShape(t *testing.T) {
-	rows, share, err := PowerAnalysis(ScaleQuick)
+	rows, share, err := NewSession().PowerAnalysis(ScaleQuick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,18 +169,19 @@ func TestPowerAnalysisShape(t *testing.T) {
 }
 
 func TestBuildCachingIsCoherent(t *testing.T) {
-	a, err := BuildRISCV(workloads.MicroFib, 1)
+	s := NewSession()
+	a, err := s.BuildRISCV(workloads.MicroFib, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildRISCV(workloads.MicroFib, 1)
+	b, err := s.BuildRISCV(workloads.MicroFib, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("cache miss for identical build key")
 	}
-	c, err := BuildRISCV(workloads.MicroFib, 2)
+	c, err := s.BuildRISCV(workloads.MicroFib, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

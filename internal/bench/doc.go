@@ -5,30 +5,45 @@
 // testing.B benchmark per experiment, and cmd/experiments prints them
 // all.
 //
+// # Sessions
+//
+// A Session owns all state point execution shares: the build cache,
+// the result store and its hit/miss/recompute counters, the journal,
+// the worker count, an optional Remote and the trace target. The figure
+// functions are Session methods; each main builds one session, and two
+// sessions in one process share nothing. Default is the session behind
+// the few package-level wrappers (ExecutePoint, SetStore,
+// ResetBuildCache, BuildSTRAIGHT, BuildRISCV) that the benchmark module
+// compiles against.
+//
+// Session.Execute runs one point under a context. Cancelling it, or
+// Session.Interrupt, raises that run's own engine interrupt flag, so
+// the point stops within one advance with uarch.ErrInterrupted while
+// other points, and other sessions, run on. The flag is registered only
+// when the point simulates: a store hit allocates nothing for it.
+//
 // # Sweep architecture
 //
 // Each experiment decomposes its figure into independent SweepPoints —
 // one (workload, engine, uarch config, compiler mode, iteration count)
-// simulation each — and submits the whole list to a Runner. The Runner
-// executes points on a bounded worker pool (SetParallelism / the
-// cmd/experiments -j flag; GOMAXPROCS by default) and writes each
-// result into a slice slot indexed by the point's submission position,
-// so results always come back in paper order no matter which worker
-// finished first.
+// simulation each — and submits the whole list to Session.Run, which
+// executes points on Workers goroutines (the cmd/experiments -j flag;
+// GOMAXPROCS by default) and writes each result into a slice slot
+// indexed by the point's submission position, so results always come
+// back in paper order no matter which worker finished first.
 //
 // # Build cache
 //
 // Compiled images are memoized per (workload, iters, target, maxdist,
 // mode) key with singleflight semantics: the first caller — concurrent
-// callers included — runs the build inside a sync.Once, everyone else
-// blocks on that Once and receives the same *program.Image. Images are
-// immutable after assembly and every engine copies text and data into
-// its own memory before running, so one cached image is safely shared
-// read-only by any number of concurrent simulations
-// (TestSharedImagesNotMutated proves this). Each build lowers its own
-// private IR module: the backends annotate the modules they compile, so
-// sharing one module across builds would make code generation
-// order-dependent.
+// callers included — runs the build, everyone else blocks on it and
+// receives the same *program.Image. Images are immutable after assembly
+// and every engine copies text and data into its own memory before
+// running, so one cached image is safely shared read-only by any number
+// of concurrent simulations (TestSharedImagesNotMutated proves this).
+// Each build lowers its own private IR module: the backends annotate
+// the modules they compile, so sharing one module across builds would
+// make code generation order-dependent.
 //
 // # Determinism guarantee
 //

@@ -14,7 +14,7 @@ import (
 )
 
 // Every experiment below builds its figure as a flat list of
-// SweepPoints, submits them to the package runner (RunPoints), and
+// SweepPoints, submits them to the session (Session.Run), and
 // assembles rows from the in-order results — so `-j N` parallelism
 // never changes a table.
 
@@ -37,7 +37,7 @@ func (r PerfRow) RelREP() float64 { return float64(r.SSCycles) / float64(r.REPCy
 
 // PerfComparison runs Fig 11 (fourWay=true) or Fig 12 (fourWay=false):
 // Dhrystone and CoreMark on SS vs STRAIGHT RAW and RE+ at equal sizing.
-func PerfComparison(s Scale, fourWay bool, predictor uarch.PredictorKind) ([]PerfRow, error) {
+func (s *Session) PerfComparison(sc Scale, fourWay bool, predictor uarch.PredictorKind) ([]PerfRow, error) {
 	ssCfg, stCfg := uarch.SS2Way(), uarch.Straight2Way()
 	section := "Fig 12"
 	if fourWay {
@@ -56,14 +56,14 @@ func PerfComparison(s Scale, fourWay bool, predictor uarch.PredictorKind) ([]Per
 
 	var points []SweepPoint
 	for _, w := range workloads.All {
-		n := iters(s, w)
+		n := iters(sc, w)
 		points = append(points,
 			SSPoint(section, string(w)+"/SS", w, n, ssCfg),
 			StraightPoint(section, string(w)+"/RAW", w, n, ModeRAW, stCfg),
 			StraightPoint(section, string(w)+"/RE+", w, n, ModeREP, stCfg),
 		)
 	}
-	results, err := RunPoints(points)
+	results, err := s.Run(points)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +116,7 @@ func (r CGRow) RelREP() float64 { return float64(r.SSCycles) / float64(r.REPCycl
 // CGComparison places the coarse-grain OoO core between the two paper
 // machines: Dhrystone and CoreMark on SS, CG-OoO (same machine, issue
 // coarsened to 8-instruction blocks) and STRAIGHT RE+ at equal sizing.
-func CGComparison(s Scale, fourWay bool) ([]CGRow, error) {
+func (s *Session) CGComparison(sc Scale, fourWay bool) ([]CGRow, error) {
 	ssCfg, cgCfg, stCfg := uarch.SS2Way(), uarch.CG2Way(), uarch.Straight2Way()
 	section := "CG-OoO (2-way)"
 	if fourWay {
@@ -125,14 +125,14 @@ func CGComparison(s Scale, fourWay bool) ([]CGRow, error) {
 	}
 	var points []SweepPoint
 	for _, w := range workloads.All {
-		n := iters(s, w)
+		n := iters(sc, w)
 		points = append(points,
 			SSPoint(section, string(w)+"/SS", w, n, ssCfg),
 			CGPoint(section, string(w)+"/CG", w, n, cgCfg),
 			StraightPoint(section, string(w)+"/RE+", w, n, ModeREP, stCfg),
 		)
 	}
-	results, err := RunPoints(points)
+	results, err := s.Run(points)
 	if err != nil {
 		return nil, err
 	}
@@ -176,9 +176,9 @@ type CGBlockPoint struct {
 // 4-way. Block size 1 degenerates to the fully out-of-order SS machine
 // (every instruction is its own block), so the first point doubles as a
 // consistency anchor for the sweep.
-func CGBlockSweep(s Scale) ([]CGBlockPoint, error) {
+func (s *Session) CGBlockSweep(sc Scale) ([]CGBlockPoint, error) {
 	sizes := []int{1, 2, 4, 8, 16, 32}
-	n := iters(s, workloads.Dhrystone)
+	n := iters(sc, workloads.Dhrystone)
 	var points []SweepPoint
 	for _, bs := range sizes {
 		cfg := uarch.CG4Way()
@@ -186,7 +186,7 @@ func CGBlockSweep(s Scale) ([]CGBlockPoint, error) {
 		cfg.Name = fmt.Sprintf("CG-4way-b%d", bs)
 		points = append(points, CGPoint("CG block sweep", fmt.Sprintf("b=%d", bs), workloads.Dhrystone, n, cfg))
 	}
-	results, err := RunPoints(points)
+	results, err := s.Run(points)
 	if err != nil {
 		return nil, err
 	}
@@ -222,8 +222,8 @@ type MissPenaltyRow struct {
 // MissPenalty reproduces Fig 13: CoreMark on SS, SS with idealized
 // zero-cost recovery, and STRAIGHT RE+, for both widths, normalized to
 // SS 2-way performance.
-func MissPenalty(s Scale) ([]MissPenaltyRow, error) {
-	n := iters(s, workloads.CoreMark)
+func (s *Session) MissPenalty(sc Scale) ([]MissPenaltyRow, error) {
+	n := iters(sc, workloads.CoreMark)
 	var points []SweepPoint
 	widths := []string{"2-way", "4-way"}
 	for _, width := range widths {
@@ -239,7 +239,7 @@ func MissPenalty(s Scale) ([]MissPenaltyRow, error) {
 			StraightPoint("Fig 13", width+"/RE+", workloads.CoreMark, n, ModeREP, stCfg),
 		)
 	}
-	results, err := RunPoints(points)
+	results, err := s.Run(points)
 	if err != nil {
 		return nil, err
 	}
@@ -287,14 +287,14 @@ func (r MixRow) Total() float64 {
 // InstructionMix reproduces Fig 15 on CoreMark: retired-instruction type
 // fractions for SS, STRAIGHT RAW and STRAIGHT RE+ (functional runs; the
 // retirement mix is microarchitecture-independent).
-func InstructionMix(s Scale) ([]MixRow, error) {
-	n := iters(s, workloads.CoreMark)
+func (s *Session) InstructionMix(sc Scale) ([]MixRow, error) {
+	n := iters(sc, workloads.CoreMark)
 	points := []SweepPoint{
 		{Section: "Fig 15", Label: "SS", Workload: workloads.CoreMark, Core: CoreEmuRISCV, Iters: n},
 		{Section: "Fig 15", Label: "RAW", Workload: workloads.CoreMark, Core: CoreEmuStraight, Iters: n, Mode: ModeRAW, MaxDist: 31},
 		{Section: "Fig 15", Label: "RE+", Workload: workloads.CoreMark, Core: CoreEmuStraight, Iters: n, Mode: ModeREP, MaxDist: 31},
 	}
-	results, err := RunPoints(points)
+	results, err := s.Run(points)
 	if err != nil {
 		return nil, err
 	}
@@ -374,15 +374,15 @@ type DistancePoint struct {
 // DistanceCDF reproduces Fig 16: cumulative fraction of source operand
 // distances, for code generated with the ISA-maximum distance limit
 // (1023), per workload.
-func DistanceCDF(s Scale) (map[workloads.Workload][]DistancePoint, error) {
+func (s *Session) DistanceCDF(sc Scale) (map[workloads.Workload][]DistancePoint, error) {
 	var points []SweepPoint
 	for _, w := range workloads.All {
 		points = append(points, SweepPoint{
 			Section: "Fig 16", Label: string(w), Workload: w,
-			Core: CoreEmuStraight, Iters: iters(s, w), Mode: ModeREP, MaxDist: 1023,
+			Core: CoreEmuStraight, Iters: iters(sc, w), Mode: ModeREP, MaxDist: 1023,
 		})
 	}
-	results, err := RunPoints(points)
+	results, err := s.Run(points)
 	if err != nil {
 		return nil, err
 	}
@@ -440,8 +440,8 @@ type MaxDistPoint struct {
 // MaxDistSweep reproduces the §VI-B sensitivity experiment: CoreMark
 // RE+ compiled and simulated at several maximum distances. The register
 // file shrinks with the distance (MAX_RP = dist + ROB).
-func MaxDistSweep(s Scale) ([]MaxDistPoint, error) {
-	n := iters(s, workloads.CoreMark)
+func (s *Session) MaxDistSweep(sc Scale) ([]MaxDistPoint, error) {
+	n := iters(sc, workloads.CoreMark)
 	dists := []int{31, 63, 127, 255, 1023}
 	var points []SweepPoint
 	for _, d := range dists {
@@ -450,7 +450,7 @@ func MaxDistSweep(s Scale) ([]MaxDistPoint, error) {
 		points = append(points, StraightPoint("VI-B", fmt.Sprintf("maxdist-%d", d),
 			workloads.CoreMark, n, ModeREP, cfg))
 	}
-	results, err := RunPoints(points)
+	results, err := s.Run(points)
 	if err != nil {
 		return nil, err
 	}
@@ -482,14 +482,14 @@ func FormatMaxDist(pts []MaxDistPoint) string {
 // PowerAnalysis reproduces Fig 17 with the activity-based power model:
 // CoreMark on the 2-way models (the paper's RTL is 2-way-like) at 1.0x,
 // 2.5x and 4.0x clock.
-func PowerAnalysis(s Scale) ([]power.Figure17Row, float64, error) {
-	n := iters(s, workloads.CoreMark)
+func (s *Session) PowerAnalysis(sc Scale) ([]power.Figure17Row, float64, error) {
+	n := iters(sc, workloads.CoreMark)
 	stCfg := uarch.Straight2Way()
 	points := []SweepPoint{
 		SSPoint("Fig 17", "SS", workloads.CoreMark, n, uarch.SS2Way()),
 		StraightPoint("Fig 17", "RE+", workloads.CoreMark, n, ModeREP, stCfg),
 	}
-	results, err := RunPoints(points)
+	results, err := s.Run(points)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -31,6 +31,13 @@ func microSweep() []SweepPoint {
 	return pts
 }
 
+// runOn executes points on a fresh session with the given worker count.
+func runOn(workers int, points []SweepPoint) ([]PointResult, error) {
+	s := NewSession()
+	s.Workers = workers
+	return s.Run(points)
+}
+
 // formatResults renders every deterministic field of a result list.
 func formatResults(results []PointResult) string {
 	var b strings.Builder
@@ -42,18 +49,16 @@ func formatResults(results []PointResult) string {
 }
 
 // TestRunnerDeterministicAcrossParallelism runs the same sweep serially
-// and on 8 workers (with a cold build cache each time) and requires
-// byte-identical results.
+// and on 8 workers (each on a fresh session, so with a cold build cache)
+// and requires byte-identical results.
 func TestRunnerDeterministicAcrossParallelism(t *testing.T) {
 	points := microSweep()
 
-	ResetBuildCache()
-	serial, err := (&Runner{Workers: 1}).Run(points)
+	serial, err := runOn(1, points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetBuildCache()
-	parallel, err := (&Runner{Workers: 8}).Run(points)
+	parallel, err := runOn(8, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +73,7 @@ func TestRunnerDeterministicAcrossParallelism(t *testing.T) {
 // submission position, not completion order.
 func TestRunnerOrderIsSubmissionOrder(t *testing.T) {
 	points := microSweep()
-	results, err := (&Runner{Workers: 4}).Run(points)
+	results, err := runOn(4, points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +98,7 @@ func TestRunnerErrorPropagation(t *testing.T) {
 		SSPoint("test", "good-2", workloads.MicroSieve, 1, uarch.SS2Way()),
 	}
 	for _, workers := range []int{1, 4} {
-		results, err := (&Runner{Workers: workers}).Run(points)
+		results, err := runOn(workers, points)
 		if err == nil {
 			t.Fatalf("workers=%d: expected an error", workers)
 		}
@@ -108,7 +113,7 @@ func TestRunnerErrorPropagation(t *testing.T) {
 
 // TestRunnerUnknownCore rejects malformed points.
 func TestRunnerUnknownCore(t *testing.T) {
-	_, err := (&Runner{}).Run([]SweepPoint{{Section: "test", Label: "bogus", Workload: workloads.MicroFib, Core: "warp-drive", Iters: 1}})
+	_, err := runOn(0, []SweepPoint{{Section: "test", Label: "bogus", Workload: workloads.MicroFib, Core: "warp-drive", Iters: 1}})
 	if err == nil || !strings.Contains(err.Error(), "warp-drive") {
 		t.Fatalf("want unknown-core error, got %v", err)
 	}
@@ -118,7 +123,7 @@ func TestRunnerUnknownCore(t *testing.T) {
 // and requires exactly one compilation, with every caller receiving the
 // same image.
 func TestBuildCacheSingleflight(t *testing.T) {
-	ResetBuildCache()
+	s := NewSession()
 	const callers = 16
 	images := make([]*program.Image, callers)
 	errs := make([]error, callers)
@@ -127,7 +132,7 @@ func TestBuildCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			images[i], errs[i] = BuildSTRAIGHT(workloads.MicroFib, 1, 31, ModeREP)
+			images[i], errs[i] = s.BuildSTRAIGHT(workloads.MicroFib, 1, 31, ModeREP)
 		}(i)
 	}
 	wg.Wait()
@@ -139,7 +144,7 @@ func TestBuildCacheSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got a different image", i)
 		}
 	}
-	hits, misses := BuildCacheStats()
+	hits, misses := s.BuildCacheStats()
 	if misses != 1 {
 		t.Errorf("got %d compilations for one key, want 1", misses)
 	}
@@ -223,12 +228,12 @@ func TestSharedImagesNotMutated(t *testing.T) {
 // TestJournalRecordsEveryPoint checks the -json data source: one record
 // per executed point, in submission order, with the summary fields set.
 func TestJournalRecordsEveryPoint(t *testing.T) {
-	ResetJournal()
+	s := NewSession()
 	points := microSweep()
-	if _, err := RunPoints(points); err != nil {
+	if _, err := s.Run(points); err != nil {
 		t.Fatal(err)
 	}
-	recs := Journal()
+	recs := s.Journal()
 	if len(recs) != len(points) {
 		t.Fatalf("journal has %d records for %d points", len(recs), len(points))
 	}

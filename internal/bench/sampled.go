@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -36,25 +37,27 @@ type SampledRow struct {
 // SampledVsFull runs DhrystoneLong on the three 4-wide kernels in full
 // detail and under the default interval plan, reporting estimator
 // accuracy and the effective-simulation-speed win. The sampled runs
-// share the bench result store when one is set (SetStore), so a warm
-// re-run only pays fast-forward; the full runs are always simulated —
-// they are the ground truth being timed.
-func SampledVsFull(s Scale) ([]SampledRow, error) {
-	w, n := workloads.DhrystoneLong, s.DhrystoneIters
+// share the session's result store when one is set, so a warm re-run
+// only pays fast-forward; the full runs are always simulated — they are
+// the ground truth being timed. Interrupt cancels both.
+func (s *Session) SampledVsFull(sc Scale) ([]SampledRow, error) {
+	w, n := workloads.DhrystoneLong, sc.DhrystoneIters
 	cells := []SweepPoint{
 		StraightPoint("", "straight-4way", w, n, ModeREP, uarch.Straight4Way()),
 		SSPoint("", "ss-4way", w, n, uarch.SS4Way()),
 		CGPoint("", "cg-4way", w, n, uarch.CG4Way()),
 	}
+	stop, unregister := s.stopFlag(context.Background())
+	defer unregister()
 	var rows []SampledRow
 	for _, c := range cells {
-		img, err := c.build()
+		img, err := s.build(c)
 		if err != nil {
 			return nil, err
 		}
 
 		start := time.Now()
-		res, err := Simulate(c.Core, c.Config, img, nil)
+		res, err := simulate(c.Core, c.Config, img, nil, stop)
 		if err != nil {
 			return nil, err
 		}
@@ -66,7 +69,7 @@ func SampledVsFull(s Scale) ([]SampledRow, error) {
 			return nil, err
 		}
 		rep, err := sampling.Run(tgt, sampling.DefaultPlan(),
-			sampling.Options{Store: ResultStore(), Interrupt: &interruptFlag})
+			sampling.Options{Store: s.Store(), Interrupt: stop})
 		if err != nil {
 			return nil, err
 		}

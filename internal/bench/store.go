@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"straight/internal/cores"
@@ -28,70 +26,6 @@ import (
 // bump it whenever either changes shape, so old entries miss instead of
 // decoding wrongly.
 const resultSchema = "straight-bench-point-v1"
-
-var resultStore atomic.Pointer[resultstore.Store]
-
-// SetStore installs (or, with nil, removes) the package-level result
-// store consulted by every executed sweep point.
-func SetStore(s *resultstore.Store) { resultStore.Store(s) }
-
-// ResultStore returns the installed store (nil = none).
-func ResultStore() *resultstore.Store { return resultStore.Load() }
-
-// StoreCounts aggregates result-store activity: Hits were served
-// without simulation, Misses were looked up and absent, Recomputes were
-// actually simulated (every miss recomputes; a forced recompute — no
-// store installed, or a traced point — counts here without a miss).
-type StoreCounts struct {
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Recomputes int64 `json:"recomputes"`
-}
-
-var (
-	storeCountsMu  sync.Mutex
-	storeTotals    StoreCounts
-	storeBySection = make(map[string]*StoreCounts)
-)
-
-func bumpStore(section string, f func(*StoreCounts)) {
-	storeCountsMu.Lock()
-	defer storeCountsMu.Unlock()
-	f(&storeTotals)
-	sc := storeBySection[section]
-	if sc == nil {
-		sc = &StoreCounts{}
-		storeBySection[section] = sc
-	}
-	f(sc)
-}
-
-// StoreTotals returns the cumulative hit/miss/recompute counters.
-func StoreTotals() StoreCounts {
-	storeCountsMu.Lock()
-	defer storeCountsMu.Unlock()
-	return storeTotals
-}
-
-// StoreCountsBySection returns a copy of the per-section counters
-// (keyed by SweepPoint.Section).
-func StoreCountsBySection() map[string]StoreCounts {
-	storeCountsMu.Lock()
-	defer storeCountsMu.Unlock()
-	out := make(map[string]StoreCounts, len(storeBySection))
-	for k, v := range storeBySection {
-		out[k] = *v
-	}
-	return out
-}
-
-// ResetStoreStats zeroes the counters (test helper and daemon reuse).
-func ResetStoreStats() {
-	storeCountsMu.Lock()
-	defer storeCountsMu.Unlock()
-	storeTotals = StoreCounts{}
-	storeBySection = make(map[string]*StoreCounts)
-}
 
 // PointKey derives the content address of a sweep point's result: a
 // hash over everything that can change it — the engine kind, the
@@ -182,41 +116,21 @@ func (d ResultData) Result(p SweepPoint, cached bool) PointResult {
 	}
 }
 
-// decodeStored rebuilds a cached result and re-checks the counters'
+// checkStored decodes a stored result and re-checks the counters'
 // internal consistency, so a store entry that decodes but carries
-// damaged numbers is recomputed instead of trusted. ExecutePoint runs
-// it on every read; ExecuteWire on the first read of each stored
-// entry, through resultstore's GetChecked.
-func decodeStored(p SweepPoint, raw []byte) (PointResult, error) {
+// damaged numbers is recomputed instead of trusted. Session.Execute
+// runs it on the first read of each stored entry, through resultstore's
+// GetChecked. It is a variable only so tests can count its calls.
+var checkStored = func(p SweepPoint, raw []byte) error {
 	var d ResultData
 	if err := json.Unmarshal(raw, &d); err != nil {
-		return PointResult{}, err
+		return err
 	}
-	if p.Core.Cycle() {
-		if d.Stats == nil {
-			return PointResult{}, fmt.Errorf("stored cycle-core result has no stats")
-		}
-		if err := d.Stats.Check(p.Config); err != nil {
-			return PointResult{}, err
-		}
+	if !p.Core.Cycle() {
+		return nil
 	}
-	return d.Result(p, true), nil
+	if d.Stats == nil {
+		return fmt.Errorf("stored cycle-core result has no stats")
+	}
+	return d.Stats.Check(p.Config)
 }
-
-// ---- interrupt flag ----
-
-// interruptFlag is polled by the cycle cores once per advance and by
-// the runner before each point, so a signal handler can cancel a sweep
-// mid-simulation (DESIGN.md §14).
-var interruptFlag atomic.Bool
-
-// Interrupt requests cancellation of every in-flight and queued sweep
-// point; affected points fail with uarch.ErrInterrupted.
-func Interrupt() { interruptFlag.Store(true) }
-
-// ClearInterrupt re-arms the package after an Interrupt (daemon
-// restart-in-process and tests).
-func ClearInterrupt() { interruptFlag.Store(false) }
-
-// Interrupted reports whether Interrupt has been called.
-func Interrupted() bool { return interruptFlag.Load() }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"path/filepath"
@@ -16,25 +17,29 @@ import (
 	"straight/internal/workloads"
 )
 
-// withStore opens a fresh result store for the test, installs it as the
-// package store, and tears everything (store, counters, journal) down
-// afterwards so the package-level state never leaks between tests.
-func withStore(t *testing.T, salt uint64) *resultstore.Store {
+// newStore opens a fresh result store for the test, closed at cleanup.
+func newStore(t *testing.T, salt uint64) *resultstore.Store {
 	t.Helper()
 	st, err := resultstore.Open(filepath.Join(t.TempDir(), "results.log"), resultstore.Options{Salt: salt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetStore(st)
-	ResetStoreStats()
-	ResetJournal()
-	t.Cleanup(func() {
-		SetStore(nil)
-		ResetStoreStats()
-		ResetJournal()
-		st.Close()
-	})
+	t.Cleanup(func() { st.Close() })
 	return st
+}
+
+// sessionOn returns a fresh session over st: its counters and journal
+// start empty, while st keeps every entry earlier sessions stored.
+func sessionOn(st *resultstore.Store) *Session {
+	s := NewSession()
+	s.SetStore(st)
+	return s
+}
+
+// totals returns a session's cumulative store counters.
+func totals(s *Session) StoreCounts {
+	t, _ := s.StoreCounts()
+	return t
 }
 
 func storePoints() []SweepPoint {
@@ -48,9 +53,9 @@ func storePoints() []SweepPoint {
 
 // journalJSON renders the journal the way cmd/experiments -json does,
 // so "byte-identical" below means what a user observes.
-func journalJSON(t *testing.T) []byte {
+func journalJSON(t *testing.T, s *Session) []byte {
 	t.Helper()
-	raw, err := json.MarshalIndent(Journal(), "", "  ")
+	raw, err := json.MarshalIndent(s.Journal(), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,30 +63,30 @@ func journalJSON(t *testing.T) []byte {
 }
 
 func TestStoreWarmRunIsByteIdenticalAndFree(t *testing.T) {
-	withStore(t, 1)
+	st := newStore(t, 1)
 	points := storePoints()
 
-	cold, err := RunPoints(points)
+	cs := sessionOn(st)
+	cold, err := cs.Run(points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldTotals := StoreTotals()
+	coldTotals := totals(cs)
 	if coldTotals.Hits != 0 || coldTotals.Misses != int64(len(points)) || coldTotals.Recomputes != int64(len(points)) {
 		t.Fatalf("cold totals = %+v, want 0 hits / %d misses / %d recomputes", coldTotals, len(points), len(points))
 	}
-	coldJSON := journalJSON(t)
+	coldJSON := journalJSON(t, cs)
 
-	ResetStoreStats()
-	ResetJournal()
-	warm, err := RunPoints(points)
+	ws := sessionOn(st)
+	warm, err := ws.Run(points)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmTotals := StoreTotals()
+	warmTotals := totals(ws)
 	if warmTotals.Hits != int64(len(points)) || warmTotals.Recomputes != 0 {
 		t.Fatalf("warm totals = %+v, want %d hits / 0 recomputes", warmTotals, len(points))
 	}
-	warmJSON := journalJSON(t)
+	warmJSON := journalJSON(t, ws)
 	if string(coldJSON) != string(warmJSON) {
 		t.Fatalf("warm journal differs from cold:\ncold:\n%s\nwarm:\n%s", coldJSON, warmJSON)
 	}
@@ -97,76 +102,73 @@ func TestStoreWarmRunIsByteIdenticalAndFree(t *testing.T) {
 	}
 
 	// Per-section attribution lands under the points' Section.
-	bySec := StoreCountsBySection()
+	_, bySec := ws.StoreCounts()
 	if bySec["store-test"].Hits != int64(len(points)) {
 		t.Fatalf("per-section counts = %+v", bySec)
 	}
 }
 
 func TestStoreDirtiesExactlyAffectedPoints(t *testing.T) {
-	withStore(t, 1)
+	st := newStore(t, 1)
 	points := storePoints()
-	if _, err := RunPoints(points); err != nil {
+	if _, err := sessionOn(st).Run(points); err != nil {
 		t.Fatal(err)
+	}
+	// run executes points on a fresh session over st and returns its
+	// counters.
+	run := func(points []SweepPoint) StoreCounts {
+		t.Helper()
+		s := sessionOn(st)
+		if _, err := s.Run(points); err != nil {
+			t.Fatal(err)
+		}
+		return totals(s)
 	}
 
 	// Change one core Option on one point: only that point recomputes.
-	ResetStoreStats()
 	dirty := make([]SweepPoint, len(points))
 	copy(dirty, points)
 	cfg := dirty[0].Config
 	cfg.ROBSize += 8
 	dirty[0].Config = cfg
-	if _, err := RunPoints(dirty); err != nil {
-		t.Fatal(err)
-	}
-	got := StoreTotals()
+	got := run(dirty)
 	if got.Hits != int64(len(points)-1) || got.Recomputes != 1 {
 		t.Fatalf("after config change: totals = %+v, want %d hits / 1 recompute", got, len(points)-1)
 	}
 
 	// Change the workload input (iteration count changes the generated
 	// source): every point over that workload recomputes.
-	ResetStoreStats()
 	bumped := make([]SweepPoint, len(points))
 	copy(bumped, points)
 	for i := range bumped {
 		bumped[i].Iters = 2
 	}
-	if _, err := RunPoints(bumped); err != nil {
-		t.Fatal(err)
-	}
-	got = StoreTotals()
+	got = run(bumped)
 	if got.Hits != 0 || got.Recomputes != int64(len(points)) {
 		t.Fatalf("after iters change: totals = %+v, want 0 hits / %d recomputes", got, len(points))
 	}
 
 	// Section/Label renames must NOT dirty anything: the same simulation
 	// shown in another figure reuses the entry.
-	ResetStoreStats()
 	renamed := make([]SweepPoint, len(points))
 	copy(renamed, points)
 	for i := range renamed {
 		renamed[i].Section = "other-figure"
 	}
-	if _, err := RunPoints(renamed); err != nil {
-		t.Fatal(err)
-	}
-	got = StoreTotals()
+	got = run(renamed)
 	if got.Hits != int64(len(points)) || got.Recomputes != 0 {
 		t.Fatalf("after relabel: totals = %+v, want all hits", got)
 	}
 }
 
 func TestStoreSaltBumpInvalidates(t *testing.T) {
-	st := withStore(t, 1)
+	st := newStore(t, 1)
 	points := storePoints()
-	if _, err := RunPoints(points); err != nil {
+	if _, err := sessionOn(st).Run(points); err != nil {
 		t.Fatal(err)
 	}
 	path := st.Path()
 	st.Close()
-	SetStore(nil)
 
 	// Reopen with a bumped simulator version salt: the store wipes itself
 	// and every point recomputes.
@@ -178,51 +180,49 @@ func TestStoreSaltBumpInvalidates(t *testing.T) {
 	if !st2.Stats().Invalidated {
 		t.Fatal("salt bump did not mark the store invalidated")
 	}
-	SetStore(st2)
-	ResetStoreStats()
-	if _, err := RunPoints(points); err != nil {
+	s := sessionOn(st2)
+	if _, err := s.Run(points); err != nil {
 		t.Fatal(err)
 	}
-	got := StoreTotals()
+	got := totals(s)
 	if got.Hits != 0 || got.Recomputes != int64(len(points)) {
 		t.Fatalf("after salt bump: totals = %+v, want 0 hits / %d recomputes", got, len(points))
 	}
 }
 
 func TestStoreSkipsTracedPoints(t *testing.T) {
-	withStore(t, 1)
+	st := newStore(t, 1)
 	p := SSPoint("store-test", "traced", workloads.MicroFib, 1, uarch.SS2Way())
 
-	SetTraceTarget(&TraceTarget{Point: p.Name(), Path: filepath.Join(t.TempDir(), "trace.log")})
-	defer SetTraceTarget(nil)
-	res, err := RunPoints([]SweepPoint{p})
+	traced := sessionOn(st)
+	traced.Trace = &TraceTarget{Point: p.Name(), Path: filepath.Join(t.TempDir(), "trace.log")}
+	res, err := traced.Run([]SweepPoint{p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res[0].Trace == nil {
 		t.Fatal("traced point did not produce a trace")
 	}
-	got := StoreTotals()
+	got := totals(traced)
 	if got.Hits != 0 || got.Misses != 0 || got.Recomputes != 1 {
 		t.Fatalf("traced point totals = %+v, want store bypass (0/0/1)", got)
 	}
 
 	// The traced run must not have been stored: a later plain run misses.
-	SetTraceTarget(nil)
-	ResetStoreStats()
-	if _, err := RunPoints([]SweepPoint{p}); err != nil {
+	plain := sessionOn(st)
+	if _, err := plain.Run([]SweepPoint{p}); err != nil {
 		t.Fatal(err)
 	}
-	got = StoreTotals()
+	got = totals(plain)
 	if got.Misses != 1 || got.Recomputes != 1 {
 		t.Fatalf("post-trace totals = %+v, want 1 miss / 1 recompute", got)
 	}
 }
 
 func TestStoreRejectsDamagedEntry(t *testing.T) {
-	st := withStore(t, 1)
+	st := newStore(t, 1)
 	p := SSPoint("store-test", "damaged", workloads.MicroFib, 1, uarch.SS2Way())
-	if _, err := RunPoints([]SweepPoint{p}); err != nil {
+	if _, err := sessionOn(st).Run([]SweepPoint{p}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -249,20 +249,20 @@ func TestStoreRejectsDamagedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ResetStoreStats()
-	if _, err := RunPoints([]SweepPoint{p}); err != nil {
+	s := sessionOn(st)
+	if _, err := s.Run([]SweepPoint{p}); err != nil {
 		t.Fatal(err)
 	}
-	got := StoreTotals()
+	got := totals(s)
 	if got.Hits != 0 || got.Recomputes != 1 {
 		t.Fatalf("damaged entry totals = %+v, want recompute", got)
 	}
 	// The recompute replaced the damaged entry: next run hits again.
-	ResetStoreStats()
-	if _, err := RunPoints([]SweepPoint{p}); err != nil {
+	s = sessionOn(st)
+	if _, err := s.Run([]SweepPoint{p}); err != nil {
 		t.Fatal(err)
 	}
-	if got := StoreTotals(); got.Hits != 1 {
+	if got := totals(s); got.Hits != 1 {
 		t.Fatalf("repaired entry totals = %+v, want hit", got)
 	}
 }
@@ -350,7 +350,7 @@ func BenchmarkPointKey(b *testing.B) {
 	}
 }
 
-// countChecks replaces ExecuteWire's stored-entry check with one that
+// countChecks replaces Execute's stored-entry check with one that
 // counts its calls, for the rest of the test.
 func countChecks(t *testing.T) *atomic.Int64 {
 	var calls atomic.Int64
@@ -363,13 +363,14 @@ func countChecks(t *testing.T) *atomic.Int64 {
 	return &calls
 }
 
-// TestExecuteWireChecksOncePerEntry follows one cycle-core point
-// through the daemon's entry: a miss returns the stored bytes unchecked;
-// hits return the store's bytes and check them on the first read only;
-// a superseding Put and a reopened store each check again; a damaged
-// entry is recomputed, never returned.
-func TestExecuteWireChecksOncePerEntry(t *testing.T) {
-	st := withStore(t, 1)
+// TestExecuteChecksOncePerEntry follows one cycle-core point through
+// Execute with the key given, as the daemon calls it: a miss returns the
+// stored bytes unchecked; hits return the store's bytes and check them
+// on the first read only; a superseding Put and a reopened store each
+// check again; a damaged entry is recomputed, never returned.
+func TestExecuteChecksOncePerEntry(t *testing.T) {
+	st := newStore(t, 1)
+	s := sessionOn(st)
 	calls := countChecks(t)
 	p := SSPoint("store-test", "wire", workloads.MicroFib, 1, uarch.SS2Way())
 	key, err := PointKey(p)
@@ -378,13 +379,14 @@ func TestExecuteWireChecksOncePerEntry(t *testing.T) {
 	}
 	serve := func(wantCached bool, wantCalls int64) []byte {
 		t.Helper()
-		wire, cached, err := ExecuteWire(p, key)
+		o, err := s.Execute(context.Background(), p, &key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cached != wantCached {
-			t.Fatalf("cached = %v, want %v", cached, wantCached)
+		if o.Result.Cached != wantCached {
+			t.Fatalf("cached = %v, want %v", o.Result.Cached, wantCached)
 		}
+		wire := o.Wire
 		if stored, _ := st.Get(key); !bytes.Equal(wire, stored) {
 			t.Fatalf("wire bytes differ from the stored entry")
 		}
@@ -397,7 +399,7 @@ func TestExecuteWireChecksOncePerEntry(t *testing.T) {
 	first := serve(false, 0)
 	serve(true, 1)
 	serve(true, 1)
-	if got := StoreTotals(); got != (StoreCounts{Hits: 2, Misses: 1, Recomputes: 1}) {
+	if got := totals(s); got != (StoreCounts{Hits: 2, Misses: 1, Recomputes: 1}) {
 		t.Fatalf("totals = %+v, want 2 hits / 1 miss / 1 recompute", got)
 	}
 
@@ -421,11 +423,11 @@ func TestExecuteWireChecksOncePerEntry(t *testing.T) {
 	if err := st.Put(key, bad); err != nil {
 		t.Fatal(err)
 	}
-	ResetStoreStats()
+	s = sessionOn(st)
 	if wire := serve(false, 3); bytes.Equal(wire, bad) {
 		t.Fatal("damaged entry returned")
 	}
-	if got := StoreTotals(); got != (StoreCounts{Misses: 1, Recomputes: 1}) {
+	if got := totals(s); got != (StoreCounts{Misses: 1, Recomputes: 1}) {
 		t.Fatalf("damaged entry totals = %+v, want 1 miss / 1 recompute", got)
 	}
 	serve(true, 4)
@@ -440,22 +442,24 @@ func TestExecuteWireChecksOncePerEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	SetStore(st)
+	s.SetStore(st)
 	serve(true, 5)
 	serve(true, 5)
 }
 
-// TestExecuteWireConcurrentFirstReads serves one unchecked entry to
-// many goroutines at once (run under -race in verify.sh): every read is
-// a hit on the stored bytes, and the entry is checked afterwards.
-func TestExecuteWireConcurrentFirstReads(t *testing.T) {
-	st := withStore(t, 1)
+// TestExecuteConcurrentFirstReads serves one unchecked entry to many
+// goroutines at once (run under -race in verify.sh): every read is a
+// hit on the stored bytes, and the entry is checked afterwards.
+func TestExecuteConcurrentFirstReads(t *testing.T) {
+	st := newStore(t, 1)
+	s := sessionOn(st)
+	ctx := context.Background()
 	p := StraightPoint("store-test", "wire", workloads.MicroFib, 1, ModeREP, uarch.Straight2Way())
 	key, err := PointKey(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ExecuteWire(p, key); err != nil {
+	if _, err := s.Execute(ctx, p, &key); err != nil {
 		t.Fatal(err)
 	}
 	stored, _ := st.Get(key)
@@ -465,9 +469,9 @@ func TestExecuteWireConcurrentFirstReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wire, cached, err := ExecuteWire(p, key)
-			if err != nil || !cached || !bytes.Equal(wire, stored) {
-				t.Errorf("concurrent read: cached=%v err=%v, bytes equal=%v", cached, err, bytes.Equal(wire, stored))
+			o, err := s.Execute(ctx, p, &key)
+			if err != nil || !o.Result.Cached || !bytes.Equal(o.Wire, stored) {
+				t.Errorf("concurrent read: cached=%v err=%v, bytes equal=%v", o.Result.Cached, err, bytes.Equal(o.Wire, stored))
 			}
 		}()
 	}
@@ -476,7 +480,7 @@ func TestExecuteWireConcurrentFirstReads(t *testing.T) {
 		t.Fatalf("check ran %d times for 8 first reads, want 1..8", n)
 	}
 	n := calls.Load()
-	if _, _, err := ExecuteWire(p, key); err != nil {
+	if _, err := s.Execute(ctx, p, &key); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != n {
@@ -484,40 +488,44 @@ func TestExecuteWireConcurrentFirstReads(t *testing.T) {
 	}
 }
 
+// TestInterruptAbortsRunningCores raises a run's interrupt flag before
+// it starts: both cores stop with ErrInterrupted, and a run without the
+// flag completes.
 func TestInterruptAbortsRunningCores(t *testing.T) {
-	defer ClearInterrupt()
-	ssIm, err := BuildRISCV(workloads.MicroFib, 1)
+	s := NewSession()
+	ssIm, err := s.BuildRISCV(workloads.MicroFib, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stIm, err := BuildSTRAIGHT(workloads.MicroFib, 1, 31, ModeREP)
+	stIm, err := s.BuildSTRAIGHT(workloads.MicroFib, 1, 31, ModeREP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Interrupt()
-	if _, err := Simulate(CoreSS, uarch.SS2Way(), ssIm, nil); !errors.Is(err, uarch.ErrInterrupted) {
+	var stop atomic.Bool
+	stop.Store(true)
+	if _, err := simulate(CoreSS, uarch.SS2Way(), ssIm, nil, &stop); !errors.Is(err, uarch.ErrInterrupted) {
 		t.Fatalf("SS under interrupt: err = %v, want ErrInterrupted", err)
 	}
 	cfg := uarch.Straight2Way()
 	cfg.MaxDistance = 31
-	if _, err := Simulate(CoreStraight, cfg, stIm, nil); !errors.Is(err, uarch.ErrInterrupted) {
+	if _, err := simulate(CoreStraight, cfg, stIm, nil, &stop); !errors.Is(err, uarch.ErrInterrupted) {
 		t.Fatalf("STRAIGHT under interrupt: err = %v, want ErrInterrupted", err)
 	}
-	ClearInterrupt()
-	if _, err := Simulate(CoreSS, uarch.SS2Way(), ssIm, nil); err != nil {
-		t.Fatalf("SS after ClearInterrupt: %v", err)
+	if _, err := simulate(CoreSS, uarch.SS2Way(), ssIm, nil, nil); err != nil {
+		t.Fatalf("SS without interrupt: %v", err)
 	}
 }
 
+// TestInterruptCancelsSweep interrupts a session before its sweep: every
+// point fails fast, and a fresh session runs the same points.
 func TestInterruptCancelsSweep(t *testing.T) {
-	defer ClearInterrupt()
-	Interrupt()
-	_, err := RunPoints(storePoints())
-	if err == nil {
-		t.Fatal("interrupted sweep returned nil error")
+	s := NewSession()
+	s.Interrupt()
+	_, err := s.Run(storePoints())
+	if !errors.Is(err, uarch.ErrInterrupted) {
+		t.Fatalf("interrupted sweep: err = %v, want ErrInterrupted", err)
 	}
-	ClearInterrupt()
-	if _, err := RunPoints(storePoints()[2:]); err != nil {
-		t.Fatalf("after ClearInterrupt: %v", err)
+	if _, err := NewSession().Run(storePoints()[2:]); err != nil {
+		t.Fatalf("fresh session after an interrupted one: %v", err)
 	}
 }

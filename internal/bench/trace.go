@@ -3,12 +3,11 @@ package bench
 import (
 	"fmt"
 	"os"
-	"sync"
 
 	"straight/internal/ptrace"
 )
 
-// TraceTarget selects one sweep point to trace: when the runner executes
+// TraceTarget selects one sweep point to trace: when a session executes
 // the point whose name (Section/Label) equals Point, it attaches a
 // ptrace.Tracer writing a Kanata log to Path and a time-series sidecar
 // next to it. Exactly one point is traced per target — the first worker
@@ -26,40 +25,19 @@ type TraceTarget struct {
 	Window int64
 }
 
-var (
-	traceMu      sync.Mutex
-	traceTarget  *TraceTarget
-	traceClaimed bool
-)
-
-// SetTraceTarget installs (or, with nil, clears) the package-level trace
-// target consumed by the runner. Call before RunPoints.
-func SetTraceTarget(t *TraceTarget) {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	traceTarget = t
-	traceClaimed = false
-}
-
-// TraceTargetClaimed reports whether the current target has been matched
-// by an executed point (so CLIs can warn about typoed point names).
-func TraceTargetClaimed() bool {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	return traceClaimed
-}
-
-// claimTrace hands the target to the first worker running the named
-// point; everyone else gets nil.
-func claimTrace(name string) *TraceTarget {
-	traceMu.Lock()
-	defer traceMu.Unlock()
-	if traceTarget == nil || traceClaimed || traceTarget.Point != name {
+// claimTrace returns the session's trace target if p is the point it
+// names and no earlier point claimed it, else nil: exactly one point is
+// traced per session.
+func (s *Session) claimTrace(p SweepPoint) *TraceTarget {
+	if s.Trace == nil || s.Trace.Point != p.Name() || !p.Core.Cycle() || !s.traceClaimed.CompareAndSwap(false, true) {
 		return nil
 	}
-	traceClaimed = true
-	return traceTarget
+	return s.Trace
 }
+
+// TraceClaimed reports whether an executed point matched the trace
+// target (so CLIs can warn about typoed point names).
+func (s *Session) TraceClaimed() bool { return s.traceClaimed.Load() }
 
 // TraceRecord describes the trace artifacts of one executed point; it is
 // embedded in the bench journal so -json reports carry the windowed time

@@ -46,18 +46,19 @@ func BenchmarkSimTracedVsUntraced(b *testing.B) {
 func TestTraceTargetClaiming(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "point.kanata")
-	SetTraceTarget(&TraceTarget{Point: "T/micro-fib/RE+", Path: path, Window: 256})
-	defer SetTraceTarget(nil)
+	s := NewSession()
+	s.Workers = 2
+	s.Trace = &TraceTarget{Point: "T/micro-fib/RE+", Path: path, Window: 256}
 
 	pts := []SweepPoint{
 		StraightPoint("T", "micro-fib/RAW", workloads.MicroFib, 1, ModeRAW, uarch.Straight4Way()),
 		StraightPoint("T", "micro-fib/RE+", workloads.MicroFib, 1, ModeREP, uarch.Straight4Way()),
 	}
-	results, err := (&Runner{Workers: 2}).Run(pts)
+	results, err := s.Run(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !TraceTargetClaimed() {
+	if !s.TraceClaimed() {
 		t.Fatal("target never claimed")
 	}
 	if results[0].Trace != nil {
@@ -95,7 +96,11 @@ func TestTraceTargetClaiming(t *testing.T) {
 	}
 
 	// A second sweep must not re-claim the consumed target.
-	if _, err := (&Runner{Workers: 1}).Run(pts[1:]); err != nil {
+	again, err := s.Run(pts[1:])
+	if err != nil {
 		t.Fatal(err)
+	}
+	if again[0].Trace != nil {
+		t.Error("a consumed target was claimed again")
 	}
 }

@@ -112,14 +112,6 @@ func (m *Machine) Reg(i int) uint32 { return m.regs[i] }
 // Stats returns the accumulated statistics.
 func (m *Machine) Stats() *Stats { return &m.stats }
 
-//lint:coldpath fault construction; a fault aborts the run
-func (m *Machine) fetchFault() error { return m.FetchFault() }
-
-//lint:coldpath fault construction; a fault aborts the run
-func (m *Machine) fault(kind emu.FaultKind, format string, args ...any) error {
-	return m.Faultf(kind, format, args...)
-}
-
 // Step executes one instruction. It returns io.EOF after exit.
 //
 // Execution is one switch on the opcode that computes the result, the
@@ -136,7 +128,7 @@ func (m *Machine) Step() error {
 	}
 	i, ok := m.Fetch(len(m.dec))
 	if !ok {
-		return m.fetchFault()
+		return m.FetchFault()
 	}
 	inst := m.dec[i]
 	op := inst.Op
@@ -238,7 +230,7 @@ func (m *Machine) Step() error {
 			nextPC = (rs1 + imm) &^ 1
 		}
 		if nextPC%4 != 0 {
-			return m.fault(emu.FaultMisaligned, "jump to misaligned address %#08x", nextPC)
+			return m.Faultf(emu.FaultMisaligned, "jump to misaligned address %#08x", nextPC)
 		}
 	case riscv.ECALL:
 		if err := m.syscall(); err != nil {
@@ -253,9 +245,9 @@ func (m *Machine) Step() error {
 	case riscv.FENCE:
 		rd = 0
 	case riscv.EBREAK:
-		return m.fault(emu.FaultDecode, "ebreak")
+		return m.Faultf(emu.FaultDecode, "ebreak")
 	default:
-		return m.fault(emu.FaultDecode, "illegal instruction %#08x", m.Image.Text[i])
+		return m.Faultf(emu.FaultDecode, "illegal instruction %#08x", m.Image.Text[i])
 	}
 
 	if rd != 0 {
@@ -275,7 +267,7 @@ func (m *Machine) Step() error {
 
 //lint:coldpath fault construction; a fault aborts the run
 func (m *Machine) misaligned(op riscv.Op, addr uint32) error {
-	return m.fault(emu.FaultMisaligned, "misaligned %s at %#08x", op, addr)
+	return m.Faultf(emu.FaultMisaligned, "misaligned %s at %#08x", op, addr)
 }
 
 func b2u(b bool) uint32 {
@@ -303,7 +295,7 @@ func (m *Machine) syscall() error {
 	case SysCycle:
 		// handled by caller (writes a0)
 	default:
-		return m.fault(emu.FaultBadSys, "unknown syscall %d", fn)
+		return m.Faultf(emu.FaultBadSys, "unknown syscall %d", fn)
 	}
 	return nil
 }
@@ -352,7 +344,7 @@ func (m *Machine) Run(maxInsns uint64) (uint64, error) {
 			return m.Count - start, err
 		}
 	}
-	return m.Count - start, m.fault(emu.FaultLimit, "instruction limit %d reached without exit", maxInsns)
+	return m.Count - start, m.Faultf(emu.FaultLimit, "instruction limit %d reached without exit", maxInsns)
 }
 
 // RunUntil executes until the retired instruction count reaches target,

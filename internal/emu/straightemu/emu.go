@@ -157,14 +157,6 @@ func (m *Machine) Reg(distance uint16) uint32 {
 	return m.ring[(m.Count-uint64(distance))&(ringSize-1)]
 }
 
-//lint:coldpath fault construction; a fault aborts the run
-func (m *Machine) fetchFault() error { return m.FetchFault() }
-
-//lint:coldpath fault construction; a fault aborts the run
-func (m *Machine) fault(kind emu.FaultKind, format string, args ...any) error {
-	return m.Faultf(kind, format, args...)
-}
-
 // read returns a source operand at the given distance and accumulates the
 // operand-distance statistics. It is a method rather than a per-Step
 // closure so the architectural step path stays allocation-free.
@@ -201,10 +193,10 @@ func (m *Machine) checkDistance(op straight.Op, d uint16) error {
 		return nil
 	}
 	if d > m.strictBound {
-		return m.fault(emu.FaultStrictBound, "strict: %s reads distance %d beyond bound %d", op, d, m.strictBound)
+		return m.Faultf(emu.FaultStrictBound, "strict: %s reads distance %d beyond bound %d", op, d, m.strictBound)
 	}
 	if uint64(d) > m.Count {
-		return m.fault(emu.FaultStrictUninit, "strict: %s reads [%d] but only %d instruction(s) have executed (never-written slot)",
+		return m.Faultf(emu.FaultStrictUninit, "strict: %s reads [%d] but only %d instruction(s) have executed (never-written slot)",
 			op, d, m.Count)
 	}
 	return nil
@@ -227,7 +219,7 @@ func (m *Machine) Step() error {
 	}
 	i, ok := m.Fetch(len(m.dec))
 	if !ok {
-		return m.fetchFault()
+		return m.FetchFault()
 	}
 	inst := m.dec[i]
 	if m.strictBound != 0 {
@@ -334,7 +326,7 @@ func (m *Machine) Step() error {
 		}
 		nextPC = m.read(inst.Src1)
 		if nextPC%program.InstructionBytes != 0 {
-			return m.fault(emu.FaultMisaligned, "jump to misaligned address %#08x", nextPC)
+			return m.Faultf(emu.FaultMisaligned, "jump to misaligned address %#08x", nextPC)
 		}
 	case straight.RMOV:
 		result = m.read(inst.Src1)
@@ -348,7 +340,7 @@ func (m *Machine) Step() error {
 		}
 	default:
 		_, err := straight.Decode(m.Image.Text[i])
-		return m.fault(emu.FaultDecode, "%v", err)
+		return m.Faultf(emu.FaultDecode, "%v", err)
 	}
 
 	m.ring[m.Count&(ringSize-1)] = result
@@ -366,7 +358,7 @@ func (m *Machine) Step() error {
 
 //lint:coldpath fault construction; a fault aborts the run
 func (m *Machine) misaligned(op straight.Op, addr uint32) error {
-	return m.fault(emu.FaultMisaligned, "misaligned %s at address %#08x", op, addr)
+	return m.Faultf(emu.FaultMisaligned, "misaligned %s at address %#08x", op, addr)
 }
 
 func b2u(b bool) uint32 {
@@ -398,7 +390,7 @@ func (m *Machine) syscall(inst straight.Inst) (uint32, error) {
 	case straight.SysCycle:
 		return uint32(m.Count), nil
 	}
-	return 0, m.fault(emu.FaultBadSys, "unknown SYS function %d", inst.Imm)
+	return 0, m.Faultf(emu.FaultBadSys, "unknown SYS function %d", inst.Imm)
 }
 
 // Clone returns an independent copy of the architectural state (fresh
@@ -451,7 +443,7 @@ func (m *Machine) Run(maxInsns uint64) (uint64, error) {
 			return m.Count - start, err
 		}
 	}
-	return m.Count - start, m.fault(emu.FaultLimit, "instruction limit %d reached without exit", maxInsns)
+	return m.Count - start, m.Faultf(emu.FaultLimit, "instruction limit %d reached without exit", maxInsns)
 }
 
 // RunUntil executes until the dynamic instruction count reaches target,

@@ -249,10 +249,14 @@ func (m *Memory) Reset() {
 }
 
 // Clone returns a deep copy, used to run several simulations from one
-// loaded state.
+// loaded state. All-zero pages stay unmapped in the copy: they read the
+// same, and CopyFrom zeroes a page its source lacks.
 func (m *Memory) Clone() *Memory {
 	c := NewMemory()
 	for pn, p := range m.pages {
+		if *p == zeroPage {
+			continue
+		}
 		cp := new([pageSize]byte)
 		*cp = *p
 		c.pages[pn] = cp
@@ -288,8 +292,8 @@ func (m *Memory) CopyFrom(src *Memory) {
 	m.lastPage = nil
 }
 
-// zeroPage is the comparison target for skipping all-zero frames during
-// serialization.
+// zeroPage is the comparison target for skipping all-zero frames when
+// cloning and serializing.
 var zeroPage [pageSize]byte
 
 // nonZeroPages returns the numbers of the pages appendBinary records:

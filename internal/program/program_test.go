@@ -84,6 +84,49 @@ func TestMemoryCloneIsolation(t *testing.T) {
 	}
 }
 
+// TestMemoryCloneSkipsZeroPages clones a memory with 4 MiB of zeroed
+// mapped pages and a few non-zero bytes: the clone reads the same
+// everywhere but holds only the non-zero pages, and CopyFrom restores
+// the original from it into a memory that has diverged.
+func TestMemoryCloneSkipsZeroPages(t *testing.T) {
+	const base, size = 0x100000, 4 << 20
+	m := NewMemory()
+	m.WriteBytes(base, make([]byte, size))
+	nonZero := map[uint32]byte{base + 5: 0x11, base + 3*pageSize: 0x22, base + size - 1: 0x33, 0x40: 0x44}
+	for addr, v := range nonZero {
+		m.StoreByte(addr, v)
+	}
+	c := m.Clone()
+	if len(c.pages) != len(nonZero) {
+		t.Fatalf("clone maps %d pages, want the %d non-zero ones", len(c.pages), len(nonZero))
+	}
+	same := func(what string, got, want *Memory) {
+		t.Helper()
+		for addr := uint32(0); addr < base+size+pageSize; addr += 4 {
+			if got.Load(addr, 4) != want.Load(addr, 4) {
+				t.Fatalf("%s: word at %#x = %#x, want %#x", what, addr, got.Load(addr, 4), want.Load(addr, 4))
+			}
+		}
+	}
+	same("clone", c, m)
+
+	d := m.Clone()
+	d.WriteBytes(base+pageSize, []byte{1, 2, 3})
+	d.StoreByte(base+5, 0)
+	d.StoreByte(0x7000_0000, 9)
+	d.CopyFrom(c)
+	same("CopyFrom the clone", d, m)
+	if d.LoadByte(0x7000_0000) != 0 {
+		t.Fatal("CopyFrom kept a page its source lacks")
+	}
+	m.StoreByte(base+7, 0x55)
+	m.CopyFrom(c)
+	same("CopyFrom into the original", m, c)
+	if m.LoadByte(base+7) != 0 {
+		t.Fatal("CopyFrom into the original kept a diverged byte")
+	}
+}
+
 func TestLoadImage(t *testing.T) {
 	im := New()
 	im.Text = []uint32{0x01020304}

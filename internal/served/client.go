@@ -13,8 +13,8 @@ import (
 )
 
 // Client talks to a straightd daemon. It implements bench.Remote, so
-// installing one via bench.SetRemote redirects every RunPoints batch to
-// the daemon.
+// setting one as a session's Remote redirects every Run batch to the
+// daemon.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://localhost:8372".
 	BaseURL string

@@ -166,11 +166,11 @@ func TestJobKeysMatchPointKey(t *testing.T) {
 	srv := NewServer(Config{Workers: 2})
 	var mu sync.Mutex
 	keys := make(map[string]resultstore.Key)
-	srv.exec = func(p bench.SweepPoint, key resultstore.Key) ([]byte, bool, error) {
+	srv.exec = func(p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error) {
 		mu.Lock()
 		keys[p.Label] = key
 		mu.Unlock()
-		return []byte(`{"retired":1,"wall_ns":0}`), false, nil
+		return bench.Outcome{Wire: []byte(`{"retired":1,"wall_ns":0}`)}, nil
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -22,6 +22,13 @@
 // cmd/experiments -server delegates whole sweeps to a daemon without
 // the experiment code knowing.
 //
+// A Server executes points on one bench.Session (Config.Session, else
+// bench.Default()), whose store and counters /v1/stats reports. Points
+// run under the server's lifetime context, not a request's, so a
+// waiter keeps a flight alive after its owner disconnects; Shutdown
+// cancels that context, which stops running simulations within one
+// advance and fails queued points.
+//
 // A job is decoded once. Each point's "Config" is captured raw, and
 // each distinct configuration of the job is decoded and marshalled
 // once: its points share the decoded value (each with its own L3) and

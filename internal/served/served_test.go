@@ -48,25 +48,29 @@ func fakeResult(p bench.SweepPoint) (bench.PointResult, error) {
 	return bench.PointResult{Point: p, Retired: uint64(p.Iters)}, nil
 }
 
-// newTestDaemon stands up a Server over an httptest listener with a
-// fresh store, and tears down the package-level bench state afterwards.
+// newTestDaemon stands up a Server over an httptest listener, on a
+// fresh session over a fresh store unless cfg names a session.
 func newTestDaemon(t testing.TB, cfg Config) (*Server, *Client) {
 	t.Helper()
-	st, err := resultstore.Open(filepath.Join(t.TempDir(), "results.store"), resultstore.Options{Salt: 7})
-	if err != nil {
-		t.Fatal(err)
+	if cfg.Session == nil {
+		st, err := resultstore.Open(filepath.Join(t.TempDir(), "results.store"), resultstore.Options{Salt: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		cfg.Session = bench.NewSession()
+		cfg.Session.SetStore(st)
 	}
-	bench.SetStore(st)
-	bench.ResetStoreStats()
 	srv := NewServer(cfg)
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		ts.Close()
-		bench.SetStore(nil)
-		bench.ResetStoreStats()
-		st.Close()
-	})
+	t.Cleanup(ts.Close)
 	return srv, &Client{BaseURL: ts.URL}
+}
+
+// storeTotals returns the cumulative store counters of srv's session.
+func storeTotals(srv *Server) bench.StoreCounts {
+	tot, _ := srv.sess.StoreCounts()
+	return tot
 }
 
 func TestRoundTripThroughDaemon(t *testing.T) {
@@ -76,12 +80,8 @@ func TestRoundTripThroughDaemon(t *testing.T) {
 	}
 	points := testPoints()
 
-	// Local ground truth, computed with the store bypassed.
-	saved := bench.ResultStore()
-	bench.SetStore(nil)
-	want, err := bench.RunPoints(points)
-	bench.SetStore(saved)
-	bench.ResetStoreStats()
+	// Local ground truth, computed on a session without a store.
+	want, err := bench.NewSession().Run(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,13 +257,11 @@ func TestStreamShapeAndStatsEndpoint(t *testing.T) {
 
 func TestRemoteIntegration(t *testing.T) {
 	_, client := newTestDaemon(t, Config{Workers: 2})
-	bench.SetRemote(client)
-	defer bench.SetRemote(nil)
-	bench.ResetJournal()
-	defer bench.ResetJournal()
+	local := bench.NewSession()
+	local.Remote = client
 
 	points := testPoints()
-	res, err := bench.RunPoints(points)
+	res, err := local.Run(points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +269,7 @@ func TestRemoteIntegration(t *testing.T) {
 		t.Fatalf("got %d results", len(res))
 	}
 	// The journal records remote results exactly like local ones.
-	j := bench.Journal()
+	j := local.Journal()
 	if len(j) != len(points) {
 		t.Fatalf("journal has %d records, want %d", len(j), len(points))
 	}
@@ -294,6 +292,29 @@ func TestShutdownFailsFast(t *testing.T) {
 	_, err := client.Run(testPoints()[:1])
 	if err == nil || !strings.Contains(err.Error(), "shutting down") {
 		t.Fatalf("want shutdown error, got %v", err)
+	}
+}
+
+// TestShutdownInterruptsRunningSimulation starts a point that would
+// simulate for minutes: Shutdown alone, with no call into bench, must
+// stop it, and the job reports the interrupt.
+func TestShutdownInterruptsRunningSimulation(t *testing.T) {
+	srv, client := newTestDaemon(t, Config{Workers: 1})
+	long := bench.StraightPoint("served-test", "long", workloads.Dhrystone, 1_000_000, bench.ModeREP, uarch.Straight2Way())
+	done := make(chan error, 1)
+	go func() { _, err := client.Run([]bench.SweepPoint{long}); done <- err }()
+	waitFor(t, func() bool {
+		buf := make([]byte, 1<<20)
+		return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("straight/internal/cores/engine.(*Core["))
+	})
+	srv.Shutdown()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), uarch.ErrInterrupted.Error()) {
+			t.Fatalf("want the point interrupted, got %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("simulation still running 10s after Shutdown")
 	}
 }
 
@@ -495,7 +516,6 @@ func TestStreamBytesMatchEncoder(t *testing.T) {
 	if _, err := client.Run(hits); err != nil {
 		t.Fatal(err)
 	}
-	bench.ResetStoreStats()
 	dup := bench.StraightPoint("served-test", "fib/straight@2", workloads.MicroFib, 2, bench.ModeREP, uarch.Straight2Way())
 	job := []bench.SweepPoint{dup, dup}
 	job = append(job, hits...)
@@ -563,8 +583,10 @@ func TestStreamBytesMatchEncoder(t *testing.T) {
 		t.Fatalf("stream mix: %d cached, %d coalesced, %d errors, %d fresh; want %d, 1, 1, 3",
 			cached, coalesced, errs, fresh, len(hits))
 	}
-	if got := bench.StoreTotals(); got != (bench.StoreCounts{Hits: 3, Misses: 3, Recomputes: 3}) {
-		t.Fatalf("store totals = %+v, want 3 hits / 3 misses / 3 recomputes", got)
+	// The warming run missed and recomputed its 3 points; the job hit
+	// those 3 and missed and recomputed 3 more.
+	if got := storeTotals(srv); got != (bench.StoreCounts{Hits: 3, Misses: 6, Recomputes: 6}) {
+		t.Fatalf("store totals = %+v, want 3 hits / 6 misses / 6 recomputes", got)
 	}
 }
 
@@ -574,7 +596,7 @@ func TestStreamBytesMatchEncoder(t *testing.T) {
 // must recompute the point and stream the recomputed result, never the
 // damaged one.
 func TestDaemonRecomputesDamagedEntry(t *testing.T) {
-	_, client := newTestDaemon(t, Config{Workers: 1})
+	srv, client := newTestDaemon(t, Config{Workers: 1})
 	p := testPoints()[:1]
 	want, err := client.Run(p)
 	if err != nil {
@@ -584,7 +606,7 @@ func TestDaemonRecomputesDamagedEntry(t *testing.T) {
 		t.Fatalf("warm run: cached=%v err=%v", err == nil && res[0].Cached, err)
 	}
 
-	st := bench.ResultStore()
+	st := srv.sess.Store()
 	key, err := bench.PointKey(p[0])
 	if err != nil {
 		t.Fatal(err)
@@ -603,7 +625,6 @@ func TestDaemonRecomputesDamagedEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bench.ResetStoreStats()
 	got, err := client.Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -612,8 +633,10 @@ func TestDaemonRecomputesDamagedEntry(t *testing.T) {
 		t.Fatalf("damaged entry served: cached=%v retired=%d, want a recompute retiring %d",
 			got[0].Cached, got[0].Stats.Retired, want[0].Stats.Retired)
 	}
-	if tot := bench.StoreTotals(); tot != (bench.StoreCounts{Misses: 1, Recomputes: 1}) {
-		t.Fatalf("damaged entry totals = %+v, want 1 miss / 1 recompute", tot)
+	// The cold and warm runs made 1 miss and 1 hit; the damaged entry
+	// adds 1 miss and 1 recompute.
+	if tot := storeTotals(srv); tot != (bench.StoreCounts{Hits: 1, Misses: 2, Recomputes: 2}) {
+		t.Fatalf("damaged entry totals = %+v, want 1 hit / 2 misses / 2 recomputes", tot)
 	}
 	if res, err := client.Run(p); err != nil || !res[0].Cached {
 		t.Fatalf("repaired entry not served from the store: err=%v", err)

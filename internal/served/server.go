@@ -143,12 +143,15 @@ const MaxJobBytes = 8 << 20
 
 // Config parameterizes a Server.
 type Config struct {
+	// Session executes points and owns the store and counters the stats
+	// report; nil means bench.Default().
+	Session *bench.Session
 	// Workers bounds concurrently simulating points across ALL requests;
-	// <= 0 means bench.Parallelism().
+	// <= 0 means the session's Parallelism().
 	Workers int
-	// Exec runs one point; nil means bench.ExecuteWire with the key
-	// the server already derived. Tests inject a controllable executor
-	// to make coalescing windows deterministic.
+	// Exec runs one point; nil means Session.Execute with the key the
+	// server already derived. Tests inject a controllable executor to
+	// make coalescing windows deterministic.
 	Exec func(p bench.SweepPoint) (bench.PointResult, error)
 }
 
@@ -187,12 +190,15 @@ type record struct {
 // Server is the daemon's HTTP handler set plus the shared execution
 // state. Construct with NewServer, mount via Handler, stop via Shutdown.
 type Server struct {
+	sess    *bench.Session
 	workers int
-	exec    func(p bench.SweepPoint, key resultstore.Key) (wire []byte, cached bool, err error)
+	exec    func(p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error)
 	sem     chan struct{}
 
-	quitOnce sync.Once
-	quit     chan struct{}
+	// ctx is the server's lifetime: every point runs under it, and
+	// Shutdown cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu         sync.Mutex
 	inflight   map[resultstore.Key]*flight
@@ -207,26 +213,31 @@ type Server struct {
 
 // NewServer builds a Server with cfg.
 func NewServer(cfg Config) *Server {
+	sess := cfg.Session
+	if sess == nil {
+		sess = bench.Default()
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
-		workers = bench.Parallelism()
+		workers = sess.Parallelism()
 	}
-	exec := bench.ExecuteWire
+	ctx, cancel := context.WithCancel(context.Background())
+	exec := func(p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error) {
+		return sess.Execute(ctx, p, &key)
+	}
 	if cfg.Exec != nil {
-		exec = func(p bench.SweepPoint, _ resultstore.Key) ([]byte, bool, error) {
+		exec = func(p bench.SweepPoint, _ resultstore.Key) (bench.Outcome, error) {
 			res, err := cfg.Exec(p)
-			if err != nil {
-				return nil, false, err
-			}
-			wire, err := json.Marshal(res.Data())
-			return wire, res.Cached, err
+			return bench.Outcome{Result: res}, err
 		}
 	}
 	s := &Server{
+		sess:     sess,
 		workers:  workers,
 		exec:     exec,
 		sem:      make(chan struct{}, workers),
-		quit:     make(chan struct{}),
+		ctx:      ctx,
+		cancel:   cancel,
 		inflight: make(map[resultstore.Key]*flight),
 	}
 	s.flightPool.New = func() any { return new(flight) }
@@ -246,13 +257,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Shutdown makes every queued and in-flight point fail fast: new slot
-// acquisitions abort, and bench.Interrupt() (called by the daemon's
-// signal handler alongside this) cancels running simulations. Safe to
-// call more than once.
-func (s *Server) Shutdown() {
-	s.quitOnce.Do(func() { close(s.quit) })
-}
+// Shutdown makes every queued and in-flight point fail fast: it cancels
+// the server's context, so new slot acquisitions abort and running
+// simulations stop within one advance. Safe to call more than once.
+func (s *Server) Shutdown() { s.cancel() }
 
 // handleRun streams one PointUpdate per finished point, then a terminal
 // summary record. A fixed set of workers per job pulls point indexes,
@@ -391,7 +399,11 @@ func (s *Server) execute(ctx context.Context, p bench.SweepPoint, config []byte)
 
 	// Bounded worker pool: simulate only while holding a slot.
 	if f.err = s.acquire(ctx, key, f); f.err == nil {
-		f.wire, f.cached, f.err = s.run(p, key)
+		var o bench.Outcome
+		if o, f.err = s.run(p, key); f.err == nil {
+			f.wire, f.err = o.JSON()
+			f.cached = o.Result.Cached
+		}
 		<-s.sem
 	}
 	if f.err == nil {
@@ -417,13 +429,13 @@ func (s *Server) execute(ctx context.Context, p bench.SweepPoint, config []byte)
 // comes first on its own so a stopped server never starts new work even
 // when a slot happens to be free. If the owner's request ends while it
 // queues, the owner hands the flight to the coalesced waiters still
-// holding it: it queues on in their name (only quit aborts), and the
+// holding it: it queues on in their name (only Shutdown aborts), and the
 // flight completes as a running one does when its waiters leave. With
 // no one else holding the flight, the owner fails it, detaching it from
 // the map in the same critical section so no new waiter can join it.
 func (s *Server) acquire(ctx context.Context, key resultstore.Key, f *flight) error {
 	select {
-	case <-s.quit:
+	case <-s.ctx.Done():
 		return errShutdown
 	default:
 	}
@@ -432,7 +444,7 @@ func (s *Server) acquire(ctx context.Context, key resultstore.Key, f *flight) er
 		select {
 		case s.sem <- struct{}{}:
 			return nil
-		case <-s.quit:
+		case <-s.ctx.Done():
 			return errShutdown
 		case <-gone:
 			s.mu.Lock()
@@ -452,10 +464,10 @@ func (s *Server) acquire(ctx context.Context, key resultstore.Key, f *flight) er
 // run calls the executor, turning a panic into an error for this point
 // alone. The error carries the point's content address and the stack,
 // so the failure reproduces with one command.
-func (s *Server) run(p bench.SweepPoint, key resultstore.Key) (wire []byte, cached bool, err error) {
+func (s *Server) run(p bench.SweepPoint, key resultstore.Key) (o bench.Outcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			wire, cached, err = nil, false, fmt.Errorf("panic executing point %s: %v\n%s", key, v, debug.Stack())
+			err = fmt.Errorf("panic executing point %s: %v\n%s", key, v, debug.Stack())
 		}
 	}()
 	return s.exec(p, key)
@@ -502,14 +514,13 @@ func (s *Server) Stats() ServerStats {
 		Inflight:        len(s.inflight),
 	}
 	s.mu.Unlock()
-	st.StoreCounts = bench.StoreTotals()
-	st.StoreBySection = bench.StoreCountsBySection()
-	st.StorePutErrors = bench.StorePutErrors()
-	if rs := bench.ResultStore(); rs != nil {
+	st.StoreCounts, st.StoreBySection = s.sess.StoreCounts()
+	st.StorePutErrors = s.sess.PutErrors()
+	if rs := s.sess.Store(); rs != nil {
 		stats := rs.Stats()
 		st.Store = &stats
 	}
-	st.BuildCacheHits, st.BuildCacheMisses = bench.BuildCacheStats()
+	st.BuildCacheHits, st.BuildCacheMisses = s.sess.BuildCacheStats()
 	return st
 }
 
