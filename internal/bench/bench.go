@@ -150,6 +150,9 @@ func simulate(core CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tra
 	if err != nil {
 		return nil, err
 	}
+	if err := cfg.CheckCaches(); err != nil {
+		return nil, err
+	}
 	opts := engine.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: stop}
 	res, err := m.New(cfg, im, opts).Run(opts)
 	if err != nil {

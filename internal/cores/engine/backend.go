@@ -289,8 +289,9 @@ func (c *Core[I]) QueueRecovery(u *Uop[I], targetPC uint32, isMemViolation bool)
 
 // SquashTail drops the youngest ROB entry during a policy's recovery
 // walk: it must be the current ROB tail. The µop is marked squashed,
-// removed from the scheduler occupancy, and parked on the dead list for
-// recycling once recovery no longer references it.
+// removed from the scheduler (returning its waiter nodes to the pool),
+// and parked on the dead list for recycling once recovery no longer
+// references it.
 //
 //lint:hotpath
 func (c *Core[I]) SquashTail(u *Uop[I]) {
@@ -298,6 +299,9 @@ func (c *Core[I]) SquashTail(u *Uop[I]) {
 	if u.InIQ {
 		u.InIQ = false
 		c.IQCount--
+		if u.Pending > 0 {
+			c.unpark(u)
+		}
 	}
 	if c.tr != nil {
 		c.tr.Squash(u.Tid)
@@ -351,7 +355,7 @@ func (c *Core[I]) applyRecovery() {
 		c.pol.RASRecover(c, r.U)
 	}
 	// All wrong-path µops are now unreachable from every pipeline
-	// structure (stale waiter links are seq-tagged); recycle them.
+	// structure (SquashTail unparked their waiter nodes); recycle them.
 	for _, u := range c.dead {
 		c.freeUop(u)
 	}

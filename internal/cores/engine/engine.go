@@ -153,14 +153,17 @@ type Uop[I Inst] struct {
 	ReadyTime int64
 }
 
-// waiter links a scheduler entry to a physical register it is waiting
-// on. The seq tag detects stale links: once the µop is squashed and its
-// arena slot recycled, u.Seq no longer matches (sequence numbers are
-// never reused), so the producer's wakeup skips it.
-type waiter[I Inst] struct {
-	u   *Uop[I]
-	seq uint64
+// waitNode is one entry of a physical register's waiter list: a
+// scheduler entry still waiting on that register's producer. Nodes live
+// in the core's one waiter pool and link by pool index; -1 ends a list.
+type waitNode[I Inst] struct {
+	u          *Uop[I]
+	prev, next int32
 }
+
+// waitList is a physical register's waiter list: the first and last
+// node in append (= Seq) order, -1 when empty.
+type waitList struct{ head, tail int32 }
 
 // FarFuture is the prfReady sentinel for an in-flight (not yet
 // executed) producer; policies write it when allocating a destination.
@@ -312,10 +315,12 @@ type Core[I Inst] struct {
 	Serializing bool
 
 	ROB       *uarch.Ring[*Uop[I]]
-	IQAwake   []*Uop[I] // scheduler entries with all producers executed, Seq-sorted
-	IQCount   int       // total scheduler occupancy (awake + waiting)
-	waiters   [][]waiter[I]
-	woken     []*Uop[I] // entries woken this cycle, merged into IQAwake after the scan
+	IQAwake   []*Uop[I]     // scheduler entries with all producers executed, Seq-sorted
+	IQCount   int           // total scheduler occupancy (awake + waiting)
+	waitLists []waitList    // per physical register
+	waitPool  []waitNode[I] // 2×SchedulerSize nodes shared by every list
+	waitFree  int32         // first free pool node, linked through next; -1 = none
+	woken     []*Uop[I]     // entries woken this cycle, merged into IQAwake after the scan
 	Executing []*Uop[I]
 	PRF       []uint32
 	PRFReady  []int64 // cycle value becomes available; FarFuture = pending
@@ -392,17 +397,12 @@ func New[I Inst](pol Policy[I], cfg uarch.Config, img *program.Image, opts Optio
 	n := pol.RegCount(&cfg)
 	c.PRF = make([]uint32, n)
 	c.PRFReady = make([]int64, n)
-	// Waiter lists get capacity up front: a register's list holds at most
-	// the scheduler's live entries plus stale links from squashed µops
-	// that are skipped (not removed) until the next wake drains the list,
-	// so 2×SchedulerSize covers steady state without mid-run growth (the
-	// zero-allocation budget, enforced by TestSteadyStateAllocs*).
-	c.waiters = make([][]waiter[I], n)
-	wcap := 2 * cfg.SchedulerSize
-	waiterBlock := make([]waiter[I], n*wcap)
-	for i := range c.waiters {
-		c.waiters[i] = waiterBlock[i*wcap : i*wcap : (i+1)*wcap]
-	}
+	// Every waiting source of every scheduler entry holds one pool node,
+	// and a squash returns its entry's nodes at once, so 2×SchedulerSize
+	// nodes cover any run without growth (see park).
+	c.waitLists = make([]waitList, n)
+	c.waitPool = make([]waitNode[I], 2*cfg.SchedulerSize)
+	c.resetWaiters()
 
 	c.feQueue = uarch.NewRing[FEEntry[I]](c.feCap)
 	c.ROB = uarch.NewRing[*Uop[I]](cfg.ROBSize)
@@ -452,8 +452,8 @@ func (c *Core[I]) allocUop() *Uop[I] {
 }
 
 // freeUop recycles a µop after its last use (retire, or end of
-// recovery). Zeroing the slot also clears Seq, which invalidates any
-// stale waiter links still pointing at it.
+// recovery). No waiter node points at it by then: Wake and SquashTail
+// return an entry's nodes before it leaves the scheduler.
 func (c *Core[I]) freeUop(u *Uop[I]) {
 	if u.RASSnap != nil {
 		c.snapPut(u.RASSnap)

@@ -206,7 +206,7 @@ func (c *Core[I]) enterIQ(u *Uop[I]) {
 	if u.Src1 >= 0 {
 		if t := c.PRFReady[u.Src1]; t == FarFuture {
 			u.Pending++
-			c.waiters[u.Src1] = append(c.waiters[u.Src1], waiter[I]{u, u.Seq})
+			c.park(u.Src1, u)
 		} else if t > u.ReadyTime {
 			u.ReadyTime = t
 		}
@@ -214,7 +214,7 @@ func (c *Core[I]) enterIQ(u *Uop[I]) {
 	if u.Src2 >= 0 {
 		if t := c.PRFReady[u.Src2]; t == FarFuture {
 			u.Pending++
-			c.waiters[u.Src2] = append(c.waiters[u.Src2], waiter[I]{u, u.Seq})
+			c.park(u.Src2, u)
 		} else if t > u.ReadyTime {
 			u.ReadyTime = t
 		}
@@ -228,28 +228,98 @@ func (c *Core[I]) enterIQ(u *Uop[I]) {
 	}
 }
 
+// park appends a node for u to reg's waiter list. The pool cannot run
+// dry: scheduler occupancy is at most SchedulerSize, each entry parks
+// at most two sources, and an entry's nodes go back to the pool when
+// its producers wake it or when it is squashed.
+//
+//lint:hotpath
+func (c *Core[I]) park(reg int32, u *Uop[I]) {
+	n := c.waitFree
+	if n < 0 {
+		panic(c.name + ": waiter pool exhausted (more than 2×SchedulerSize waiting sources)")
+	}
+	nd := &c.waitPool[n]
+	c.waitFree = nd.next
+	l := &c.waitLists[reg]
+	nd.u, nd.prev, nd.next = u, l.tail, -1
+	if l.tail < 0 {
+		l.head = n
+	} else {
+		c.waitPool[l.tail].next = n
+	}
+	l.tail = n
+}
+
+// unpark returns the waiter nodes of a squashed scheduler entry to the
+// pool. Lists are appended in Seq order and the recovery walk squashes
+// the youngest entry first, so every node u still holds is the tail of
+// its list when u is squashed; Src1 == Src2 leaves two nodes at the
+// tail of one list.
+//
+//lint:hotpath
+func (c *Core[I]) unpark(u *Uop[I]) {
+	for _, reg := range [2]int32{u.Src1, u.Src2} {
+		if reg < 0 {
+			continue
+		}
+		l := &c.waitLists[reg]
+		n := l.tail
+		if n < 0 || c.waitPool[n].u != u {
+			continue // this source's producer already woke u
+		}
+		nd := &c.waitPool[n]
+		l.tail = nd.prev
+		if l.tail < 0 {
+			l.head = -1
+		} else {
+			c.waitPool[l.tail].next = -1
+		}
+		nd.next = c.waitFree
+		c.waitFree = n
+		u.Pending--
+	}
+	if u.Pending != 0 {
+		panic(c.name + ": squashed scheduler entry's waiter node is not a list tail")
+	}
+}
+
+// resetWaiters empties every waiter list and links the whole pool into
+// the free list.
+func (c *Core[I]) resetWaiters() {
+	for i := range c.waitLists {
+		c.waitLists[i] = waitList{-1, -1}
+	}
+	c.waitFree = -1
+	for i := len(c.waitPool) - 1; i >= 0; i-- {
+		c.waitPool[i] = waitNode[I]{next: c.waitFree}
+		c.waitFree = int32(i)
+	}
+}
+
 // Wake is called after every real (non-FarFuture) write to PRFReady[reg]:
-// it drains the register's waiter list, propagating the ready time and
-// moving fully-woken entries to the awake list. Stale links (squashed
-// and recycled µops) are skipped via the seq tag.
+// it drains the register's waiter list in append order, propagating the
+// ready time and moving fully-woken entries to the woken list, and
+// returns the list's nodes to the pool. Every node is live: squashed
+// entries unpark themselves.
 //
 //lint:hotpath
 func (c *Core[I]) Wake(reg int32, t int64) {
-	ws := c.waiters[reg]
-	if len(ws) == 0 {
+	l := &c.waitLists[reg]
+	if l.head < 0 {
 		return
 	}
-	for _, w := range ws {
-		if w.u.Seq != w.seq || !w.u.InIQ {
-			continue
+	for n := l.head; n >= 0; n = c.waitPool[n].next {
+		u := c.waitPool[n].u
+		if t > u.ReadyTime {
+			u.ReadyTime = t
 		}
-		if t > w.u.ReadyTime {
-			w.u.ReadyTime = t
-		}
-		w.u.Pending--
-		if w.u.Pending == 0 {
-			c.woken = append(c.woken, w.u)
+		u.Pending--
+		if u.Pending == 0 {
+			c.woken = append(c.woken, u)
 		}
 	}
-	c.waiters[reg] = ws[:0]
+	c.waitPool[l.tail].next = c.waitFree
+	c.waitFree = l.head
+	*l = waitList{-1, -1}
 }

@@ -47,9 +47,7 @@ func (c *Core[I]) Reset(img *program.Image) {
 	c.Executing = c.Executing[:0]
 	c.dead = c.dead[:0]
 	c.IQCount = 0
-	for i := range c.waiters {
-		c.waiters[i] = c.waiters[i][:0]
-	}
+	c.resetWaiters()
 	for i := range c.PRF {
 		c.PRF[i] = 0
 		c.PRFReady[i] = 0

@@ -1,25 +1,62 @@
 package engine
 
-import "testing"
+import (
+	"testing"
+
+	"straight/internal/uarch"
+)
 
 // fakeInst is the minimal Inst payload for scheduler-only tests.
 type fakeInst struct{}
 
 func (fakeInst) String() string { return "fake" }
 
-// schedCore builds a Core with just enough state for enterIQ/Wake: a
-// PRF-ready table and pre-capacitied waiter lists, mirroring how New
-// sizes them (one contiguous block, full capacity up front).
-func schedCore(regs, wcap int) *Core[fakeInst] {
+// schedCore builds a Core with just enough state for enterIQ, Wake and
+// SquashTail: a PRF-ready table, the waiter lists and pool sized as New
+// sizes them for a scheduler of schedSize entries, and a ROB.
+func schedCore(regs, schedSize int) *Core[fakeInst] {
 	c := &Core[fakeInst]{
-		PRFReady: make([]int64, regs),
-		waiters:  make([][]waiter[fakeInst], regs),
+		name:      "sched",
+		PRFReady:  make([]int64, regs),
+		waitLists: make([]waitList, regs),
+		waitPool:  make([]waitNode[fakeInst], 2*schedSize),
+		ROB:       uarch.NewRing[*Uop[fakeInst]](4 * schedSize),
 	}
-	block := make([]waiter[fakeInst], regs*wcap)
-	for i := range c.waiters {
-		c.waiters[i] = block[i*wcap : i*wcap : (i+1)*wcap]
-	}
+	c.resetWaiters()
 	return c
+}
+
+// dispatchUop enters u into the ROB and the scheduler, as dispatch does.
+func dispatchUop(c *Core[fakeInst], u *Uop[fakeInst]) {
+	c.ROB.PushBack(u)
+	c.enterIQ(u)
+}
+
+// freeNodes counts the waiter pool's free list.
+func freeNodes(c *Core[fakeInst]) int {
+	n := 0
+	for i := c.waitFree; i >= 0; i = c.waitPool[i].next {
+		n++
+	}
+	return n
+}
+
+// listLen counts reg's waiter list, checking its back links on the way.
+func listLen(t *testing.T, c *Core[fakeInst], reg int32) int {
+	t.Helper()
+	l := c.waitLists[reg]
+	n, prev := 0, int32(-1)
+	for i := l.head; i >= 0; i = c.waitPool[i].next {
+		if c.waitPool[i].prev != prev {
+			t.Fatalf("reg %d node %d: prev %d, want %d", reg, i, c.waitPool[i].prev, prev)
+		}
+		prev = i
+		n++
+	}
+	if l.tail != prev {
+		t.Fatalf("reg %d: tail %d, want %d", reg, l.tail, prev)
+	}
+	return n
 }
 
 func uop(seq uint64, src1, src2 int32) *Uop[fakeInst] {
@@ -138,77 +175,122 @@ func TestWakeupScheduler(t *testing.T) {
 	}
 }
 
-// TestWakeSkipsStaleLinks pins the seq-tag mechanism: a waiter whose
-// µop slot was recycled (different Seq) or whose entry already left the
-// scheduler (InIQ false) must be skipped, not woken — the arena reuses
-// slots, so without the tag a wake would corrupt an unrelated µop.
-func TestWakeSkipsStaleLinks(t *testing.T) {
+// TestSquashUnparksWaiters pins the tail-unlink argument: the recovery
+// walk squashes the youngest entry first, so a squashed waiting entry's
+// nodes are the tails of their lists and go straight back to the pool,
+// including both nodes of a Src1 == Src2 entry and none of a source
+// whose producer already woke it. A later Wake touches only the live
+// entries left behind.
+func TestSquashUnparksWaiters(t *testing.T) {
 	c := schedCore(8, 4)
-	c.PRFReady[3] = FarFuture
-
-	stale := uop(1, 3, -1)
-	c.enterIQ(stale)
-	if stale.Pending != 1 || len(c.waiters[3]) != 1 {
-		t.Fatalf("setup: pending=%d waiters=%d", stale.Pending, len(c.waiters[3]))
+	for _, r := range []int32{3, 4, 5} {
+		c.PRFReady[r] = FarFuture
+	}
+	live := uop(1, 3, -1)
+	woken := uop(2, 4, 3) // reg 4 wakes it before the squash
+	both := uop(3, 3, 4)
+	same := uop(4, 5, 5)
+	for _, u := range []*Uop[fakeInst]{live, woken, both, same} {
+		dispatchUop(c, u)
+	}
+	if free := freeNodes(c); free != 8-7 {
+		t.Fatalf("setup: %d free nodes, want 1", free)
+	}
+	c.PRFReady[4] = 6
+	c.Wake(4, 6)
+	if woken.Pending != 1 || both.Pending != 1 || listLen(t, c, 4) != 0 {
+		t.Fatalf("reg 4 wake: pending %d/%d, list %d", woken.Pending, both.Pending, listLen(t, c, 4))
 	}
 
-	// Recycle the slot: same *Uop, new identity — exactly what the arena
-	// does after a squash drain. Also park a live entry on the same reg.
-	stale.Seq = 99
-	stale.Pending = 0
-	live := uop(2, 3, -1)
-	c.enterIQ(live)
+	// Tail-first, as the policies' recovery walks squash.
+	for _, u := range []*Uop[fakeInst]{same, both, woken} {
+		c.SquashTail(u)
+		if u.Pending != 0 || u.InIQ {
+			t.Fatalf("squashed seq %d: pending %d inIQ %v", u.Seq, u.Pending, u.InIQ)
+		}
+	}
+	if got := listLen(t, c, 5); got != 0 {
+		t.Errorf("Src1 == Src2 entry left %d nodes on reg 5", got)
+	}
+	if got := listLen(t, c, 3); got != 1 || c.waitPool[c.waitLists[3].head].u != live {
+		t.Fatalf("reg 3 holds %d nodes, want only the live entry's", got)
+	}
+	if free := freeNodes(c); free != 8-1 {
+		t.Errorf("%d free nodes after the squash, want 7", free)
+	}
+	if c.IQCount != 1 {
+		t.Errorf("IQCount %d, want 1", c.IQCount)
+	}
 
-	left := uop(3, 3, -1)
-	c.enterIQ(left)
-	left.InIQ = false // squash-drained this cycle but link not yet flushed
-
+	squashed := []*Uop[fakeInst]{woken, both, same}
+	before := make([]int64, len(squashed))
+	for i, u := range squashed {
+		before[i] = u.ReadyTime
+	}
+	c.PRFReady[3] = 10
 	c.Wake(3, 10)
+	c.Wake(5, 11)
 	if len(c.woken) != 1 || c.woken[0] != live {
-		t.Fatalf("woken=%v, want exactly the live entry", c.woken)
+		t.Fatalf("woken %v, want only the live entry", c.woken)
 	}
-	if stale.Pending != 0 || stale.ReadyTime != 0 {
-		t.Errorf("stale entry was touched: pending=%d readyTime=%d", stale.Pending, stale.ReadyTime)
+	for i, u := range squashed {
+		if u.ReadyTime != before[i] || u.Pending != 0 {
+			t.Errorf("Wake touched squashed seq %d: readyTime %d pending %d", u.Seq, u.ReadyTime, u.Pending)
+		}
 	}
-	if left.Pending != 1 {
-		t.Errorf("departed entry was touched: pending=%d", left.Pending)
+	if live.ReadyTime != 10 || freeNodes(c) != 8 {
+		t.Errorf("live readyTime %d, %d free nodes; want 10 and 8", live.ReadyTime, freeNodes(c))
 	}
 }
 
-// TestWakeReusesWaiterCapacity pins the zero-allocation contract: Wake
-// drains a list with ws[:0], keeping the pre-sized backing array, so
-// steady-state park/wake traffic never allocates and never migrates a
-// list off its contiguous block.
-func TestWakeReusesWaiterCapacity(t *testing.T) {
-	c := schedCore(4, 8)
-	c.PRFReady[2] = FarFuture
-	before := cap(c.waiters[2])
-
-	// Arena-style slot reuse: the same µops are re-parked every cycle.
-	slots := make([]*Uop[fakeInst], 8)
+// TestWaiterPoolFullIQ pins the pool bound: a full scheduler whose
+// entries each wait on two producers uses exactly 2×SchedulerSize
+// nodes, the park/wake cycle allocates nothing, and one more waiting
+// source than the bound admits panics instead of growing the pool.
+func TestWaiterPoolFullIQ(t *testing.T) {
+	const sched = 8
+	c := schedCore(4, sched)
+	slots := make([]*Uop[fakeInst], sched)
 	for i := range slots {
-		slots[i] = uop(uint64(i+1), 2, -1)
+		slots[i] = uop(uint64(i+1), 1, 2)
 	}
-	allocs := testing.AllocsPerRun(100, func() {
+	fill := func() {
+		c.PRFReady[1], c.PRFReady[2] = FarFuture, FarFuture
 		for _, u := range slots {
-			u.Pending = 0
-			u.ReadyTime = 0
-			u.InIQ = false
+			u.Pending, u.ReadyTime, u.InIQ = 0, 0, false
 			c.enterIQ(u)
 		}
+	}
+	drain := func() {
+		c.Wake(1, 4)
 		c.Wake(2, 5)
 		c.woken = c.woken[:0]
 		c.IQAwake = c.IQAwake[:0]
 		c.IQCount = 0
-		c.PRFReady[2] = FarFuture
+	}
+	fill()
+	if c.waitFree != -1 || listLen(t, c, 1) != sched || listLen(t, c, 2) != sched {
+		t.Fatalf("full IQ: free head %d, lists %d and %d, want -1, %d, %d",
+			c.waitFree, listLen(t, c, 1), listLen(t, c, 2), sched, sched)
+	}
+	drain()
+	if freeNodes(c) != 2*sched {
+		t.Fatalf("%d free nodes after the wakes, want %d", freeNodes(c), 2*sched)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		fill()
+		drain()
 	})
 	if allocs != 0 {
 		t.Errorf("park/wake cycle allocates %.1f per run, want 0", allocs)
 	}
-	if got := cap(c.waiters[2]); got != before {
-		t.Errorf("waiter list capacity changed: %d -> %d", before, got)
-	}
-	if len(c.waiters[2]) != 0 {
-		t.Errorf("list not drained: len=%d", len(c.waiters[2]))
-	}
+
+	fill()
+	c.PRFReady[3] = FarFuture
+	defer func() {
+		if recover() == nil {
+			t.Error("parking past 2×SchedulerSize did not panic")
+		}
+	}()
+	c.enterIQ(uop(sched+1, 3, -1))
 }

@@ -1,8 +1,10 @@
 package perf
 
 import (
+	"runtime"
 	"testing"
 
+	"straight/internal/cores"
 	"straight/internal/cores/engine"
 )
 
@@ -80,3 +82,43 @@ func TestSteadyStateAllocsSS(t *testing.T) { allocKernels(t, KindSS) }
 // TestSteadyStateAllocsCG is the same budget for the coarse-grain
 // policy: block gating must not allocate either.
 func TestSteadyStateAllocsCG(t *testing.T) { allocKernels(t, KindCG) }
+
+// Construction budgets of one core: every sweep point, straightd miss
+// and sampled-window worker builds one. The cache levels are flat
+// set-major arrays and the wakeup scheduler shares one waiter pool of
+// 2×SchedulerSize nodes, so a core is a few dozen allocations; the
+// per-set cache slices and per-register waiter lists they replaced cost
+// about 19,000 allocations and 1.9 MB on the 4-way models.
+const (
+	coreNewAllocs  = 200
+	coreNewKBLimit = 800
+)
+
+// TestCoreNewAllocs holds every kernel's core construction to the
+// budgets above.
+func TestCoreNewAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budgets are not meaningful under the race detector")
+	}
+	for _, k := range AllKernels() {
+		im, err := BuildImage(k, BenchWorkload, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := cores.Lookup(string(k.Kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newCore := func() { m.New(k.Cfg, im, engine.Options{}) }
+		if n := testing.AllocsPerRun(5, newCore); n > coreNewAllocs {
+			t.Errorf("%s: New makes %.0f allocations, want <= %d", k.Name, n, coreNewAllocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		newCore()
+		runtime.ReadMemStats(&after)
+		if kb := (after.TotalAlloc - before.TotalAlloc) / 1024; kb > coreNewKBLimit {
+			t.Errorf("%s: New allocates %d KB, want <= %d", k.Name, kb, coreNewKBLimit)
+		}
+	}
+}

@@ -7,11 +7,14 @@ import (
 	"testing"
 
 	"straight/internal/bench"
+	"straight/internal/cores"
+	"straight/internal/cores/engine"
 	"straight/internal/emu/riscvemu"
 	"straight/internal/emu/straightemu"
 	"straight/internal/perf"
 	"straight/internal/resultstore"
 	"straight/internal/sampling"
+	"straight/internal/uarch"
 	"straight/internal/workloads"
 )
 
@@ -379,5 +382,62 @@ func BenchmarkFastForward(b *testing.B) {
 			}
 			b.ReportMetric(float64(insts)/b.Elapsed().Seconds()/1e6, "Minst/s")
 		})
+	}
+}
+
+// BenchmarkWindowRestart times the set-up of one sampled window on each
+// ISA: Restart of a reused core from a dhrystone-long checkpoint taken
+// one DefaultPlan interval in, then AdoptWarm of a warm-state snapshot.
+// The window's warmup and measured simulation are not included.
+func BenchmarkWindowRestart(b *testing.B) {
+	at := sampling.DefaultPlan().Interval
+	for _, name := range []string{"straight-4way", "ss-4way"} {
+		k, err := perf.KernelByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		im, err := perf.BuildImage(k, workloads.DhrystoneLong, 300)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := cores.Lookup(string(k.Kind))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var ck engine.ArchState
+		if m.ISA == cores.ISAStraight {
+			e := straightemu.New(im)
+			err, ck = e.RunUntil(at), e.Checkpoint()
+		} else {
+			e := riscvemu.New(im)
+			err, ck = e.RunUntil(at), e.Checkpoint()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		if ck.Count() != at {
+			b.Fatalf("%s: checkpoint at %d, want %d", name, ck.Count(), at)
+		}
+		core := m.New(k.Cfg, im, engine.Options{})
+		warm := uarch.NewWarmState(k.Cfg)
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := core.Restart(im, ck); err != nil {
+					b.Fatal(err)
+				}
+				core.AdoptWarm(warm)
+			}
+		})
+	}
+}
+
+// TestNewTargetRejectsBadCacheGeometry: a config whose cache cannot be
+// built fails at NewTarget, naming the level, before any fast-forward.
+func TestNewTargetRejectsBadCacheGeometry(t *testing.T) {
+	cfg := uarch.SS2Way()
+	cfg.L2.LineBytes = 0
+	const want = "sampling: uarch: L2 cache LineBytes = 0, want 1..65536"
+	if _, err := sampling.NewTarget("ss", cfg, nil); err == nil || err.Error() != want {
+		t.Fatalf("got %v, want %q", err, want)
 	}
 }

@@ -297,7 +297,9 @@ func TestShutdownFailsFast(t *testing.T) {
 
 // TestShutdownInterruptsRunningSimulation starts a point that would
 // simulate for minutes: Shutdown alone, with no call into bench, must
-// stop it, and the job reports the interrupt.
+// stop it, and the job reports the interrupt. It covers only the
+// default executor: a Config.Exec executor is not given the server's
+// context, so Shutdown cannot stop a point one is running.
 func TestShutdownInterruptsRunningSimulation(t *testing.T) {
 	srv, client := newTestDaemon(t, Config{Workers: 1})
 	long := bench.StraightPoint("served-test", "long", workloads.Dhrystone, 1_000_000, bench.ModeREP, uarch.Straight2Way())
@@ -315,6 +317,43 @@ func TestShutdownInterruptsRunningSimulation(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("simulation still running 10s after Shutdown")
+	}
+}
+
+// TestBadCacheGeometryFailsOnlyItsPoint sends a job whose one point has
+// an impossible L1D (zero ways) through the default executor. That
+// point must fail alone, with the error naming the level and field
+// rather than a recovered divide-by-zero panic, and the job's other
+// points must simulate and succeed.
+func TestBadCacheGeometryFailsOnlyItsPoint(t *testing.T) {
+	_, client := newTestDaemon(t, Config{Workers: 2})
+	cfg := uarch.SS2Way()
+	cfg.L1D.Ways = 0
+	points := append(testPoints(), bench.SSPoint("served-test", "fib/ss-noways", workloads.MicroFib, 1, cfg))
+	bad := len(points) - 1
+
+	var mu sync.Mutex
+	updates := map[int]PointUpdate{}
+	client.OnUpdate = func(u PointUpdate) {
+		mu.Lock()
+		updates[u.Index] = u
+		mu.Unlock()
+	}
+	_, err := client.Run(points)
+	const want = "uarch: L1D cache Ways = 0, want 1..65536"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("want the job to fail with %q, got %v", want, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := range points {
+		u := updates[i]
+		switch {
+		case i == bad && (u.Status != "error" || !strings.Contains(u.Error, want) || strings.Contains(u.Error, "panic")):
+			t.Errorf("bad point: status %q error %q, want %q without a panic", u.Status, u.Error, want)
+		case i != bad && (u.Status != "done" || u.Result == nil):
+			t.Errorf("point %d (%s): status %q error %q, want done", i, points[i].Name(), u.Status, u.Error)
+		}
 	}
 }
 

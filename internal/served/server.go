@@ -151,7 +151,10 @@ type Config struct {
 	Workers int
 	// Exec runs one point; nil means Session.Execute with the key the
 	// server already derived. Tests inject a controllable executor to
-	// make coalescing windows deterministic.
+	// make coalescing windows deterministic. Exec is not given the
+	// server's context, so Shutdown cannot stop a point it is already
+	// running: Shutdown only fails the points that have not started.
+	// Only the default executor's simulations are interrupted.
 	Exec func(p bench.SweepPoint) (bench.PointResult, error)
 }
 

@@ -15,10 +15,14 @@ package uarch
 type Cache struct {
 	cfg   CacheConfig //lint:resetless geometry, fixed at construction
 	sets  int         //lint:resetless geometry, fixed at construction
+	ways  int         //lint:resetless geometry, fixed at construction
 	shift uint        //lint:resetless line offset bits, fixed at construction
-	tags  [][]uint64  // tags[set][way]; 0 = invalid (tag stored +1)
-	lru   [][]uint32  // larger = more recent
-	tick  uint32
+	// tags and lru hold sets×ways entries, set-major: way w of set s is
+	// element s*ways+w. A tag is stored +1, so 0 marks an invalid way;
+	// a larger lru stamp is more recent.
+	tags []uint64
+	lru  []uint32
+	tick uint32
 
 	Hits   uint64
 	Misses uint64
@@ -26,6 +30,11 @@ type Cache struct {
 
 // NewCache builds a cache level.
 func NewCache(cfg CacheConfig) *Cache {
+	c := newCache(cfg)
+	return &c
+}
+
+func newCache(cfg CacheConfig) Cache {
 	line := cfg.LineBytes
 	sets := cfg.SizeBytes / (line * cfg.Ways)
 	if sets < 1 {
@@ -35,28 +44,26 @@ func NewCache(cfg CacheConfig) *Cache {
 	for 1<<shift < line {
 		shift++
 	}
-	c := &Cache{cfg: cfg, sets: sets, shift: shift}
-	c.tags = make([][]uint64, sets)
-	c.lru = make([][]uint32, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, cfg.Ways)
-		c.lru[i] = make([]uint32, cfg.Ways)
+	return Cache{
+		cfg: cfg, sets: sets, ways: cfg.Ways, shift: shift,
+		tags: make([]uint64, sets*cfg.Ways),
+		lru:  make([]uint32, sets*cfg.Ways),
 	}
-	return c
 }
 
-func (c *Cache) index(addr uint32) (set int, tag uint64) {
+// index returns the offset of addr's set in tags/lru and its tag.
+func (c *Cache) index(addr uint32) (base int, tag uint64) {
 	line := uint64(addr) >> c.shift
-	return int(line % uint64(c.sets)), line + 1
+	return int(line%uint64(c.sets)) * c.ways, line + 1
 }
 
 // Lookup probes the cache; on hit it refreshes LRU.
 func (c *Cache) Lookup(addr uint32) bool {
-	set, tag := c.index(addr)
-	for w, t := range c.tags[set] {
+	base, tag := c.index(addr)
+	for w, t := range c.tags[base : base+c.ways] {
 		if t == tag {
 			c.tick++
-			c.lru[set][w] = c.tick
+			c.lru[base+w] = c.tick
 			c.Hits++
 			return true
 		}
@@ -67,25 +74,26 @@ func (c *Cache) Lookup(addr uint32) bool {
 
 // Fill installs the line, evicting LRU.
 func (c *Cache) Fill(addr uint32) {
-	set, tag := c.index(addr)
+	base, tag := c.index(addr)
+	tags, lru := c.tags[base:base+c.ways], c.lru[base:base+c.ways]
 	victim := 0
-	for w, t := range c.tags[set] {
+	for w, t := range tags {
 		if t == tag {
 			return // already present
 		}
-		if c.lru[set][w] < c.lru[set][victim] {
+		if lru[w] < lru[victim] {
 			victim = w
 		}
 	}
 	c.tick++
-	c.tags[set][victim] = tag
-	c.lru[set][victim] = c.tick
+	tags[victim] = tag
+	lru[victim] = c.tick
 }
 
 // Probe checks presence without updating LRU or stats.
 func (c *Cache) Probe(addr uint32) bool {
-	set, tag := c.index(addr)
-	for _, t := range c.tags[set] {
+	base, tag := c.index(addr)
+	for _, t := range c.tags[base : base+c.ways] {
 		if t == tag {
 			return true
 		}
@@ -110,6 +118,10 @@ type Hierarchy struct {
 	L3     *Cache // may be nil
 	memLat int    //lint:resetless latency configuration, fixed at construction
 
+	// levels holds the caches L1I..L3 point at, so a hierarchy's
+	// level structs take one allocation.
+	levels [4]Cache //lint:resetless backing store of L1I..L3, reset through them
+
 	prefetch *streamPrefetcher
 	// mshr holds the completion cycle of each in-flight data miss.
 	mshr []int64
@@ -123,14 +135,12 @@ type Hierarchy struct {
 
 // NewHierarchy builds the memory system from a model config.
 func NewHierarchy(cfg Config) *Hierarchy {
-	h := &Hierarchy{
-		L1I:    NewCache(cfg.L1I),
-		L1D:    NewCache(cfg.L1D),
-		L2:     NewCache(cfg.L2),
-		memLat: cfg.MemLatency,
-	}
+	h := &Hierarchy{memLat: cfg.MemLatency}
+	h.levels[0], h.levels[1], h.levels[2] = newCache(cfg.L1I), newCache(cfg.L1D), newCache(cfg.L2)
+	h.L1I, h.L1D, h.L2 = &h.levels[0], &h.levels[1], &h.levels[2]
 	if cfg.L3 != nil {
-		h.L3 = NewCache(*cfg.L3)
+		h.levels[3] = newCache(*cfg.L3)
+		h.L3 = &h.levels[3]
 	}
 	if !cfg.NoPrefetch {
 		h.prefetch = newStreamPrefetcher(cfg.L1D.LineBytes)

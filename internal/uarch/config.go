@@ -1,5 +1,7 @@
 package uarch
 
+import "fmt"
+
 // MemDepMode selects how loads treat older unresolved store addresses.
 type MemDepMode int
 
@@ -33,6 +35,38 @@ type CacheConfig struct {
 	Ways       int
 	LineBytes  int
 	HitLatency int
+}
+
+// Cache geometry bounds CheckCaches enforces. maxCacheLines bounds a
+// level's tag and LRU arrays (12 B per line, 192 MB at the bound); the
+// other two keep LineBytes×Ways within int range.
+const (
+	maxCacheWays  = 1 << 16
+	maxCacheLine  = 1 << 16
+	maxCacheLines = 1 << 24
+)
+
+// CheckCaches reports the first cache level whose geometry cannot be
+// built: a Ways, LineBytes or SizeBytes that is not positive or exceeds
+// its bound. A level smaller than one set is legal; NewCache clamps it
+// to one set.
+func (c Config) CheckCaches() error {
+	for _, l := range [...]struct {
+		name string
+		cc   *CacheConfig
+	}{{"L1I", &c.L1I}, {"L1D", &c.L1D}, {"L2", &c.L2}, {"L3", c.L3}} {
+		cc := l.cc
+		switch {
+		case cc == nil:
+		case cc.Ways < 1 || cc.Ways > maxCacheWays:
+			return fmt.Errorf("uarch: %s cache Ways = %d, want 1..%d", l.name, cc.Ways, maxCacheWays)
+		case cc.LineBytes < 1 || cc.LineBytes > maxCacheLine:
+			return fmt.Errorf("uarch: %s cache LineBytes = %d, want 1..%d", l.name, cc.LineBytes, maxCacheLine)
+		case cc.SizeBytes < 1 || cc.SizeBytes/cc.LineBytes > maxCacheLines:
+			return fmt.Errorf("uarch: %s cache SizeBytes = %d, want 1..%d", l.name, cc.SizeBytes, maxCacheLines*cc.LineBytes)
+		}
+	}
+	return nil
 }
 
 // Config holds every model parameter of Table I plus the experiment

@@ -12,13 +12,8 @@ package uarch
 // Reset invalidates every line and zeroes the hit/miss counters and the
 // LRU clock, as if the cache had just been built.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		t, l := c.tags[i], c.lru[i]
-		for w := range t {
-			t[w] = 0
-			l[w] = 0
-		}
-	}
+	clear(c.tags)
+	clear(c.lru)
 	c.tick = 0
 	c.Hits = 0
 	c.Misses = 0

@@ -26,6 +26,42 @@ func TestCacheBasicHitMiss(t *testing.T) {
 	}
 }
 
+// TestCheckCaches pins which cache geometries a config may carry into
+// simulation: every Table I model and the membound variants pass, and a
+// non-positive or oversized field, or a level of more than 2^24 lines,
+// fails with the level and field named.
+func TestCheckCaches(t *testing.T) {
+	for _, cfg := range []Config{SS2Way(), Straight4Way(), CG4Way(), SS4WayMemBound()} {
+		if err := cfg.CheckCaches(); err != nil {
+			t.Errorf("%s: %v", cfg.Name, err)
+		}
+	}
+	tiny := SS2Way()
+	tiny.L1D.SizeBytes = 64 // smaller than one set of 4 ways: clamped, not rejected
+	if err := tiny.CheckCaches(); err != nil {
+		t.Errorf("sub-set L1D: %v", err)
+	}
+	for _, tc := range []struct {
+		edit func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.L1D.Ways = 0 }, "uarch: L1D cache Ways = 0, want 1..65536"},
+		{func(c *Config) { c.L1I.LineBytes = -64 }, "uarch: L1I cache LineBytes = -64, want 1..65536"},
+		{func(c *Config) { c.L2.SizeBytes = 0 }, "uarch: L2 cache SizeBytes = 0, want 1..1073741824"},
+		{func(c *Config) { c.L3.SizeBytes = 1 << 40 }, "uarch: L3 cache SizeBytes = 1099511627776, want 1..1073741824"},
+		{func(c *Config) { c.L3.SizeBytes, c.L3.LineBytes = 32<<20, 1 }, "uarch: L3 cache SizeBytes = 33554432, want 1..16777216"},
+		{func(c *Config) { c.L2.Ways = 1 << 20 }, "uarch: L2 cache Ways = 1048576, want 1..65536"},
+	} {
+		cfg := SS4Way()
+		l3 := *cfg.L3
+		cfg.L3 = &l3
+		tc.edit(&cfg)
+		if err := cfg.CheckCaches(); err == nil || err.Error() != tc.want {
+			t.Errorf("got %v, want %q", err, tc.want)
+		}
+	}
+}
+
 func TestCacheLRUEviction(t *testing.T) {
 	// 2-way, 8 sets of 64B lines: three lines mapping to the same set.
 	c := NewCache(CacheConfig{SizeBytes: 1024, Ways: 2, LineBytes: 64, HitLatency: 1})

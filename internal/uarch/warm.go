@@ -184,13 +184,11 @@ func (h *Hierarchy) CopyStateFrom(src *Hierarchy) {
 
 // CopyFrom adopts src's tags and LRU state. Geometries must match.
 func (c *Cache) CopyFrom(src *Cache) {
-	if c.sets != src.sets || len(c.tags[0]) != len(src.tags[0]) {
+	if c.sets != src.sets || c.ways != src.ways {
 		panic("uarch: Cache.CopyFrom geometry mismatch")
 	}
-	for s := range c.tags {
-		copy(c.tags[s], src.tags[s])
-		copy(c.lru[s], src.lru[s])
-	}
+	copy(c.tags, src.tags)
+	copy(c.lru, src.lru)
 	c.tick = src.tick
 }
 

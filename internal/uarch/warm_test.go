@@ -104,9 +104,11 @@ func TestWarmInstSameLine(t *testing.T) {
 			t.Errorf("%s differs", lv.name)
 		}
 	}
-	for s := range si.tags {
-		if !reflect.DeepEqual(si.tags[s], fi.tags[s]) || !reflect.DeepEqual(lruOrder(si.lru[s]), lruOrder(fi.lru[s])) {
-			t.Fatalf("L1I set %d: tags %v lru %v, want tags %v lru %v", s, si.tags[s], si.lru[s], fi.tags[s], fi.lru[s])
+	for s := 0; s < si.sets; s++ {
+		lo, hi := s*si.ways, (s+1)*si.ways
+		st, sl, ft, fl := si.tags[lo:hi], si.lru[lo:hi], fi.tags[lo:hi], fi.lru[lo:hi]
+		if !reflect.DeepEqual(st, ft) || !reflect.DeepEqual(lruOrder(sl), lruOrder(fl)) {
+			t.Fatalf("L1I set %d: tags %v lru %v, want tags %v lru %v", s, st, sl, ft, fl)
 		}
 	}
 	h0, m0, fh0, fm0 := si.Hits, si.Misses, fi.Hits, fi.Misses
@@ -128,4 +130,15 @@ func lruOrder(stamps []uint32) []int {
 	}
 	sort.Slice(order, func(i, j int) bool { return stamps[order[i]] < stamps[order[j]] })
 	return order
+}
+
+// TestNewWarmStateAllocs bounds building a warm-state replica, which a
+// sampled run does once per pooled snapshot: the cache levels are flat
+// arrays, so the count does not grow with the number of sets.
+func TestNewWarmStateAllocs(t *testing.T) {
+	for _, cfg := range []Config{Straight4Way(), SS2Way(), SS4WayMemBound()} {
+		if n := testing.AllocsPerRun(5, func() { NewWarmState(cfg) }); n > 20 {
+			t.Errorf("%s: NewWarmState makes %.0f allocations, want <= 20", cfg.Name, n)
+		}
+	}
 }

@@ -40,16 +40,17 @@ go test -race ./internal/ptrace/...
 go test -race ./internal/resultstore/...
 go test -race ./internal/served/...
 # Layer benchmarks of the daemon's store-hit path, of one content
-# address and of the sampled fast-forward, once each, as a smoke test
-# (no threshold).
-go test -run '^$' -bench 'BenchmarkWarmJob|BenchmarkPointKey|BenchmarkFastForward' -benchtime 1x -benchmem ./internal/served ./internal/bench ./internal/sampling
+# address, of the sampled fast-forward, of building each kernel's core
+# and of a sampled window's set-up, once each, as a smoke test (no
+# threshold).
+go test -run '^$' -bench 'BenchmarkWarmJob|BenchmarkPointKey|BenchmarkFastForward|BenchmarkCoreNew|BenchmarkWindowRestart' -benchtime 1x -benchmem ./internal/served ./internal/bench ./internal/sampling ./internal/perf
 # The perf harness (golden stats + KIPS measurement) also runs inside
 # the concurrent sweep machinery, so it must be race-clean; the
 # allocation-budget tests skip themselves under -race (instrumentation
 # allocates) and are re-run uninstrumented to enforce the 0-alloc
-# budget on the non-traced step path.
+# budget on the non-traced step path and the core construction budget.
 go test -race ./internal/perf/...
-go test ./internal/perf -run TestSteadyStateAllocs
+go test ./internal/perf -run 'TestSteadyStateAllocs|TestCoreNewAllocs'
 # Sampled simulation (DESIGN.md §16): windows fan out over a worker
 # pool sharing one result store, so the runner must be race-clean. The
 # accuracy matrix is too slow under instrumentation; the determinism,
