@@ -150,7 +150,7 @@ func simulate(core CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tra
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.CheckCaches(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, err
 	}
 	opts := engine.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: stop}

@@ -212,9 +212,13 @@ func (o Outcome) JSON() ([]byte, error) {
 // entry that fails is recomputed and superseded. Cancelling ctx, or
 // Interrupt, stops the point with uarch.ErrInterrupted.
 func (s *Session) Execute(ctx context.Context, p SweepPoint, key *resultstore.Key) (Outcome, error) {
-	select { // Done, not Err, which takes the context's lock every call
-	case <-ctx.Done():
+	// Err, not Done, for ctx: a per-point context (straightd's flights)
+	// would allocate its Done channel just for this check. The session's
+	// channel is made once, and Done, unlike Err, takes no lock.
+	if ctx.Err() != nil {
 		return Outcome{}, uarch.ErrInterrupted
+	}
+	select {
 	case <-s.ctx.Done():
 		return Outcome{}, uarch.ErrInterrupted
 	default:
@@ -261,9 +265,10 @@ func (s *Session) Execute(ctx context.Context, p SweepPoint, key *resultstore.Ke
 // Remote executes a batch of sweep points somewhere other than this
 // process — the straightd client is one, so cmd/experiments -server
 // delegates simulation to the daemon. Implementations must return
-// results in input order.
+// results in input order, and stop with uarch.ErrInterrupted once ctx
+// (the session's: Interrupt cancels it) is done.
 type Remote interface {
-	Run(points []SweepPoint) ([]PointResult, error)
+	RunContext(ctx context.Context, points []SweepPoint) ([]PointResult, error)
 }
 
 // Run executes every point — on the Remote when one is set, else on
@@ -275,9 +280,9 @@ type Remote interface {
 func (s *Session) Run(points []SweepPoint) ([]PointResult, error) {
 	run := s.runLocal
 	if s.Remote != nil {
-		run = s.Remote.Run
+		run = s.Remote.RunContext
 	}
-	results, err := run(points)
+	results, err := run(s.ctx, points)
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +290,7 @@ func (s *Session) Run(points []SweepPoint) ([]PointResult, error) {
 	return results, nil
 }
 
-func (s *Session) runLocal(points []SweepPoint) ([]PointResult, error) {
+func (s *Session) runLocal(ctx context.Context, points []SweepPoint) ([]PointResult, error) {
 	results := make([]PointResult, len(points))
 	errs := make([]error, len(points))
 	var next atomic.Int64
@@ -296,7 +301,7 @@ func (s *Session) runLocal(points []SweepPoint) ([]PointResult, error) {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(points) && !failed.Load(); i = int(next.Add(1)) - 1 {
-				o, err := s.Execute(s.ctx, points[i], nil)
+				o, err := s.Execute(ctx, points[i], nil)
 				if err == nil {
 					results[i], err = o.PointResult()
 				}

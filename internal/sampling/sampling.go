@@ -202,7 +202,7 @@ func NewTarget(policy string, cfg uarch.Config, img *program.Image) (*Target, er
 	if err != nil {
 		return nil, fmt.Errorf("sampling: %w", err)
 	}
-	if err := cfg.CheckCaches(); err != nil {
+	if err := cfg.Check(); err != nil {
 		return nil, fmt.Errorf("sampling: %w", err)
 	}
 	return &Target{Policy: policy, Cfg: cfg, Img: img, machine: m}, nil

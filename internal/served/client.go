@@ -3,6 +3,7 @@ package served
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -10,11 +11,12 @@ import (
 	"strings"
 
 	"straight/internal/bench"
+	"straight/internal/uarch"
 )
 
 // Client talks to a straightd daemon. It implements bench.Remote, so
 // setting one as a session's Remote redirects every Run batch to the
-// daemon.
+// daemon, and interrupting the session ends the batch's request.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://localhost:8372".
 	BaseURL string
@@ -66,16 +68,34 @@ func (c *Client) Stats() (ServerStats, error) {
 	return st, err
 }
 
-// Run submits points as one job and assembles the streamed updates back
-// into input-order results (the bench.Remote contract). Points the
-// daemon reports as failed surface as one error naming the first
-// failure; a stream that ends before every point reported is an error.
+// Run is RunContext without a context: the job runs until it ends.
 func (c *Client) Run(points []bench.SweepPoint) ([]bench.PointResult, error) {
+	return c.RunContext(context.Background(), points)
+}
+
+// RunContext submits points as one job and assembles the streamed
+// updates back into input-order results (the bench.Remote contract).
+// Points the daemon reports as failed surface as one error naming the
+// first failure; a stream that ends before every point reported is an
+// error. Cancelling ctx ends the request, so the daemon stops every
+// point no other request holds, and fails the job with
+// uarch.ErrInterrupted.
+func (c *Client) RunContext(ctx context.Context, points []bench.SweepPoint) (_ []bench.PointResult, err error) {
+	defer func() {
+		if err != nil && ctx.Err() != nil {
+			err = fmt.Errorf("straightd: %w", uarch.ErrInterrupted)
+		}
+	}()
 	body, err := json.Marshal(JobRequest{Points: points})
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.httpClient().Post(c.url("/v1/run"), "application/json", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, "POST", c.url("/v1/run"), bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("straightd: %w", err)
 	}

@@ -2,6 +2,7 @@ package served
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -166,7 +167,7 @@ func TestJobKeysMatchPointKey(t *testing.T) {
 	srv := NewServer(Config{Workers: 2})
 	var mu sync.Mutex
 	keys := make(map[string]resultstore.Key)
-	srv.exec = func(p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error) {
+	srv.exec = func(_ context.Context, p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error) {
 		mu.Lock()
 		keys[p.Label] = key
 		mu.Unlock()

@@ -23,11 +23,10 @@
 // the experiment code knowing.
 //
 // A Server executes points on one bench.Session (Config.Session, else
-// bench.Default()), whose store and counters /v1/stats reports. Points
-// run under the server's lifetime context, not a request's, so a
-// waiter keeps a flight alive after its owner disconnects; Shutdown
-// cancels that context, which stops running simulations within one
-// advance and fails queued points.
+// bench.Default()), whose store and counters /v1/stats reports. Each
+// point runs under its flight's context, derived from the server's
+// lifetime context: Shutdown cancels the server's, which stops running
+// simulations within one advance and fails queued points.
 //
 // A job is decoded once. Each point's "Config" is captured raw, and
 // each distinct configuration of the job is decoded and marshalled
@@ -39,12 +38,13 @@
 //
 // Coalescing extends the build-cache singleflight idea (bench.buildOnce)
 // across process boundaries: points are identified by their
-// content-addressed result key (bench.PointKey), the first request to
-// ask for a key simulates it, and every concurrent request for the same
-// key waits on the same flight and shares the one result. Flights are
-// pooled and reused across jobs (resetcomplete-checked, DESIGN.md §12).
-// A flight whose owning request ends while it queues for a slot passes
-// to the waiters still holding it; it fails only when no one does.
+// content-addressed result key (bench.PointKey), and every concurrent
+// request for a key holds the same flight and shares the one result.
+// Holders are equal: the first runs the flight on its own goroutine,
+// the others wait for it, and the flight runs while anyone holds it.
+// When the last holder's request ends, the flight leaves the map and
+// its context is cancelled, so a point no live request holds stops (or
+// never starts) and is not stored.
 //
 // A flight's result is the point's bench.ResultData as JSON, which is
 // also the stored value: a store hit streams the stored bytes unchanged

@@ -5,13 +5,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,6 +55,17 @@ func fakeResult(p bench.SweepPoint) (bench.PointResult, error) {
 // fresh session over a fresh store unless cfg names a session.
 func newTestDaemon(t testing.TB, cfg Config) (*Server, *Client) {
 	t.Helper()
+	return newFlightDaemon(t, cfg, nil)
+}
+
+// flightExec is an executor that, unlike Config.Exec, runs under the
+// flight's context, so a test can see whether the flight was cancelled.
+type flightExec func(ctx context.Context, p bench.SweepPoint) (bench.PointResult, error)
+
+// newFlightDaemon is newTestDaemon with exec, when not nil, installed
+// as the server's executor before the listener starts.
+func newFlightDaemon(t testing.TB, cfg Config, exec flightExec) (*Server, *Client) {
+	t.Helper()
 	if cfg.Session == nil {
 		st, err := resultstore.Open(filepath.Join(t.TempDir(), "results.store"), resultstore.Options{Salt: 7})
 		if err != nil {
@@ -62,6 +76,12 @@ func newTestDaemon(t testing.TB, cfg Config) (*Server, *Client) {
 		cfg.Session.SetStore(st)
 	}
 	srv := NewServer(cfg)
+	if exec != nil {
+		srv.exec = func(ctx context.Context, p bench.SweepPoint, _ resultstore.Key) (bench.Outcome, error) {
+			res, err := exec(ctx, p)
+			return bench.Outcome{Result: res}, err
+		}
+	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, &Client{BaseURL: ts.URL}
@@ -320,40 +340,54 @@ func TestShutdownInterruptsRunningSimulation(t *testing.T) {
 	}
 }
 
-// TestBadCacheGeometryFailsOnlyItsPoint sends a job whose one point has
-// an impossible L1D (zero ways) through the default executor. That
-// point must fail alone, with the error naming the level and field
-// rather than a recovered divide-by-zero panic, and the job's other
+// TestBadCacheGeometryFailsOnlyItsPoint sends jobs whose one point has
+// a configuration no core can run through the default executor: an
+// impossible L1D (zero ways), a scheduler size engine.New cannot
+// allocate, and a window or fetch width that would deadlock the core.
+// That point must fail alone, at once, with the error naming the field
+// rather than a recovered panic or a deadlock, and the job's other
 // points must simulate and succeed.
 func TestBadCacheGeometryFailsOnlyItsPoint(t *testing.T) {
 	_, client := newTestDaemon(t, Config{Workers: 2})
-	cfg := uarch.SS2Way()
-	cfg.L1D.Ways = 0
-	points := append(testPoints(), bench.SSPoint("served-test", "fib/ss-noways", workloads.MicroFib, 1, cfg))
-	bad := len(points) - 1
+	for _, tc := range []struct {
+		edit func(*uarch.Config)
+		want string
+	}{
+		{func(c *uarch.Config) { c.L1D.Ways = 0 }, "uarch: L1D cache Ways = 0, want 1..65536"},
+		{func(c *uarch.Config) { c.SchedulerSize = -1 }, "uarch: SchedulerSize = -1, want 1..65536"},
+		{func(c *uarch.Config) { c.ROBSize = 0 }, "uarch: ROBSize = 0, want 1..65536"},
+		{func(c *uarch.Config) { c.FetchWidth = 0 }, "uarch: FetchWidth = 0, want 1..256"},
+	} {
+		t.Run(strings.Fields(tc.want)[1], func(t *testing.T) {
+			cfg := uarch.SS2Way()
+			tc.edit(&cfg)
+			points := append(testPoints(), bench.SSPoint("served-test", "fib/ss-bad", workloads.MicroFib, 1, cfg))
+			bad := len(points) - 1
 
-	var mu sync.Mutex
-	updates := map[int]PointUpdate{}
-	client.OnUpdate = func(u PointUpdate) {
-		mu.Lock()
-		updates[u.Index] = u
-		mu.Unlock()
-	}
-	_, err := client.Run(points)
-	const want = "uarch: L1D cache Ways = 0, want 1..65536"
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("want the job to fail with %q, got %v", want, err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i := range points {
-		u := updates[i]
-		switch {
-		case i == bad && (u.Status != "error" || !strings.Contains(u.Error, want) || strings.Contains(u.Error, "panic")):
-			t.Errorf("bad point: status %q error %q, want %q without a panic", u.Status, u.Error, want)
-		case i != bad && (u.Status != "done" || u.Result == nil):
-			t.Errorf("point %d (%s): status %q error %q, want done", i, points[i].Name(), u.Status, u.Error)
-		}
+			var mu sync.Mutex
+			updates := map[int]PointUpdate{}
+			client := *client
+			client.OnUpdate = func(u PointUpdate) {
+				mu.Lock()
+				updates[u.Index] = u
+				mu.Unlock()
+			}
+			_, err := client.Run(points)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("want the job to fail with %q, got %v", tc.want, err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for i := range points {
+				u := updates[i]
+				switch {
+				case i == bad && (u.Status != "error" || !strings.Contains(u.Error, tc.want) || strings.Contains(u.Error, "panic")):
+					t.Errorf("bad point: status %q error %q, want %q without a panic", u.Status, u.Error, tc.want)
+				case i != bad && (u.Status != "done" || u.Result == nil):
+					t.Errorf("point %d (%s): status %q error %q, want done", i, points[i].Name(), u.Status, u.Error)
+				}
+			}
+		})
 	}
 }
 
@@ -757,6 +791,182 @@ func TestOwnerLeavesQueuedFlightToWaiter(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool { return srv.Stats().Inflight == 0 })
+}
+
+// postJob submits points as one job on its own goroutine and returns
+// the function that ends the request, as a client disconnecting does.
+func postJob(t *testing.T, client *Client, points ...bench.SweepPoint) context.CancelFunc {
+	t.Helper()
+	body, err := json.Marshal(JobRequest{Points: points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", client.url("/v1/run"), bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	return cancel
+}
+
+// heldExec returns an executor that counts its calls and holds each
+// point until release closes, failing it if its flight is cancelled
+// first.
+func heldExec(release <-chan struct{}, calls *atomic.Int64) flightExec {
+	return func(ctx context.Context, p bench.SweepPoint) (bench.PointResult, error) {
+		calls.Add(1)
+		select {
+		case <-release:
+			return fakeResult(p)
+		case <-ctx.Done():
+			return bench.PointResult{}, ctx.Err()
+		}
+	}
+}
+
+// TestOwnerLeavesRunningFlightToWaiter has the first holder of a
+// running flight disconnect while another job waits on it. The waiter
+// still holds the flight, so it must not be cancelled: the waiter gets
+// the result of the one execution.
+func TestOwnerLeavesRunningFlightToWaiter(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before the daemon's cleanup waits for the requests
+	var calls atomic.Int64
+	srv, client := newFlightDaemon(t, Config{Workers: 1}, heldExec(release, &calls))
+	p := distinctPoints(1)
+
+	cancelOwner := postJob(t, client, p...)
+	defer cancelOwner()
+	waitFor(t, func() bool { return calls.Load() == 1 })
+	errWaiter := make(chan error, 1)
+	go func() { _, err := client.Run(p); errWaiter <- err }()
+	waitFor(t, func() bool { return srv.Stats().PointsCoalesced == 1 })
+	cancelOwner()
+	select {
+	case err := <-errWaiter:
+		t.Fatalf("waiter finished before the point was released: %v", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+
+	unblock()
+	select {
+	case err := <-errWaiter:
+		if err != nil {
+			t.Fatalf("waiter: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter: job hung")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("point executed %d times, want 1", n)
+	}
+	waitFor(t, func() bool { return srv.Stats().Inflight == 0 })
+}
+
+// TestWaiterLeavesFlightRunning has a coalesced waiter disconnect while
+// the flight runs. The first holder still holds it, so it must not be
+// cancelled: the first holder gets its result.
+func TestWaiterLeavesFlightRunning(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before the daemon's cleanup waits for the requests
+	var calls atomic.Int64
+	srv, client := newFlightDaemon(t, Config{Workers: 1}, heldExec(release, &calls))
+	p := distinctPoints(1)
+
+	errOwner := make(chan error, 1)
+	go func() { _, err := client.Run(p); errOwner <- err }()
+	waitFor(t, func() bool { return calls.Load() == 1 })
+	cancelWaiter := postJob(t, client, p...)
+	defer cancelWaiter()
+	waitFor(t, func() bool { return srv.Stats().PointsCoalesced == 1 })
+	cancelWaiter()
+	select {
+	case err := <-errOwner:
+		t.Fatalf("first holder finished before the point was released: %v", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+
+	unblock()
+	select {
+	case err := <-errOwner:
+		if err != nil {
+			t.Fatalf("first holder: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("first holder: job hung")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("point executed %d times, want 1", n)
+	}
+	waitFor(t, func() bool { return srv.Stats().Inflight == 0 })
+}
+
+// longDaemonPoint simulates for minutes: a million Dhrystone iterations
+// on a cycle core.
+func longDaemonPoint() bench.SweepPoint {
+	return bench.StraightPoint("served-test", "long", workloads.Dhrystone, 1_000_000, bench.ModeREP, uarch.Straight2Way())
+}
+
+// inEngine reports whether any goroutine is inside the cycle engine.
+func inEngine() bool {
+	buf := make([]byte, 1<<20)
+	return bytes.Contains(buf[:runtime.Stack(buf, true)], []byte("straight/internal/cores/engine.(*Core["))
+}
+
+// TestLastHolderDisconnectStopsSimulation ends the only request holding
+// a running point on the default executor. No one holds the flight any
+// more, so its simulation must stop, the flight must be gone, and
+// nothing may be stored under the point's key.
+func TestLastHolderDisconnectStopsSimulation(t *testing.T) {
+	srv, client := newTestDaemon(t, Config{Workers: 1})
+	t.Cleanup(srv.Shutdown) // runs before the listener's Close waits for the request
+	long := longDaemonPoint()
+	key, err := bench.PointKey(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel := postJob(t, client, long)
+	defer cancel()
+	waitFor(t, inEngine)
+	cancel()
+	waitFor(t, func() bool { return !inEngine() && srv.Stats().Inflight == 0 })
+	if _, ok := srv.sess.Store().Get(key); ok {
+		t.Fatal("a cancelled point was stored")
+	}
+}
+
+// TestRemoteInterruptStopsDaemonSimulation interrupts a session whose
+// Remote is a daemon while the daemon simulates the session's one
+// point: Run must return at once with the interrupt, and the daemon,
+// which no other request holds the point for, must stop simulating it.
+func TestRemoteInterruptStopsDaemonSimulation(t *testing.T) {
+	srv, client := newTestDaemon(t, Config{Workers: 1})
+	t.Cleanup(srv.Shutdown) // runs before the listener's Close waits for the request
+	sess := bench.NewSession()
+	sess.Remote = client
+	done := make(chan error, 1)
+	go func() { _, err := sess.Run([]bench.SweepPoint{longDaemonPoint()}); done <- err }()
+	waitFor(t, inEngine)
+	sess.Interrupt()
+	select {
+	case err := <-done:
+		if !errors.Is(err, uarch.ErrInterrupted) {
+			t.Fatalf("interrupted remote run: err = %v, want ErrInterrupted", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("remote run still waiting 10s after Interrupt")
+	}
+	waitFor(t, func() bool { return !inEngine() && srv.Stats().Inflight == 0 })
 }
 
 // warmJobKernels are the five machines of the repo benchmark's mix.

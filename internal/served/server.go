@@ -151,10 +151,11 @@ type Config struct {
 	Workers int
 	// Exec runs one point; nil means Session.Execute with the key the
 	// server already derived. Tests inject a controllable executor to
-	// make coalescing windows deterministic. Exec is not given the
-	// server's context, so Shutdown cannot stop a point it is already
-	// running: Shutdown only fails the points that have not started.
-	// Only the default executor's simulations are interrupted.
+	// make coalescing windows deterministic. Exec is given neither the
+	// server's context nor the flight's, so neither Shutdown nor the
+	// last holder leaving stops a point it is already running: both only
+	// fail the points that have not started. Only the default
+	// executor's simulations are interrupted.
 	Exec func(p bench.SweepPoint) (bench.PointResult, error)
 }
 
@@ -162,25 +163,20 @@ type Config struct {
 var errShutdown = errors.New("server shutting down")
 
 // flight is one in-flight point execution that concurrent identical
-// requests attach to. Its result is the point's ResultData as JSON
-// (wire), possibly the store's own read-only slice. Flights are pooled;
-// refs counts every party holding the pointer (owner + waiters) and the
-// last release returns it to the pool.
+// requests hold. Its result is the point's ResultData as JSON (wire),
+// possibly the store's own read-only slice. refs counts the requests
+// holding it; the last to leave detaches it and cancels ctx, the
+// context the flight runs under.
 type flight struct {
+	key    resultstore.Key
+	srv    *Server
+	ctx    context.Context
+	cancel context.CancelFunc
+	refs   int // guarded by srv.mu
 	done   chan struct{}
 	wire   []byte
 	cached bool
 	err    error
-	refs   int
-}
-
-// Reset restores a flight for pool reuse (resetcomplete-checked).
-func (f *flight) Reset() {
-	f.done = nil
-	f.wire = nil
-	f.cached = false
-	f.err = nil
-	f.refs = 0
 }
 
 // record is one point's stream record: the envelope, and the result
@@ -195,17 +191,16 @@ type record struct {
 type Server struct {
 	sess    *bench.Session
 	workers int
-	exec    func(p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error)
+	exec    func(ctx context.Context, p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error)
 	sem     chan struct{}
 
-	// ctx is the server's lifetime: every point runs under it, and
-	// Shutdown cancels it.
+	// ctx is the server's lifetime: every flight's context derives from
+	// it, and Shutdown cancels it with errShutdown as the cause.
 	ctx    context.Context
-	cancel context.CancelFunc
+	cancel context.CancelCauseFunc
 
-	mu         sync.Mutex
-	inflight   map[resultstore.Key]*flight
-	flightPool sync.Pool
+	mu       sync.Mutex
+	inflight map[resultstore.Key]*flight
 
 	jobsStarted  int64
 	jobsFinished int64
@@ -224,17 +219,17 @@ func NewServer(cfg Config) *Server {
 	if workers <= 0 {
 		workers = sess.Parallelism()
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	exec := func(p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error) {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	exec := func(ctx context.Context, p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error) {
 		return sess.Execute(ctx, p, &key)
 	}
 	if cfg.Exec != nil {
-		exec = func(p bench.SweepPoint, _ resultstore.Key) (bench.Outcome, error) {
+		exec = func(_ context.Context, p bench.SweepPoint, _ resultstore.Key) (bench.Outcome, error) {
 			res, err := cfg.Exec(p)
 			return bench.Outcome{Result: res}, err
 		}
 	}
-	s := &Server{
+	return &Server{
 		sess:     sess,
 		workers:  workers,
 		exec:     exec,
@@ -243,8 +238,6 @@ func NewServer(cfg Config) *Server {
 		cancel:   cancel,
 		inflight: make(map[resultstore.Key]*flight),
 	}
-	s.flightPool.New = func() any { return new(flight) }
-	return s
 }
 
 // Handler returns the daemon's routing table (Go 1.22 method+pattern
@@ -261,15 +254,16 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Shutdown makes every queued and in-flight point fail fast: it cancels
-// the server's context, so new slot acquisitions abort and running
-// simulations stop within one advance. Safe to call more than once.
-func (s *Server) Shutdown() { s.cancel() }
+// the server's context and with it every flight's, so slot acquisitions
+// abort with errShutdown and running simulations stop within one
+// advance. Safe to call more than once.
+func (s *Server) Shutdown() { s.cancel(errShutdown) }
 
 // handleRun streams one PointUpdate per finished point, then a terminal
 // summary record. A fixed set of workers per job pulls point indexes,
 // so a job of any size costs at most 2×Workers goroutines; the extra
 // Workers beyond the server-wide slots keep a job moving while some of
-// its points wait on flights owned by other jobs.
+// its points wait on flights that other jobs run.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	points, code, err := decodeJob(http.MaxBytesReader(w, r.Body, MaxJobBytes))
 	if err != nil {
@@ -318,8 +312,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			errs++
 		}
 		if writeErr != nil {
-			// Client went away; the workers still finish (results land in
-			// the store, and coalesced peers are unaffected).
+			// Client went away. Its request context is done, so each
+			// point it alone held is cancelled and not stored; points
+			// other requests still hold run on for them.
 			continue
 		}
 		_, writeErr = w.Write(rec.line(&buf, enc))
@@ -374,10 +369,15 @@ func (s *Server) runOne(ctx context.Context, idx int, p *jobPoint) record {
 	return rec
 }
 
-// execute runs p, attaching to an identical in-flight execution when
-// one exists (coalescing, reported by coalesced). config is p.Config's
-// JSON (see bench.PointKeyWith). wire is the point's ResultData as JSON
-// and cached reports a store hit.
+// execute runs p, or holds an identical in-flight execution when one
+// exists (coalescing, reported by coalesced). config is p.Config's JSON
+// (see bench.PointKeyWith). wire is the point's ResultData as JSON and
+// cached reports a store hit.
+//
+// Every request for a key holds its flight equally. The first runs it
+// on its own goroutine, under the flight's context; the others wait on
+// done. A holder whose request ends leaves (the running one through
+// context.AfterFunc), and the flight runs on while anyone holds it.
 func (s *Server) execute(ctx context.Context, p bench.SweepPoint, config []byte) (wire []byte, cached, coalesced bool, err error) {
 	key, kerr := bench.PointKeyWith(p, config)
 	if kerr != nil {
@@ -391,117 +391,87 @@ func (s *Server) execute(ctx context.Context, p bench.SweepPoint, config []byte)
 		f.refs++
 		s.coalesced++
 		s.mu.Unlock()
-		wire, cached, err = s.await(ctx, f)
-		return wire, cached, true, err
+		defer f.leave()
+		select {
+		case <-f.done:
+			return f.wire, f.cached, true, f.err
+		case <-ctx.Done():
+			return nil, false, true, ctx.Err()
+		}
 	}
-	f := s.flightPool.Get().(*flight)
-	f.done = make(chan struct{})
-	f.refs = 1
+	f := &flight{key: key, srv: s, refs: 1, done: make(chan struct{})}
+	f.ctx, f.cancel = context.WithCancel(s.ctx)
 	s.inflight[key] = f
 	s.mu.Unlock()
 
-	// Bounded worker pool: simulate only while holding a slot.
-	if f.err = s.acquire(ctx, key, f); f.err == nil {
-		var o bench.Outcome
-		if o, f.err = s.run(p, key); f.err == nil {
-			f.wire, f.err = o.JSON()
-			f.cached = o.Result.Cached
-		}
-		<-s.sem
+	stop := context.AfterFunc(ctx, f.leave)
+	f.run(p)
+	if stop() {
+		f.leave()
 	}
+	return f.wire, f.cached, false, f.err
+}
+
+// run executes the flight's point while holding a worker slot, then
+// publishes the result by closing done. The stop check comes first on
+// its own so a cancelled flight never starts, even when a slot happens
+// to be free; like a free slot, it leaves the flight's Done channel
+// unmade. A flight stopped before it ran fails with its context's
+// cause: errShutdown, or context.Canceled when its last holder left.
+func (f *flight) run(p bench.SweepPoint) {
+	s := f.srv
+	defer close(f.done)
+	if f.ctx.Err() != nil {
+		f.err = context.Cause(f.ctx)
+		return
+	}
+	select {
+	case s.sem <- struct{}{}:
+	default: // wait for a slot
+		select {
+		case s.sem <- struct{}{}:
+		case <-f.ctx.Done():
+			f.err = context.Cause(f.ctx)
+			return
+		}
+	}
+	var o bench.Outcome
+	if o, f.err = s.runPoint(f.ctx, p, f.key); f.err == nil {
+		f.wire, f.err = o.JSON()
+		f.cached = o.Result.Cached
+	}
+	<-s.sem
 	if f.err == nil {
 		s.mu.Lock()
 		s.executed++
 		s.mu.Unlock()
 	}
-	close(f.done)
+}
 
-	// Detach from the map first so no new waiter joins a retired flight,
-	// then drop the owner's reference.
+// leave drops one holder. The last detaches the flight from the map, so
+// no new request joins it, and cancels its context in the same critical
+// section: a queued flight then never starts, and a running simulation
+// stops within one advance.
+func (f *flight) leave() {
+	s := f.srv
 	s.mu.Lock()
-	if s.inflight[key] == f {
-		delete(s.inflight, key)
-	}
-	s.mu.Unlock()
-	wire, cached, err = f.wire, f.cached, f.err
-	s.release(f)
-	return wire, cached, false, err
-}
-
-// acquire takes a worker slot for the owner of flight f. The quit check
-// comes first on its own so a stopped server never starts new work even
-// when a slot happens to be free. If the owner's request ends while it
-// queues, the owner hands the flight to the coalesced waiters still
-// holding it: it queues on in their name (only Shutdown aborts), and the
-// flight completes as a running one does when its waiters leave. With
-// no one else holding the flight, the owner fails it, detaching it from
-// the map in the same critical section so no new waiter can join it.
-func (s *Server) acquire(ctx context.Context, key resultstore.Key, f *flight) error {
-	select {
-	case <-s.ctx.Done():
-		return errShutdown
-	default:
-	}
-	gone := ctx.Done()
-	for {
-		select {
-		case s.sem <- struct{}{}:
-			return nil
-		case <-s.ctx.Done():
-			return errShutdown
-		case <-gone:
-			s.mu.Lock()
-			shared := f.refs > 1
-			if !shared && s.inflight[key] == f {
-				delete(s.inflight, key)
-			}
-			s.mu.Unlock()
-			if !shared {
-				return ctx.Err()
-			}
-			gone = nil
-		}
+	defer s.mu.Unlock()
+	if f.refs--; f.refs == 0 {
+		delete(s.inflight, f.key)
+		f.cancel()
 	}
 }
 
-// run calls the executor, turning a panic into an error for this point
-// alone. The error carries the point's content address and the stack,
-// so the failure reproduces with one command.
-func (s *Server) run(p bench.SweepPoint, key resultstore.Key) (o bench.Outcome, err error) {
+// runPoint calls the executor, turning a panic into an error for this
+// point alone. The error carries the point's content address and the
+// stack, so the failure reproduces with one command.
+func (s *Server) runPoint(ctx context.Context, p bench.SweepPoint, key resultstore.Key) (o bench.Outcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("panic executing point %s: %v\n%s", key, v, debug.Stack())
 		}
 	}()
-	return s.exec(p, key)
-}
-
-// await blocks on another request's flight for the same key.
-func (s *Server) await(ctx context.Context, f *flight) ([]byte, bool, error) {
-	select {
-	case <-f.done:
-		wire, cached, err := f.wire, f.cached, f.err
-		s.release(f)
-		return wire, cached, err
-	case <-ctx.Done():
-		// Abandon the flight; the owner still completes it and the result
-		// still lands in the store.
-		s.release(f)
-		return nil, false, ctx.Err()
-	}
-}
-
-// release drops one reference; the last holder resets and pools the
-// flight. Callers must have finished reading f's results.
-func (s *Server) release(f *flight) {
-	s.mu.Lock()
-	f.refs--
-	last := f.refs == 0
-	s.mu.Unlock()
-	if last {
-		f.Reset()
-		s.flightPool.Put(f)
-	}
+	return s.exec(ctx, p, key)
 }
 
 // Stats snapshots the server counters.

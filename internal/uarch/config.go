@@ -37,20 +37,31 @@ type CacheConfig struct {
 	HitLatency int
 }
 
-// Cache geometry bounds CheckCaches enforces. maxCacheLines bounds a
-// level's tag and LRU arrays (12 B per line, 192 MB at the bound); the
-// other two keep LineBytes×Ways within int range.
+// Bounds Check enforces. maxCacheLines bounds a cache level's tag and
+// LRU arrays (12 B per line, 192 MB at the bound); maxCacheWays and
+// maxCacheLine keep LineBytes×Ways within int range. The core bounds
+// keep every structure a core allocates from its config to tens of
+// megabytes, and every latency far inside the 500,000-cycle window
+// after which a core reports a deadlock.
 const (
 	maxCacheWays  = 1 << 16
 	maxCacheLine  = 1 << 16
 	maxCacheLines = 1 << 24
+	maxWidth      = 1 << 8  // per-cycle widths, unit counts, pipeline stages, MSHRs
+	maxEntries    = 1 << 16 // windows, queues, registers, distances
+	maxTable      = 1 << 20 // predictor tables
+	maxLatency    = 1 << 16 // cycles
 )
 
-// CheckCaches reports the first cache level whose geometry cannot be
-// built: a Ways, LineBytes or SizeBytes that is not positive or exceeds
-// its bound. A level smaller than one set is legal; NewCache clamps it
-// to one set.
-func (c Config) CheckCaches() error {
+// Check reports the first field that no core can be built or run
+// from: a cache level whose Ways, LineBytes or SizeBytes is not
+// positive or exceeds its bound, or a core size, width or latency out
+// of its range. A size or width of 0 would deadlock a core, and a
+// negative one fail its construction; fields documented with a 0
+// default (MSHRs, CGBlockSize, MaxDistance, the functional-unit
+// latencies) accept 0. A cache level smaller than one set is legal;
+// NewCache clamps it to one set.
+func (c Config) Check() error {
 	for _, l := range [...]struct {
 		name string
 		cc   *CacheConfig
@@ -64,6 +75,48 @@ func (c Config) CheckCaches() error {
 			return fmt.Errorf("uarch: %s cache LineBytes = %d, want 1..%d", l.name, cc.LineBytes, maxCacheLine)
 		case cc.SizeBytes < 1 || cc.SizeBytes/cc.LineBytes > maxCacheLines:
 			return fmt.Errorf("uarch: %s cache SizeBytes = %d, want 1..%d", l.name, cc.SizeBytes, maxCacheLines*cc.LineBytes)
+		case cc.HitLatency < 0 || cc.HitLatency > maxLatency:
+			return fmt.Errorf("uarch: %s cache HitLatency = %d, want 0..%d", l.name, cc.HitLatency, maxLatency)
+		}
+	}
+	// RegFileSize is read by the superscalar cores only, which map the
+	// 32 architectural registers first and need one more to rename.
+	for _, f := range [...]struct {
+		name     string
+		v        int
+		min, max int
+	}{
+		{"FetchWidth", c.FetchWidth, 1, maxWidth},
+		{"FrontEndLatency", c.FrontEndLatency, 0, maxWidth},
+		{"ROBSize", c.ROBSize, 1, maxEntries},
+		{"IssueWidth", c.IssueWidth, 1, maxWidth},
+		{"SchedulerSize", c.SchedulerSize, 1, maxEntries},
+		{"RegFileSize", c.RegFileSize, 33, maxEntries},
+		{"LQSize", c.LQSize, 1, maxEntries},
+		{"SQSize", c.SQSize, 1, maxEntries},
+		{"NumALU", c.NumALU, 1, maxWidth},
+		{"NumMul", c.NumMul, 1, maxWidth},
+		{"NumDiv", c.NumDiv, 1, maxWidth},
+		{"NumBr", c.NumBr, 1, maxWidth},
+		{"NumMem", c.NumMem, 1, maxWidth},
+		{"CommitWidth", c.CommitWidth, 1, maxWidth},
+		{"Predictor", int(c.Predictor), int(PredGshare), int(PredOracle)},
+		{"GshareHistBits", c.GshareHistBits, 0, 64},
+		{"GshareEntries", c.GshareEntries, 1, maxTable},
+		{"BTBEntries", c.BTBEntries, 1, maxTable},
+		{"RASEntries", c.RASEntries, 1, maxEntries},
+		{"MemLatency", c.MemLatency, 0, maxLatency},
+		{"MaxDistance", c.MaxDistance, 0, maxEntries},
+		{"MSHRs", c.MSHRs, 0, maxWidth},
+		{"MemDep", int(c.MemDep), int(MemDepPredict), int(MemDepAlwaysWait)},
+		{"SPAddPerGroup", c.SPAddPerGroup, 1, maxWidth},
+		{"CGBlockSize", c.CGBlockSize, 0, maxEntries},
+		{"ALULatency", c.ALULatency, 0, maxLatency},
+		{"MulLatency", c.MulLatency, 0, maxLatency},
+		{"DivLatency", c.DivLatency, 0, maxLatency},
+	} {
+		if f.v < f.min || f.v > f.max {
+			return fmt.Errorf("uarch: %s = %d, want %d..%d", f.name, f.v, f.min, f.max)
 		}
 	}
 	return nil

@@ -26,19 +26,19 @@ func TestCacheBasicHitMiss(t *testing.T) {
 	}
 }
 
-// TestCheckCaches pins which cache geometries a config may carry into
-// simulation: every Table I model and the membound variants pass, and a
-// non-positive or oversized field, or a level of more than 2^24 lines,
-// fails with the level and field named.
+// TestCheckCaches pins which cache geometries Config.Check lets a
+// config carry into simulation: every Table I model and the membound
+// variants pass, and a non-positive or oversized field, or a level of
+// more than 2^24 lines, fails with the level and field named.
 func TestCheckCaches(t *testing.T) {
 	for _, cfg := range []Config{SS2Way(), Straight4Way(), CG4Way(), SS4WayMemBound()} {
-		if err := cfg.CheckCaches(); err != nil {
+		if err := cfg.Check(); err != nil {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
 	}
 	tiny := SS2Way()
 	tiny.L1D.SizeBytes = 64 // smaller than one set of 4 ways: clamped, not rejected
-	if err := tiny.CheckCaches(); err != nil {
+	if err := tiny.Check(); err != nil {
 		t.Errorf("sub-set L1D: %v", err)
 	}
 	for _, tc := range []struct {
@@ -56,7 +56,56 @@ func TestCheckCaches(t *testing.T) {
 		l3 := *cfg.L3
 		cfg.L3 = &l3
 		tc.edit(&cfg)
-		if err := cfg.CheckCaches(); err == nil || err.Error() != tc.want {
+		if err := cfg.Check(); err == nil || err.Error() != tc.want {
+			t.Errorf("got %v, want %q", err, tc.want)
+		}
+	}
+}
+
+// TestConfigCheck pins Config.Check's core fields: every model the
+// experiments and the kernel benchmarks build passes, 0 stays legal
+// where it means a default, and a size or width that would deadlock a
+// core (0), fail its construction (negative) or allocate without bound
+// fails with the field named.
+func TestConfigCheck(t *testing.T) {
+	for _, cfg := range []Config{SS2Way(), SS4Way(), Straight2Way(), Straight4Way(), CG2Way(), CG4Way(),
+		SS4WayMemBound(), Straight4WayMemBound(), CG4WayMemBound()} {
+		if err := cfg.Check(); err != nil {
+			t.Errorf("%s: %v", cfg.Name, err)
+		}
+	}
+	defaults := SS2Way()
+	defaults.MSHRs, defaults.CGBlockSize, defaults.MaxDistance = 0, 0, 0
+	defaults.ALULatency, defaults.MulLatency, defaults.DivLatency = 0, 0, 0
+	if err := defaults.Check(); err != nil {
+		t.Errorf("0 defaults: %v", err)
+	}
+	for _, tc := range []struct {
+		edit func(*Config)
+		want string
+	}{
+		{func(c *Config) { c.SchedulerSize = -1 }, "uarch: SchedulerSize = -1, want 1..65536"},
+		{func(c *Config) { c.ROBSize = 0 }, "uarch: ROBSize = 0, want 1..65536"},
+		{func(c *Config) { c.FetchWidth = 0 }, "uarch: FetchWidth = 0, want 1..256"},
+		{func(c *Config) { c.ROBSize = 1 << 30 }, "uarch: ROBSize = 1073741824, want 1..65536"},
+		{func(c *Config) { c.RegFileSize = 32 }, "uarch: RegFileSize = 32, want 33..65536"},
+		{func(c *Config) { c.LQSize = 0 }, "uarch: LQSize = 0, want 1..65536"},
+		{func(c *Config) { c.NumDiv = 0 }, "uarch: NumDiv = 0, want 1..256"},
+		{func(c *Config) { c.CommitWidth = 0 }, "uarch: CommitWidth = 0, want 1..256"},
+		{func(c *Config) { c.FrontEndLatency = -1 }, "uarch: FrontEndLatency = -1, want 0..256"},
+		{func(c *Config) { c.GshareEntries = 0 }, "uarch: GshareEntries = 0, want 1..1048576"},
+		{func(c *Config) { c.BTBEntries = 1 << 30 }, "uarch: BTBEntries = 1073741824, want 1..1048576"},
+		{func(c *Config) { c.RASEntries = 0 }, "uarch: RASEntries = 0, want 1..65536"},
+		{func(c *Config) { c.MSHRs = -1 }, "uarch: MSHRs = -1, want 0..256"},
+		{func(c *Config) { c.SPAddPerGroup = 0 }, "uarch: SPAddPerGroup = 0, want 1..256"},
+		{func(c *Config) { c.MaxDistance = -31 }, "uarch: MaxDistance = -31, want 0..65536"},
+		{func(c *Config) { c.DivLatency = 1 << 20 }, "uarch: DivLatency = 1048576, want 0..65536"},
+		{func(c *Config) { c.Predictor = 7 }, "uarch: Predictor = 7, want 0..2"},
+		{func(c *Config) { c.L1D.HitLatency = -4 }, "uarch: L1D cache HitLatency = -4, want 0..65536"},
+	} {
+		cfg := Straight4Way()
+		tc.edit(&cfg)
+		if err := cfg.Check(); err == nil || err.Error() != tc.want {
 			t.Errorf("got %v, want %q", err, tc.want)
 		}
 	}

@@ -39,6 +39,9 @@ go test -race ./internal/ptrace/...
 # clients and writers by design, so both must be race-clean.
 go test -race ./internal/resultstore/...
 go test -race ./internal/served/...
+# The flight-lifecycle tests (equal holders, last-holder cancel,
+# shutdown) time their interleavings by hand: repeat them under -race.
+go test -race -count 10 -run 'TestOwnerLeaves|TestLastHolder|TestWaiter|TestCoalescing|TestShutdown' ./internal/served
 # Layer benchmarks of the daemon's store-hit path, of one content
 # address, of the sampled fast-forward, of building each kernel's core
 # and of a sampled window's set-up, once each, as a smoke test (no
