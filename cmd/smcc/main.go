@@ -39,8 +39,7 @@ func main() {
 	if *target == "riscv" {
 		tgt = core.TargetRISCV
 	}
-	tc := core.NewToolchain()
-	prog, err := tc.CompileC(string(src), tgt, core.CompileOptions{
+	prog, err := core.CompileC(string(src), tgt, core.CompileOptions{
 		MaxDistance:    *maxDist,
 		RedundancyElim: *re,
 	})

@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"straight/internal/sasm"
+	"straight/internal/sverify"
 )
 
 func main() {
@@ -35,14 +36,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "straight-as:", err)
 		os.Exit(1)
 	}
-	var opts []sasm.Option
-	if *vet {
-		opts = append(opts, sasm.WithVerify(*maxDist))
-	}
-	im, err := sasm.Assemble(string(src), opts...)
+	im, err := sasm.Assemble(string(src))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "straight-as:", err)
 		os.Exit(1)
+	}
+	if *vet {
+		if err := sverify.Check(im, sverify.Config{MaxDistance: *maxDist}); err != nil {
+			// Line 0: the linked image failed, not a source line.
+			fmt.Fprintf(os.Stderr, "straight-as: sasm: line 0: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	fmt.Printf("entry: %#08x   text: %d instructions   data: %d bytes\n\n",
 		im.Entry, len(im.Text), len(im.Data))

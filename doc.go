@@ -7,6 +7,6 @@
 //
 // See README.md for the layout, DESIGN.md for the system inventory and
 // substitutions, and EXPERIMENTS.md for paper-vs-measured results. The
-// public entry point for library use is internal/core (Toolchain /
-// Emulate / Simulate).
+// public entry point for library use is internal/core (CompileC /
+// Assemble / Emulate / Simulate).
 package straight

@@ -38,17 +38,15 @@ int main() {
 `
 
 func main() {
-	tc := core.NewToolchain()
-
-	raw, err := tc.CompileC(src, core.TargetStraight, core.CompileOptions{MaxDistance: 31})
+	raw, err := core.CompileC(src, core.TargetStraight, core.CompileOptions{MaxDistance: 31})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := tc.CompileC(src, core.TargetStraight, core.CompileOptions{MaxDistance: 31, RedundancyElim: true})
+	rep, err := core.CompileC(src, core.TargetStraight, core.CompileOptions{MaxDistance: 31, RedundancyElim: true})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rv, err := tc.CompileC(src, core.TargetRISCV, core.CompileOptions{})
+	rv, err := core.CompileC(src, core.TargetRISCV, core.CompileOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -35,8 +35,7 @@ main:
 `
 
 func main() {
-	tc := core.NewToolchain()
-	prog, err := tc.Assemble(fib, core.TargetStraight)
+	prog, err := core.Assemble(fib, core.TargetStraight)
 	if err != nil {
 		log.Fatal(err)
 	}

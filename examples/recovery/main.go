@@ -28,13 +28,11 @@ int main() {
 `
 
 func main() {
-	tc := core.NewToolchain()
-
-	ssProg, err := tc.CompileC(src, core.TargetRISCV, core.CompileOptions{})
+	ssProg, err := core.CompileC(src, core.TargetRISCV, core.CompileOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	stProg, err := tc.CompileC(src, core.TargetStraight,
+	stProg, err := core.CompileC(src, core.TargetStraight,
 		core.CompileOptions{MaxDistance: 31, RedundancyElim: true})
 	if err != nil {
 		log.Fatal(err)

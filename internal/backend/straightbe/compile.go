@@ -38,6 +38,7 @@ import (
 	"strings"
 
 	"straight/internal/ir"
+	"straight/internal/program"
 	"straight/internal/sasm"
 	"straight/internal/sverify"
 )
@@ -59,10 +60,19 @@ func (o Options) maxDist() int {
 	return o.MaxDistance
 }
 
-// Compile lowers a module to STRAIGHT assembly (sasm syntax).
+// Compile lowers a module to STRAIGHT assembly (sasm syntax). It is
+// CompileImage without the image.
 func Compile(mod *ir.Module, opts Options) (string, error) {
+	asm, _, err := CompileImage(mod, opts)
+	return asm, err
+}
+
+// CompileImage lowers a module to STRAIGHT assembly (sasm syntax) and
+// returns the text together with its linked image, the one the
+// post-compile assertion verified.
+func CompileImage(mod *ir.Module, opts Options) (string, *program.Image, error) {
 	if opts.maxDist() < 22 {
-		return "", fmt.Errorf("straightbe: max distance %d too small to compile general code", opts.MaxDistance)
+		return "", nil, fmt.Errorf("straightbe: max distance %d too small to compile general code", opts.MaxDistance)
 	}
 	var b strings.Builder
 	b.WriteString("# Generated by straightbe")
@@ -82,14 +92,15 @@ func Compile(mod *ir.Module, opts Options) (string, error) {
 	for _, f := range mod.Funcs {
 		fe := newFnEmitter(f, opts)
 		if err := fe.emit(&b); err != nil {
-			return "", fmt.Errorf("straightbe: %s: %w", f.Name, err)
+			return "", nil, fmt.Errorf("straightbe: %s: %w", f.Name, err)
 		}
 	}
 	asm := b.String()
-	if err := verifyOutput(asm, opts); err != nil {
-		return "", err
+	im, err := verifyOutput(asm, opts)
+	if err != nil {
+		return "", nil, err
 	}
-	return asm, nil
+	return asm, im, nil
 }
 
 // verifyOutput is the post-compile assertion: every image this backend
@@ -97,16 +108,17 @@ func Compile(mod *ir.Module, opts Options) (string, error) {
 // bound it was compiled for. The compiler is the only component trusted
 // to uphold them — hardware never re-checks (paper §IV-C) — so a
 // violation here is a code-generation bug, never a property of the
-// input program.
-func verifyOutput(asm string, opts Options) error {
+// input program. It is also the only place a compiled image is
+// assembled and verified: CompileImage hands this image over.
+func verifyOutput(asm string, opts Options) (*program.Image, error) {
 	im, err := sasm.Assemble(asm)
 	if err != nil {
-		return fmt.Errorf("straightbe: generated assembly does not assemble: %w", err)
+		return nil, fmt.Errorf("straightbe: generated assembly does not assemble: %w", err)
 	}
 	if err := sverify.Check(im, sverify.Config{MaxDistance: opts.maxDist()}); err != nil {
-		return fmt.Errorf("straightbe: generated code fails verification: %w", err)
+		return nil, fmt.Errorf("straightbe: generated code fails verification: %w", err)
 	}
-	return nil
+	return im, nil
 }
 
 // emitData writes the module's globals as a .data section.

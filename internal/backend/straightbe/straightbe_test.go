@@ -398,3 +398,29 @@ int main() { putint(work(9)); return 0; }`
 		}
 	}
 }
+
+// TestVerifyOutputRejectsViolation drives the post-compile assertion's
+// failure paths. Every cached bench image is verified only here, so a
+// backend that emitted an over-bound read must fail with this text.
+func TestVerifyOutputRejectsViolation(t *testing.T) {
+	// ADD reads the ADDi 36 instructions back: over the bound 31,
+	// within the ISA maximum.
+	asm := "main:\n    ADDi [0], 7\n" + strings.Repeat("    ADDi [0], 1\n", 35) +
+		"    ADD [36], [1]\n    SYS exit, [1]\n"
+	im, err := verifyOutput(asm, Options{MaxDistance: 31})
+	const want = "straightbe: generated code fails verification: sverify: 1 violation(s)\n" +
+		"0x00001090: over-bound-distance: ADD src1 distance 36 exceeds bound 31\n"
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("d=31: err = %v, want prefix %q", err, want)
+	}
+	if im != nil {
+		t.Error("a failing assertion handed over an image")
+	}
+	if im, err := verifyOutput(asm, Options{}); err != nil || im == nil {
+		t.Errorf("d=0 (ISA maximum): image %v, err %v; want the image", im != nil, err)
+	}
+	const bad = "straightbe: generated assembly does not assemble: sasm: line 1: "
+	if _, err := verifyOutput("    BOGUS [1]\n", Options{}); err == nil || !strings.HasPrefix(err.Error(), bad) {
+		t.Errorf("unassemblable text: err = %v, want prefix %q", err, bad)
+	}
+}

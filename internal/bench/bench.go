@@ -4,18 +4,11 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"straight/internal/backend/riscvbe"
-	"straight/internal/backend/straightbe"
+	"straight/internal/core"
 	"straight/internal/cores"
 	"straight/internal/cores/engine"
-	"straight/internal/ir"
-	"straight/internal/irgen"
-	"straight/internal/minic"
 	"straight/internal/program"
 	"straight/internal/ptrace"
-	"straight/internal/rasm"
-	"straight/internal/sasm"
-	"straight/internal/sverify"
 	"straight/internal/uarch"
 	"straight/internal/workloads"
 )
@@ -53,25 +46,21 @@ type buildKey struct {
 	mode    CompilerMode
 }
 
-// module parses, lowers and optimizes a workload into a fresh IR module.
-// Each build gets its own module: the backends annotate the module they
-// compile (value-ID counters and synthetic values), so a module shared
-// across builds would make compilation order-dependent and racy.
-func module(w workloads.Workload, iters int) (*ir.Module, error) {
+// compile builds a workload through core.CompileC, the one
+// MiniC-to-image pipeline. Each build lowers its own IR module: the
+// backends annotate the module they compile (value-ID counters and
+// synthetic values), so a module shared across builds would make
+// compilation order-dependent and racy.
+func compile(w workloads.Workload, iters int, target core.Target, opts core.CompileOptions) (*program.Image, error) {
 	src, err := workloads.Source(w, iters)
 	if err != nil {
 		return nil, err
 	}
-	file, err := minic.Parse(src)
+	prog, err := core.CompileC(src, target, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", w, err)
 	}
-	mod, err := irgen.Build(file)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", w, err)
-	}
-	ir.OptimizeModule(mod)
-	return mod, nil
+	return prog.Image, nil
 }
 
 // BuildRISCV compiles a workload for the SS core in the default session.
@@ -91,46 +80,21 @@ func BuildSTRAIGHT(w workloads.Workload, iters, maxDist int, mode CompilerMode) 
 // shared read-only.
 func (s *Session) BuildRISCV(w workloads.Workload, iters int) (*program.Image, error) {
 	return s.buildOnce(buildKey{w: w, iters: iters, target: "riscv"}, func() (*program.Image, error) {
-		mod, err := module(w, iters)
-		if err != nil {
-			return nil, err
-		}
-		asm, err := riscvbe.Compile(mod)
-		if err != nil {
-			return nil, err
-		}
-		return rasm.Assemble(asm)
+		return compile(w, iters, core.TargetRISCV, core.CompileOptions{})
 	})
 }
 
 // BuildSTRAIGHT compiles a workload for the STRAIGHT core. Images are
 // cached by (workload, iters, maxDist, mode) with the same
-// exactly-once, shared-read-only contract as BuildRISCV.
+// exactly-once, shared-read-only contract as BuildRISCV. The backend's
+// post-compile assertion verifies the image at maxDist (0 reads as the
+// ISA maximum) inside the singleflight closure, so each distinct build
+// key is proven hazard-consistent exactly once, on the bytes it caches.
 func (s *Session) BuildSTRAIGHT(w workloads.Workload, iters, maxDist int, mode CompilerMode) (*program.Image, error) {
 	key := buildKey{w: w, iters: iters, target: "straight", maxDist: maxDist, mode: mode}
 	return s.buildOnce(key, func() (*program.Image, error) {
-		mod, err := module(w, iters)
-		if err != nil {
-			return nil, err
-		}
-		asm, err := straightbe.Compile(mod, straightbe.Options{
-			MaxDistance:    maxDist,
-			RedundancyElim: mode == ModeREP,
-		})
-		if err != nil {
-			return nil, err
-		}
-		im, err := sasm.Assemble(asm)
-		if err != nil {
-			return nil, err
-		}
-		// Verification runs inside the singleflight closure, so each
-		// distinct build key is proven hazard-consistent exactly once no
-		// matter how many sweep points share the image.
-		if err := sverify.Check(im, sverify.Config{MaxDistance: maxDist}); err != nil {
-			return nil, fmt.Errorf("%s d=%d %s: %w", w, maxDist, mode, err)
-		}
-		return im, nil
+		return compile(w, iters, core.TargetStraight,
+			core.CompileOptions{MaxDistance: maxDist, RedundancyElim: mode == ModeREP})
 	})
 }
 

@@ -37,7 +37,11 @@
 // Compiled images are memoized per (workload, iters, target, maxdist,
 // mode) key with singleflight semantics: the first caller — concurrent
 // callers included — runs the build, everyone else blocks on it and
-// receives the same *program.Image. Images are immutable after assembly
+// receives the same *program.Image. A build is one core.CompileC call,
+// the one MiniC-to-image pipeline. For STRAIGHT, the backend's
+// post-compile assertion verifies the image at the key's maxdist and
+// hands over that image, so each cached image was verified exactly
+// once, on the bytes the sweep simulates. Images are immutable after assembly
 // and every engine copies text and data into its own memory before
 // running, so one cached image is safely shared read-only by any number
 // of concurrent simulations (TestSharedImagesNotMutated proves this).

@@ -5,8 +5,7 @@
 //
 // A typical flow:
 //
-//	tc := core.NewToolchain()
-//	prog, err := tc.CompileC(src, core.TargetStraight, core.CompileOptions{RedundancyElim: true})
+//	prog, err := core.CompileC(src, core.TargetStraight, core.CompileOptions{RedundancyElim: true})
 //	out, err := core.Emulate(prog, nil)                  // architectural run
 //	res, err := core.Simulate(prog, uarch.Straight4Way()) // cycle-accurate run
 //	fmt.Println(res.Stats.IPC())
@@ -48,8 +47,6 @@ type CompileOptions struct {
 	MaxDistance int
 	// RedundancyElim enables the RE+ optimizations (paper §IV-D).
 	RedundancyElim bool
-	// EmitAssembly, when non-nil, receives the generated assembly text.
-	EmitAssembly io.Writer
 }
 
 // Program is a compiled, linked executable for one of the two ISAs.
@@ -60,15 +57,12 @@ type Program struct {
 	Assembly string
 }
 
-// Toolchain compiles MiniC or assembly into runnable programs.
-type Toolchain struct{}
-
-// NewToolchain returns a ready toolchain.
-func NewToolchain() *Toolchain { return &Toolchain{} }
-
 // CompileC compiles MiniC source for the chosen target at -O2-equivalent
-// optimization.
-func (tc *Toolchain) CompileC(src string, target Target, opts CompileOptions) (*Program, error) {
+// optimization. It is the one MiniC-to-image pipeline: parse, irgen,
+// optimize, backend, assemble, each once. For STRAIGHT the backend
+// assembles and verifies its own output (its post-compile assertion)
+// and hands over that image; RISC-V text is assembled here.
+func CompileC(src string, target Target, opts CompileOptions) (*Program, error) {
 	file, err := minic.Parse(src)
 	if err != nil {
 		return nil, err
@@ -78,35 +72,28 @@ func (tc *Toolchain) CompileC(src string, target Target, opts CompileOptions) (*
 		return nil, err
 	}
 	ir.OptimizeModule(mod)
-	return tc.CompileIR(mod, target, opts)
-}
-
-// CompileIR lowers an already-built IR module.
-func (tc *Toolchain) CompileIR(mod *ir.Module, target Target, opts CompileOptions) (*Program, error) {
-	var asm string
-	var err error
 	switch target {
 	case TargetStraight:
-		asm, err = straightbe.Compile(mod, straightbe.Options{
+		asm, im, err := straightbe.CompileImage(mod, straightbe.Options{
 			MaxDistance:    opts.MaxDistance,
 			RedundancyElim: opts.RedundancyElim,
 		})
+		if err != nil {
+			return nil, err
+		}
+		return &Program{Target: target, Image: im, Assembly: asm}, nil
 	case TargetRISCV:
-		asm, err = riscvbe.Compile(mod)
-	default:
-		return nil, fmt.Errorf("core: unknown target %q", target)
+		asm, err := riscvbe.Compile(mod)
+		if err != nil {
+			return nil, err
+		}
+		return Assemble(asm, target)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if opts.EmitAssembly != nil {
-		io.WriteString(opts.EmitAssembly, asm)
-	}
-	return tc.Assemble(asm, target)
+	return nil, fmt.Errorf("core: unknown target %q", target)
 }
 
 // Assemble assembles target assembly text into a program.
-func (tc *Toolchain) Assemble(asm string, target Target) (*Program, error) {
+func Assemble(asm string, target Target) (*Program, error) {
 	var im *program.Image
 	var err error
 	switch target {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -26,10 +25,9 @@ int main() {
 `
 
 func TestCompileEmulateBothTargets(t *testing.T) {
-	tc := NewToolchain()
 	var outputs []string
 	for _, target := range []Target{TargetStraight, TargetRISCV} {
-		prog, err := tc.CompileC(testSrc, target, CompileOptions{RedundancyElim: true, MaxDistance: 31})
+		prog, err := CompileC(testSrc, target, CompileOptions{RedundancyElim: true, MaxDistance: 31})
 		if err != nil {
 			t.Fatalf("target %s: %v", target, err)
 		}
@@ -51,8 +49,7 @@ func TestCompileEmulateBothTargets(t *testing.T) {
 }
 
 func TestSimulateMatchesEmulation(t *testing.T) {
-	tc := NewToolchain()
-	prog, err := tc.CompileC(testSrc, TargetStraight, CompileOptions{MaxDistance: 31, RedundancyElim: true})
+	prog, err := CompileC(testSrc, TargetStraight, CompileOptions{MaxDistance: 31, RedundancyElim: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,15 +70,14 @@ func TestSimulateMatchesEmulation(t *testing.T) {
 }
 
 func TestAssembleAndDisassemble(t *testing.T) {
-	tc := NewToolchain()
-	prog, err := tc.Assemble("main:\n ADDi [0], 7\n SYS exit, [1]\n", TargetStraight)
+	prog, err := Assemble("main:\n ADDi [0], 7\n SYS exit, [1]\n", TargetStraight)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if dis := Disassemble(prog); !strings.Contains(dis, "ADDi [0], 7") {
 		t.Errorf("disassembly: %s", dis)
 	}
-	rv, err := tc.Assemble("main:\n li a7, 0\n li a0, 3\n ecall\n", TargetRISCV)
+	rv, err := Assemble("main:\n li a7, 0\n li a0, 3\n ecall\n", TargetRISCV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,27 +90,14 @@ func TestAssembleAndDisassemble(t *testing.T) {
 	}
 }
 
-func TestEmitAssemblyWriter(t *testing.T) {
-	tc := NewToolchain()
-	var buf bytes.Buffer
-	_, err := tc.CompileC(testSrc, TargetStraight, CompileOptions{EmitAssembly: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "collatzLen:") {
-		t.Error("EmitAssembly did not receive the assembly")
-	}
-}
-
 func TestCompileErrorsSurface(t *testing.T) {
-	tc := NewToolchain()
-	if _, err := tc.CompileC("int main( {", TargetStraight, CompileOptions{}); err == nil {
+	if _, err := CompileC("int main( {", TargetStraight, CompileOptions{}); err == nil {
 		t.Error("parse error not surfaced")
 	}
-	if _, err := tc.CompileC("int main() { return missing(); }", TargetRISCV, CompileOptions{}); err == nil {
+	if _, err := CompileC("int main() { return missing(); }", TargetRISCV, CompileOptions{}); err == nil {
 		t.Error("semantic error not surfaced")
 	}
-	if _, err := tc.Assemble("BOGUS [1]", TargetStraight); err == nil {
+	if _, err := Assemble("BOGUS [1]", TargetStraight); err == nil {
 		t.Error("assembly error not surfaced")
 	}
 }

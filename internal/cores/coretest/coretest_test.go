@@ -20,7 +20,6 @@ import (
 	"straight/internal/minic"
 	"straight/internal/program"
 	"straight/internal/rasm"
-	"straight/internal/sasm"
 	"straight/internal/sverify"
 	"straight/internal/uarch"
 	"straight/internal/workloads"
@@ -61,11 +60,7 @@ func buildRISCV(t testing.TB, mod *ir.Module) *program.Image {
 // BuildSTRAIGHT compiles a module for the STRAIGHT core.
 func buildSTRAIGHT(t testing.TB, mod *ir.Module, opts straightbe.Options) *program.Image {
 	t.Helper()
-	asm, err := straightbe.Compile(mod, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := sasm.Assemble(asm)
+	_, im, err := straightbe.CompileImage(mod, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ import (
 	"straight/internal/irgen"
 	"straight/internal/minic"
 	"straight/internal/rasm"
-	"straight/internal/sasm"
 	"straight/internal/sverify"
 )
 
@@ -201,13 +200,9 @@ func runAllEngines(t *testing.T, src string) []string {
 		{MaxDistance: 31},
 		{MaxDistance: 31, RedundancyElim: true},
 	} {
-		asm, err := straightbe.Compile(mod, opts)
+		_, im, err := straightbe.CompileImage(mod, opts)
 		if err != nil {
 			t.Fatalf("straightbe %+v: %v\n%s", opts, err, src)
-		}
-		im, err := sasm.Assemble(asm)
-		if err != nil {
-			t.Fatalf("sasm: %v", err)
 		}
 		// Static check at the same config the dynamic run exercises, so
 		// both layers cover the identical compile matrix.

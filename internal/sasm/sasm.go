@@ -29,7 +29,6 @@ import (
 	"straight/internal/asm"
 	"straight/internal/isa/straight"
 	"straight/internal/program"
-	"straight/internal/sverify"
 )
 
 var isa = &asm.ISA{
@@ -45,44 +44,10 @@ var isa = &asm.ISA{
 	},
 }
 
-type config struct {
-	verify    bool
-	verifyCfg sverify.Config
-}
-
-// Option configures the assembler.
-type Option func(*config)
-
-// WithVerify runs the static invariant verifier (internal/sverify) over
-// the linked image and fails assembly if any STRAIGHT invariant is
-// violated. maxDistance is the operand-distance bound to verify against
-// (0 means the ISA maximum).
-func WithVerify(maxDistance int) Option {
-	return func(c *config) {
-		c.verify = true
-		c.verifyCfg = sverify.Config{MaxDistance: maxDistance}
-	}
-}
-
 // Assemble assembles STRAIGHT assembly source into a linked image.
 // The entry point is the .entry symbol if given, else "main", else
 // "_start", else the start of the text segment.
-func Assemble(src string, opts ...Option) (*program.Image, error) {
-	var c config
-	for _, o := range opts {
-		o(&c)
-	}
-	im, err := isa.Assemble(src)
-	if err != nil {
-		return nil, err
-	}
-	if c.verify {
-		if err := sverify.Check(im, c.verifyCfg); err != nil {
-			return nil, &asm.Error{Asm: isa.Name, Line: 0, Msg: err.Error()}
-		}
-	}
-	return im, nil
-}
+func Assemble(src string) (*program.Image, error) { return isa.Assemble(src) }
 
 // Disassemble renders the text segment with addresses and symbols, for
 // debugging and golden tests.

@@ -925,8 +925,9 @@ func inEngine() bool {
 
 // TestLastHolderDisconnectStopsSimulation ends the only request holding
 // a running point on the default executor. No one holds the flight any
-// more, so its simulation must stop, the flight must be gone, and
-// nothing may be stored under the point's key.
+// more, so its simulation must stop, the flight must be gone, nothing
+// may be stored under the point's key, and the stats must count the
+// point as cancelled, not failed.
 func TestLastHolderDisconnectStopsSimulation(t *testing.T) {
 	srv, client := newTestDaemon(t, Config{Workers: 1})
 	t.Cleanup(srv.Shutdown) // runs before the listener's Close waits for the request
@@ -942,6 +943,10 @@ func TestLastHolderDisconnectStopsSimulation(t *testing.T) {
 	waitFor(t, func() bool { return !inEngine() && srv.Stats().Inflight == 0 })
 	if _, ok := srv.sess.Store().Get(key); ok {
 		t.Fatal("a cancelled point was stored")
+	}
+	waitFor(t, func() bool { return srv.Stats().JobsFinished == 1 })
+	if st := srv.Stats(); st.PointsFailed != 0 || st.PointsCancelled != 1 {
+		t.Fatalf("points_failed = %d, points_cancelled = %d; want 0 and 1", st.PointsFailed, st.PointsCancelled)
 	}
 }
 

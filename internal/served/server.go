@@ -124,6 +124,9 @@ type ServerStats struct {
 	PointsExecuted  int64 `json:"points_executed"`
 	PointsCoalesced int64 `json:"points_coalesced"`
 	PointsFailed    int64 `json:"points_failed"`
+	// PointsCancelled counts error records of points whose own request
+	// ended first (its client went away); they are not failures.
+	PointsCancelled int64 `json:"points_cancelled"`
 	Inflight        int   `json:"inflight"`
 
 	StoreCounts    bench.StoreCounts            `json:"store_counts"`
@@ -181,9 +184,11 @@ type flight struct {
 
 // record is one point's stream record: the envelope, and the result
 // bytes spliced in as its "result" field when the point is done.
+// cancelled marks an error record whose request had already ended.
 type record struct {
-	u    PointUpdate
-	wire []byte
+	u         PointUpdate
+	wire      []byte
+	cancelled bool
 }
 
 // Server is the daemon's HTTP handler set plus the shared execution
@@ -207,6 +212,7 @@ type Server struct {
 	executed     int64
 	coalesced    int64
 	failed       int64
+	cancelled    int64
 }
 
 // NewServer builds a Server with cfg.
@@ -304,12 +310,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// One buffer per stream holds each line until it is written.
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	errs := 0
+	errs, cancelled := 0, 0
 	var writeErr error
 	for range points {
 		rec := <-updates
 		if rec.u.Status == "error" {
 			errs++
+			if rec.cancelled {
+				cancelled++
+			}
 		}
 		if writeErr != nil {
 			// Client went away. Its request context is done, so each
@@ -331,7 +340,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	s.jobsFinished++
-	s.failed += int64(errs)
+	s.failed += int64(errs - cancelled)
+	s.cancelled += int64(cancelled)
 	s.mu.Unlock()
 }
 
@@ -360,6 +370,7 @@ func (s *Server) runOne(ctx context.Context, idx int, p *jobPoint) record {
 	if err != nil {
 		rec.u.Status = "error"
 		rec.u.Error = err.Error()
+		rec.cancelled = ctx.Err() != nil
 		return rec
 	}
 	rec.u.Status = "done"
@@ -484,6 +495,7 @@ func (s *Server) Stats() ServerStats {
 		PointsExecuted:  s.executed,
 		PointsCoalesced: s.coalesced,
 		PointsFailed:    s.failed,
+		PointsCancelled: s.cancelled,
 		Inflight:        len(s.inflight),
 	}
 	s.mu.Unlock()

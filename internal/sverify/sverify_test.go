@@ -80,11 +80,7 @@ func TestVerifyCompiledWorkloads(t *testing.T) {
 					t.Fatal(err)
 				}
 				ir.OptimizeModule(mod)
-				asm, err := straightbe.Compile(mod, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				im, err := sasm.Assemble(asm)
+				_, im, err := straightbe.CompileImage(mod, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

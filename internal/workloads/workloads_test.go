@@ -15,7 +15,6 @@ import (
 	"straight/internal/irgen"
 	"straight/internal/minic"
 	"straight/internal/rasm"
-	"straight/internal/sasm"
 
 	straightisa "straight/internal/isa/straight"
 )
@@ -51,13 +50,9 @@ func runOracle(t *testing.T, mod *ir.Module) string {
 
 func runOnStraight(t *testing.T, mod *ir.Module, opts straightbe.Options) (string, *straightemu.Machine) {
 	t.Helper()
-	asm, err := straightbe.Compile(mod, opts)
+	_, im, err := straightbe.CompileImage(mod, opts)
 	if err != nil {
 		t.Fatalf("straightbe: %v", err)
-	}
-	im, err := sasm.Assemble(asm)
-	if err != nil {
-		t.Fatalf("sasm: %v", err)
 	}
 	m := straightemu.New(im)
 	var out bytes.Buffer

@@ -43,10 +43,10 @@ go test -race ./internal/served/...
 # shutdown) time their interleavings by hand: repeat them under -race.
 go test -race -count 10 -run 'TestOwnerLeaves|TestLastHolder|TestWaiter|TestCoalescing|TestShutdown' ./internal/served
 # Layer benchmarks of the daemon's store-hit path, of one content
-# address, of the sampled fast-forward, of building each kernel's core
-# and of a sampled window's set-up, once each, as a smoke test (no
-# threshold).
-go test -run '^$' -bench 'BenchmarkWarmJob|BenchmarkPointKey|BenchmarkFastForward|BenchmarkCoreNew|BenchmarkWindowRestart' -benchtime 1x -benchmem ./internal/served ./internal/bench ./internal/sampling ./internal/perf
+# address, of the sampled fast-forward, of building each kernel's core,
+# of a sampled window's set-up and of the MiniC-to-image pipeline, once
+# each, as a smoke test (no threshold).
+go test -run '^$' -bench 'BenchmarkWarmJob|BenchmarkPointKey|BenchmarkFastForward|BenchmarkCoreNew|BenchmarkWindowRestart|BenchmarkCompile' -benchtime 1x -benchmem ./internal/served ./internal/bench ./internal/sampling ./internal/perf ./internal/core
 # The perf harness (golden stats + KIPS measurement) also runs inside
 # the concurrent sweep machinery, so it must be race-clean; the
 # allocation-budget tests skip themselves under -race (instrumentation
