@@ -84,6 +84,8 @@ type storeReport struct {
 	Totals    bench.StoreCounts            `json:"totals"`
 	BySection map[string]bench.StoreCounts `json:"by_section,omitempty"`
 	File      resultstore.Stats            `json:"file"`
+	// PutErrors counts computed results that could not be stored.
+	PutErrors int64 `json:"put_errors,omitempty"`
 }
 
 var sections []sectionTiming
@@ -275,6 +277,10 @@ func main() {
 		for _, name := range sectionOrder(bySection) {
 			c := bySection[name]
 			fmt.Printf("  %-40s %4d hits %4d recomputed\n", name, c.Hits, c.Recomputes)
+		}
+		var first error
+		if storeRep.PutErrors, first = sess.PutErrors(); storeRep.PutErrors > 0 {
+			fmt.Fprintf(os.Stderr, "experiments: %d results could not be stored (first: %v)\n", storeRep.PutErrors, first)
 		}
 	}
 	if daemon != nil {

@@ -22,6 +22,14 @@
 // other points, and other sessions, run on. The flag is registered only
 // when the point simulates: a store hit allocates nothing for it.
 //
+// Execute returns an Outcome, the one record of the point's fate that
+// straightd carries on to its /v1/run record: a Status (simulated,
+// store hit, failed, cancelled, or, behind the daemon, shutdown), the
+// content address, the stored bytes, the simulated result, any store
+// put error and the error that stopped the point. A failed put does not
+// fail the point: the result is delivered with PutErr set, and the
+// session counts the failure and keeps the first (PutErrors).
+//
 // # Sweep architecture
 //
 // Each experiment decomposes its figure into independent SweepPoints —

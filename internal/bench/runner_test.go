@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"strings"
@@ -113,9 +114,13 @@ func TestRunnerErrorPropagation(t *testing.T) {
 
 // TestRunnerUnknownCore rejects malformed points.
 func TestRunnerUnknownCore(t *testing.T) {
-	_, err := runOn(0, []SweepPoint{{Section: "test", Label: "bogus", Workload: workloads.MicroFib, Core: "warp-drive", Iters: 1}})
+	p := SweepPoint{Section: "test", Label: "bogus", Workload: workloads.MicroFib, Core: "warp-drive", Iters: 1}
+	_, err := runOn(0, []SweepPoint{p})
 	if err == nil || !strings.Contains(err.Error(), "warp-drive") {
 		t.Fatalf("want unknown-core error, got %v", err)
+	}
+	if o := NewSession().Execute(context.Background(), p, nil); o.Status != StatusFailed || o.Err == nil || !strings.Contains(o.Err.Error(), "warp-drive") {
+		t.Fatalf("Execute: status %v, err %v; want failed with the unknown-core error", o.Status, o.Err)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 
 // Session is one run of the experiment harness. It owns everything
 // point execution shares: the build cache, the result store and its
-// hit/miss/recompute counters, the count of failed store writes, the
+// hit/miss/recompute counters, the failed store writes, the
 // journal, the worker count, the Remote and the trace target. Two
 // sessions share none of it, so each main builds its own and tests need
 // no resets. Construct with NewSession; the figure functions are its
@@ -38,13 +38,14 @@ type Session struct {
 	builds       sync.Map // buildKey -> func() (*program.Image, error)
 	buildCalls   atomic.Int64
 	buildMisses  atomic.Int64
-	putErrors    atomic.Int64
 	traceClaimed atomic.Bool
 
-	mu        sync.Mutex // guards the counters and the journal
-	totals    StoreCounts
-	bySection map[string]*StoreCounts
-	journal   []PointRecord
+	mu          sync.Mutex // guards the counters and the journal
+	totals      StoreCounts
+	bySection   map[string]*StoreCounts
+	putErrors   int64
+	firstPutErr error
+	journal     []PointRecord
 }
 
 // NewSession returns a session with no store, an empty build cache and
@@ -65,11 +66,8 @@ func Default() *Session { return defaultSession }
 // ExecutePoint runs one point in the default session, without
 // journaling.
 func ExecutePoint(p SweepPoint) (PointResult, error) {
-	o, err := defaultSession.Execute(context.Background(), p, nil)
-	if err != nil {
-		return PointResult{}, err
-	}
-	return o.PointResult()
+	o := defaultSession.Execute(context.Background(), p, nil)
+	return o.PointResult(p)
 }
 
 // SetStore installs (or, with nil, removes) the default session's
@@ -171,38 +169,76 @@ func (s *Session) StoreCounts() (StoreCounts, map[string]StoreCounts) {
 	return s.totals, by
 }
 
-// PutErrors reports how many computed results could not be stored.
-func (s *Session) PutErrors() int64 { return s.putErrors.Load() }
+// PutErrors reports how many computed results could not be stored,
+// and the first of those errors.
+func (s *Session) PutErrors() (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.putErrors, s.firstPutErr
+}
 
 // ---- execution ----
 
-// Outcome is one executed point. A store hit holds only the point and
-// the stored bytes (Wire, read-only); a simulation holds its Result and,
-// when it was stored, the stored bytes.
-type Outcome struct {
-	Result PointResult
-	Wire   []byte
+// Status is how a point's execution ended.
+type Status uint8
+
+const (
+	// StatusSimulated: the point was built and simulated; the result is
+	// delivered even when storing it failed (Outcome.PutErr).
+	StatusSimulated Status = iota
+	// StatusHit: the result was served from the store, unsimulated.
+	StatusHit
+	// StatusFailed: the point itself failed (build, core or executor).
+	StatusFailed
+	// StatusCancelled: the point was stopped because no one wanted it
+	// any more: its context or session was done, or, behind straightd,
+	// its request ended first.
+	StatusCancelled
+	// StatusShutdown: the daemon serving the point was shut down.
+	StatusShutdown
+)
+
+func (s Status) String() string {
+	return [...]string{"simulated", "hit", "failed", "cancelled", "shutdown"}[s]
 }
 
-// PointResult returns the point's result, decoding a store hit.
-func (o Outcome) PointResult() (PointResult, error) {
-	if !o.Result.Cached {
-		return o.Result, nil
+// Outcome is the one record of a point's fate, from Session.Execute to
+// a straightd /v1/run record. Err is nil exactly when the status is
+// StatusSimulated or StatusHit.
+type Outcome struct {
+	Status Status
+	// Coalesced: this holder joined another request's flight (straightd
+	// only). Status stays the flight's, so a coalesced hit is a hit.
+	Coalesced bool
+	// Key is the point's content address, when it was given or derived
+	// for the store.
+	Key resultstore.Key
+	// Wire is the point's ResultData as JSON when Execute read it from
+	// the store (the store's own bytes: read-only) or offered it to it.
+	Wire []byte
+	// Result is set for a simulated point; a hit's result is its Wire.
+	Result *PointResult
+	// PutErr is why a simulated result could not be stored.
+	PutErr error
+	// Err is why the point was not delivered; errors.Is finds its cause
+	// (uarch.ErrInterrupted for a stopped simulation).
+	Err error
+}
+
+// PointResult returns point p's result: o.Err when it failed, else the
+// simulated result or the decoded store hit.
+func (o *Outcome) PointResult(p SweepPoint) (PointResult, error) {
+	if o.Err != nil {
+		return PointResult{}, o.Err
+	}
+	if o.Result != nil {
+		return *o.Result, nil
 	}
 	var d ResultData
 	if err := json.Unmarshal(o.Wire, &d); err != nil {
 		return PointResult{}, err
 	}
-	return d.Result(o.Result.Point, true), nil
-}
-
-// JSON returns the point's ResultData as JSON, the bytes the store holds
-// and the /v1/run wire carries.
-func (o Outcome) JSON() ([]byte, error) {
-	if o.Wire != nil {
-		return o.Wire, nil
-	}
-	return json.Marshal(o.Result.Data())
+	return d.Result(p, o.Status == StatusHit), nil
 }
 
 // Execute runs one point: it consults the store under key (nil derives
@@ -210,17 +246,24 @@ func (o Outcome) JSON() ([]byte, error) {
 // the point is the trace target, and stores what it computed. A stored
 // entry is checked (decoded, Stats.Check) on its first read only; an
 // entry that fails is recomputed and superseded. Cancelling ctx, or
-// Interrupt, stops the point with uarch.ErrInterrupted.
-func (s *Session) Execute(ctx context.Context, p SweepPoint, key *resultstore.Key) (Outcome, error) {
+// Interrupt, stops the point with uarch.ErrInterrupted and
+// StatusCancelled.
+func (s *Session) Execute(ctx context.Context, p SweepPoint, key *resultstore.Key) Outcome {
+	var o Outcome
+	if key != nil {
+		o.Key = *key
+	}
 	// Err, not Done, for ctx: a per-point context (straightd's flights)
 	// would allocate its Done channel just for this check. The session's
 	// channel is made once, and Done, unlike Err, takes no lock.
 	if ctx.Err() != nil {
-		return Outcome{}, uarch.ErrInterrupted
+		o.Status, o.Err = StatusCancelled, uarch.ErrInterrupted
+		return o
 	}
 	select {
 	case <-s.ctx.Done():
-		return Outcome{}, uarch.ErrInterrupted
+		o.Status, o.Err = StatusCancelled, uarch.ErrInterrupted
+		return o
 	default:
 	}
 	st := s.store.Load()
@@ -229,37 +272,45 @@ func (s *Session) Execute(ctx context.Context, p SweepPoint, key *resultstore.Ke
 		st = nil // a traced point always simulates and is never stored
 	}
 	if st != nil && key == nil {
-		k, err := PointKey(p)
-		if err != nil {
+		var err error
+		if o.Key, err = PointKey(p); err != nil {
 			st = nil // unkeyable: the build reports the error
 		}
-		key = &k
 	}
 	if st != nil {
-		if raw, ok := st.GetChecked(*key, func(raw []byte) error { return checkStored(p, raw) }); ok {
+		if raw, ok := st.GetChecked(o.Key, func(raw []byte) error { return checkStored(p, raw) }); ok {
 			s.bump(p.Section, func(c *StoreCounts) { c.Hits++ })
-			return Outcome{Result: PointResult{Point: p, Cached: true}, Wire: raw}, nil
+			o.Status, o.Wire = StatusHit, raw
+			return o
 		}
 		s.bump(p.Section, func(c *StoreCounts) { c.Misses++ })
 	}
 	res, err := s.simulatePoint(ctx, p, tgt)
 	if err != nil {
-		return Outcome{}, err
+		o.Status, o.Err = StatusFailed, err
+		if ctx.Err() != nil || s.ctx.Err() != nil {
+			o.Status = StatusCancelled
+		}
+		return o
 	}
 	s.bump(p.Section, func(c *StoreCounts) { c.Recomputes++ })
-	o := Outcome{Result: res}
+	o.Status, o.Result = StatusSimulated, &res
 	if st == nil {
-		return o, nil
+		return o
 	}
 	if o.Wire, err = json.Marshal(res.Data()); err != nil {
-		return o, nil // unencodable: computed, not stored
+		return o // unencodable: computed, not stored
 	}
-	if err := st.Put(*key, o.Wire); err != nil {
-		// A store write failure must not fail the science; the entry is
-		// simply recomputed next time.
-		s.putErrors.Add(1)
+	// A store write failure must not fail the science; the entry is
+	// simply recomputed next time.
+	if o.PutErr = st.Put(o.Key, o.Wire); o.PutErr != nil {
+		s.mu.Lock()
+		if s.putErrors++; s.firstPutErr == nil {
+			s.firstPutErr = o.PutErr
+		}
+		s.mu.Unlock()
 	}
-	return o, nil
+	return o
 }
 
 // Remote executes a batch of sweep points somewhere other than this
@@ -301,11 +352,9 @@ func (s *Session) runLocal(ctx context.Context, points []SweepPoint) ([]PointRes
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(points) && !failed.Load(); i = int(next.Add(1)) - 1 {
-				o, err := s.Execute(ctx, points[i], nil)
-				if err == nil {
-					results[i], err = o.PointResult()
-				}
-				if err != nil {
+				o := s.Execute(ctx, points[i], nil)
+				var err error
+				if results[i], err = o.PointResult(points[i]); err != nil {
 					errs[i] = fmt.Errorf("%s: %w", points[i].Name(), err)
 					failed.Store(true)
 				}

@@ -87,30 +87,27 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 
 // startLong executes longPoint on s under ctx once its image is built,
 // returns when the simulation is running, and delivers the point's
-// error on the channel.
-func startLong(t *testing.T, s *Session, ctx context.Context) <-chan error {
+// outcome on the channel.
+func startLong(t *testing.T, s *Session, ctx context.Context) <-chan Outcome {
 	t.Helper()
 	p := longPoint()
 	if _, err := s.build(p); err != nil {
 		t.Fatal(err)
 	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Execute(ctx, p, nil)
-		done <- err
-	}()
+	done := make(chan Outcome, 1)
+	go func() { done <- s.Execute(ctx, p, nil) }()
 	waitUntil(t, "long point simulating", inEngine)
 	return done
 }
 
-// awaitInterrupted requires the long point to stop with ErrInterrupted
-// promptly: the engine polls its flag once per advance.
-func awaitInterrupted(t *testing.T, done <-chan error) {
+// awaitInterrupted requires the long point to stop promptly, cancelled
+// with ErrInterrupted: the engine polls its flag once per advance.
+func awaitInterrupted(t *testing.T, done <-chan Outcome) {
 	t.Helper()
 	select {
-	case err := <-done:
-		if !errors.Is(err, uarch.ErrInterrupted) {
-			t.Fatalf("cancelled point: err = %v, want ErrInterrupted", err)
+	case o := <-done:
+		if o.Status != StatusCancelled || !errors.Is(o.Err, uarch.ErrInterrupted) {
+			t.Fatalf("cancelled point: status %v, err = %v; want cancelled with ErrInterrupted", o.Status, o.Err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled point still running after 10s")
@@ -145,19 +142,14 @@ func TestCancelPointContext(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := startLong(t, s, ctx)
-	otherDone := make(chan error, 1)
-	var got PointResult
-	go func() {
-		o, err := s.Execute(context.Background(), other, nil)
-		if err == nil {
-			got, err = o.PointResult()
-		}
-		otherDone <- err
-	}()
+	otherDone := make(chan Outcome, 1)
+	go func() { otherDone <- s.Execute(context.Background(), other, nil) }()
 	cancel()
 	awaitInterrupted(t, done)
-	if err := <-otherDone; err != nil {
-		t.Fatalf("concurrent point: %v", err)
+	o := <-otherDone
+	got, err := o.PointResult(other)
+	if err != nil || o.Status != StatusSimulated {
+		t.Fatalf("concurrent point: status %v, err %v; want simulated", o.Status, err)
 	}
 	sameStats(t, got, want)
 }

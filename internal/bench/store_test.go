@@ -106,6 +106,9 @@ func TestStoreWarmRunIsByteIdenticalAndFree(t *testing.T) {
 	if bySec["store-test"].Hits != int64(len(points)) {
 		t.Fatalf("per-section counts = %+v", bySec)
 	}
+	if o := ws.Execute(context.Background(), points[0], nil); o.Status != StatusHit || o.Err != nil || o.Result != nil {
+		t.Fatalf("warm Execute: status %v, err %v, result %v; want a hit served from the store's bytes", o.Status, o.Err, o.Result)
+	}
 }
 
 func TestStoreDirtiesExactlyAffectedPoints(t *testing.T) {
@@ -379,12 +382,12 @@ func TestExecuteChecksOncePerEntry(t *testing.T) {
 	}
 	serve := func(wantCached bool, wantCalls int64) []byte {
 		t.Helper()
-		o, err := s.Execute(context.Background(), p, &key)
-		if err != nil {
-			t.Fatal(err)
+		o := s.Execute(context.Background(), p, &key)
+		if o.Err != nil {
+			t.Fatal(o.Err)
 		}
-		if o.Result.Cached != wantCached {
-			t.Fatalf("cached = %v, want %v", o.Result.Cached, wantCached)
+		if cached := o.Status == StatusHit; cached != wantCached {
+			t.Fatalf("cached = %v, want %v", cached, wantCached)
 		}
 		wire := o.Wire
 		if stored, _ := st.Get(key); !bytes.Equal(wire, stored) {
@@ -459,8 +462,8 @@ func TestExecuteConcurrentFirstReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Execute(ctx, p, &key); err != nil {
-		t.Fatal(err)
+	if o := s.Execute(ctx, p, &key); o.Err != nil {
+		t.Fatal(o.Err)
 	}
 	stored, _ := st.Get(key)
 	calls := countChecks(t)
@@ -469,9 +472,9 @@ func TestExecuteConcurrentFirstReads(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			o, err := s.Execute(ctx, p, &key)
-			if err != nil || !o.Result.Cached || !bytes.Equal(o.Wire, stored) {
-				t.Errorf("concurrent read: cached=%v err=%v, bytes equal=%v", o.Result.Cached, err, bytes.Equal(o.Wire, stored))
+			o := s.Execute(ctx, p, &key)
+			if o.Err != nil || o.Status != StatusHit || !bytes.Equal(o.Wire, stored) {
+				t.Errorf("concurrent read: status %v err=%v, bytes equal=%v", o.Status, o.Err, bytes.Equal(o.Wire, stored))
 			}
 		}()
 	}
@@ -480,8 +483,8 @@ func TestExecuteConcurrentFirstReads(t *testing.T) {
 		t.Fatalf("check ran %d times for 8 first reads, want 1..8", n)
 	}
 	n := calls.Load()
-	if _, err := s.Execute(ctx, p, &key); err != nil {
-		t.Fatal(err)
+	if o := s.Execute(ctx, p, &key); o.Err != nil {
+		t.Fatal(o.Err)
 	}
 	if calls.Load() != n {
 		t.Fatal("check ran again after the entry was checked")

@@ -167,11 +167,11 @@ func TestJobKeysMatchPointKey(t *testing.T) {
 	srv := NewServer(Config{Workers: 2})
 	var mu sync.Mutex
 	keys := make(map[string]resultstore.Key)
-	srv.exec = func(_ context.Context, p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error) {
+	srv.exec = func(_ context.Context, p bench.SweepPoint, key resultstore.Key) bench.Outcome {
 		mu.Lock()
 		keys[p.Label] = key
 		mu.Unlock()
-		return bench.Outcome{Wire: []byte(`{"retired":1,"wall_ns":0}`)}, nil
+		return bench.Outcome{Wire: []byte(`{"retired":1,"wall_ns":0}`)}
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

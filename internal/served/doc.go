@@ -28,14 +28,6 @@
 // lifetime context: Shutdown cancels the server's, which stops running
 // simulations within one advance and fails queued points.
 //
-// A job is decoded once. Each point's "Config" is captured raw, and
-// each distinct configuration of the job is decoded and marshalled
-// once: its points share the decoded value (each with its own L3) and
-// the JSON that bench.PointKeyWith hashes, so the workers derive every
-// content address without marshalling a configuration again. The
-// points are exactly those a plain json.Decoder decode of JobRequest
-// yields (FuzzDecodeJob).
-//
 // Coalescing extends the build-cache singleflight idea (bench.buildOnce)
 // across process boundaries: points are identified by their
 // content-addressed result key (bench.PointKey), and every concurrent
@@ -46,10 +38,10 @@
 // its context is cancelled, so a point no live request holds stops (or
 // never starts) and is not stored.
 //
-// A flight's result is the point's bench.ResultData as JSON, which is
-// also the stored value: a store hit streams the stored bytes unchanged
-// (checked once per store entry, not per hit), spliced into each
-// record's encoded envelope as its last field, so every record is byte
-// for byte what json.Encoder writes for the PointUpdate (DESIGN.md
-// §14.3).
+// Each holder gets its point's fate as one bench.Outcome: the flight's
+// status (shutdown when Shutdown stopped it), Coalesced when the holder
+// joined the flight, cancelled when its own request ended first.
+// pointUpdate makes it a stream record, splicing the result, its
+// bench.ResultData as JSON (a hit's stored bytes), in as the last field
+// (DESIGN.md §14.3); handleRun tallies the records for /v1/stats.
 package served

@@ -77,9 +77,12 @@ func newFlightDaemon(t testing.TB, cfg Config, exec flightExec) (*Server, *Clien
 	}
 	srv := NewServer(cfg)
 	if exec != nil {
-		srv.exec = func(ctx context.Context, p bench.SweepPoint, _ resultstore.Key) (bench.Outcome, error) {
+		srv.exec = func(ctx context.Context, p bench.SweepPoint, key resultstore.Key) bench.Outcome {
 			res, err := exec(ctx, p)
-			return bench.Outcome{Result: res}, err
+			if err != nil {
+				return bench.Outcome{Key: key, Status: bench.StatusFailed, Err: err}
+			}
+			return bench.Outcome{Key: key, Result: &res}
 		}
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -313,6 +316,39 @@ func TestShutdownFailsFast(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "shutting down") {
 		t.Fatalf("want shutdown error, got %v", err)
 	}
+	// A point stopped by shutdown is no failure of the point.
+	waitFor(t, func() bool { return srv.Stats().JobsFinished == 1 })
+	if st := srv.Stats(); st.PointsCancelled != 1 || st.PointsFailed != 0 {
+		t.Fatalf("points_cancelled = %d, points_failed = %d; want 1 and 0", st.PointsCancelled, st.PointsFailed)
+	}
+}
+
+// TestPutErrorOnTheWire closes the store under the daemon's session, so
+// a put fails while Get still serves the in-memory index. The point
+// must still deliver its result, and its record must carry the put
+// error, which /v1/stats counts as a store put error, not a failure.
+func TestPutErrorOnTheWire(t *testing.T) {
+	srv, client := newTestDaemon(t, Config{Workers: 1})
+	if err := srv.sess.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "resultstore: append: invalid argument"
+	var updates []PointUpdate
+	client.OnUpdate = func(u PointUpdate) { updates = append(updates, u) }
+	if _, err := client.Run(testPoints()[2:]); err != nil {
+		t.Fatal(err)
+	}
+	if len(updates) != 1 || updates[0].Status != "done" || updates[0].Result == nil || updates[0].PutError != want {
+		t.Fatalf("record = %+v, want done with a result and put_error %q", updates, want)
+	}
+	st := srv.Stats()
+	if st.StorePutErrors != 1 || st.PointsFailed != 0 || st.PointsExecuted != 1 {
+		t.Fatalf("store_put_errors = %d, points_failed = %d, points_executed = %d; want 1, 0, 1",
+			st.StorePutErrors, st.PointsFailed, st.PointsExecuted)
+	}
+	if _, first := srv.sess.PutErrors(); first == nil || first.Error() != want {
+		t.Fatalf("session's first put error = %v, want %q", first, want)
+	}
 }
 
 // TestShutdownInterruptsRunningSimulation starts a point that would
@@ -531,6 +567,62 @@ func TestJobFanOutBounded(t *testing.T) {
 	unblock()
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTenThousandPointJob sends one job of 10,000 distinct emulator
+// points, about 7.6 MB of JSON, through a stub executor: the stream must
+// carry exactly one record per index and a terminal record without
+// errors, and /v1/stats must count every point executed with none left
+// in flight.
+func TestTenThousandPointJob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10,000-point job")
+	}
+	srv, client := newTestDaemon(t, Config{Workers: 2, Exec: fakeResult})
+	points := distinctPoints(10_000)
+	body, err := json.Marshal(JobRequest{Points: points})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) > MaxJobBytes {
+		t.Fatalf("job is %d bytes, past MaxJobBytes", len(body))
+	}
+	resp, err := http.Post(client.url("/v1/run"), "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	seen := make([]int, len(points))
+	var last PointUpdate
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var u PointUpdate
+		if err := json.Unmarshal(sc.Bytes(), &u); err != nil {
+			t.Fatalf("bad line %q: %v", sc.Text(), err)
+		}
+		switch {
+		case u.Done:
+			last = u
+		case u.Index < 0 || u.Index >= len(points) || u.Status != "done":
+			t.Fatalf("record = %+v", u)
+		default:
+			seen[u.Index]++
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range seen {
+		if n != 1 {
+			t.Fatalf("point %d has %d records, want 1", i, n)
+		}
+	}
+	if !last.Done || last.Errors != 0 {
+		t.Fatalf("terminal record = %+v, want done with 0 errors", last)
+	}
+	if st := srv.Stats(); st.Inflight != 0 || st.PointsExecuted != int64(len(points)) {
+		t.Fatalf("inflight = %d, points_executed = %d; want 0 and %d", st.Inflight, st.PointsExecuted, len(points))
 	}
 }
 

@@ -106,9 +106,11 @@ type PointUpdate struct {
 	Status string `json:"status,omitempty"` // "done" or "error"
 	// Cached: served from the persistent store without simulation.
 	// Coalesced: shared the simulation of a concurrent identical point.
+	// PutError: delivered, not stored; declared before Result (spliced last).
 	Cached    bool              `json:"cached,omitempty"`
 	Coalesced bool              `json:"coalesced,omitempty"`
 	Error     string            `json:"error,omitempty"`
+	PutError  string            `json:"put_error,omitempty"`
 	Result    *bench.ResultData `json:"result,omitempty"`
 
 	// Done marks the terminal summary record of the stream.
@@ -116,7 +118,11 @@ type PointUpdate struct {
 	Errors int  `json:"errors,omitempty"`
 }
 
-// ServerStats is the GET /v1/stats document.
+// ServerStats is the GET /v1/stats document. PointsExecuted counts the
+// hits and simulations of requests that ran their own flight,
+// PointsFailed the failures, and PointsCancelled the points stopped by
+// shutdown or because their own request ended first, all from the
+// records of finished jobs; PointsCoalesced counts joins as they happen.
 type ServerStats struct {
 	Workers         int   `json:"workers"`
 	JobsStarted     int64 `json:"jobs_started"`
@@ -124,8 +130,6 @@ type ServerStats struct {
 	PointsExecuted  int64 `json:"points_executed"`
 	PointsCoalesced int64 `json:"points_coalesced"`
 	PointsFailed    int64 `json:"points_failed"`
-	// PointsCancelled counts error records of points whose own request
-	// ended first (its client went away); they are not failures.
 	PointsCancelled int64 `json:"points_cancelled"`
 	Inflight        int   `json:"inflight"`
 
@@ -166,10 +170,9 @@ type Config struct {
 var errShutdown = errors.New("server shutting down")
 
 // flight is one in-flight point execution that concurrent identical
-// requests hold. Its result is the point's ResultData as JSON (wire),
-// possibly the store's own read-only slice. refs counts the requests
-// holding it; the last to leave detaches it and cancels ctx, the
-// context the flight runs under.
+// requests hold; closing done publishes its outcome. refs counts the
+// holders; the last to leave detaches it and cancels ctx, the context
+// the flight runs under.
 type flight struct {
 	key    resultstore.Key
 	srv    *Server
@@ -177,18 +180,7 @@ type flight struct {
 	cancel context.CancelFunc
 	refs   int // guarded by srv.mu
 	done   chan struct{}
-	wire   []byte
-	cached bool
-	err    error
-}
-
-// record is one point's stream record: the envelope, and the result
-// bytes spliced in as its "result" field when the point is done.
-// cancelled marks an error record whose request had already ended.
-type record struct {
-	u         PointUpdate
-	wire      []byte
-	cancelled bool
+	out    bench.Outcome
 }
 
 // Server is the daemon's HTTP handler set plus the shared execution
@@ -196,7 +188,7 @@ type record struct {
 type Server struct {
 	sess    *bench.Session
 	workers int
-	exec    func(ctx context.Context, p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error)
+	exec    func(ctx context.Context, p bench.SweepPoint, key resultstore.Key) bench.Outcome
 	sem     chan struct{}
 
 	// ctx is the server's lifetime: every flight's context derives from
@@ -209,10 +201,8 @@ type Server struct {
 
 	jobsStarted  int64
 	jobsFinished int64
-	executed     int64
 	coalesced    int64
-	failed       int64
-	cancelled    int64
+	records      [bench.StatusShutdown + 1]int64 // of finished jobs, by status
 }
 
 // NewServer builds a Server with cfg.
@@ -226,13 +216,20 @@ func NewServer(cfg Config) *Server {
 		workers = sess.Parallelism()
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
-	exec := func(ctx context.Context, p bench.SweepPoint, key resultstore.Key) (bench.Outcome, error) {
+	exec := func(ctx context.Context, p bench.SweepPoint, key resultstore.Key) bench.Outcome {
 		return sess.Execute(ctx, p, &key)
 	}
 	if cfg.Exec != nil {
-		exec = func(_ context.Context, p bench.SweepPoint, _ resultstore.Key) (bench.Outcome, error) {
+		exec = func(_ context.Context, p bench.SweepPoint, key resultstore.Key) bench.Outcome {
 			res, err := cfg.Exec(p)
-			return bench.Outcome{Result: res}, err
+			if err != nil {
+				return bench.Outcome{Key: key, Status: bench.StatusFailed, Err: err}
+			}
+			o := bench.Outcome{Key: key, Status: bench.StatusSimulated, Result: &res}
+			if res.Cached {
+				o.Status = bench.StatusHit
+			}
+			return o
 		}
 	}
 	return &Server{
@@ -265,8 +262,9 @@ func (s *Server) Handler() http.Handler {
 // advance. Safe to call more than once.
 func (s *Server) Shutdown() { s.cancel(errShutdown) }
 
-// handleRun streams one PointUpdate per finished point, then a terminal
-// summary record. A fixed set of workers per job pulls point indexes,
+// handleRun streams one PointUpdate per finished point, then tallies the
+// job's records into the stats and writes a terminal summary record. A
+// fixed set of workers per job pulls point indexes,
 // so a job of any size costs at most 2×Workers goroutines; the extra
 // Workers beyond the server-wide slots keep a job moving while some of
 // its points wait on flights that other jobs run.
@@ -288,9 +286,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
-	// Sized to the job so no worker ever blocks on a send, even after
-	// the client has gone away.
-	updates := make(chan record, len(points))
+	// Workers send the index of each outcome they store, on a channel
+	// sized to the job so no send blocks, even after the client left.
+	outs := make([]bench.Outcome, len(points))
+	updates := make(chan int, len(points))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for range min(len(points), 2*s.workers) {
@@ -302,7 +301,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 				if i >= len(points) {
 					return
 				}
-				updates <- s.runOne(r.Context(), i, &points[i])
+				outs[i] = s.execute(r.Context(), points[i].SweepPoint, points[i].canon)
+				updates <- i
 			}
 		}()
 	}
@@ -310,15 +310,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// One buffer per stream holds each line until it is written.
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
-	errs, cancelled := 0, 0
+	var n [len(s.records)]int64
+	var u PointUpdate
 	var writeErr error
 	for range points {
-		rec := <-updates
-		if rec.u.Status == "error" {
-			errs++
-			if rec.cancelled {
-				cancelled++
-			}
+		i := <-updates
+		o := &outs[i]
+		if o.Err != nil || !o.Coalesced {
+			n[o.Status]++ // a coalesced delivery ran in another's flight
 		}
 		if writeErr != nil {
 			// Client went away. Its request context is done, so each
@@ -326,7 +325,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			// other requests still hold run on for them.
 			continue
 		}
-		_, writeErr = w.Write(rec.line(&buf, enc))
+		u = pointUpdate(i, points[i].Name(), o)
+		_, writeErr = w.Write(line(&buf, enc, &u, o.Wire))
 		// Flush only when the queue has drained: records that are
 		// already waiting go out in the same write, and a lone slow
 		// point still reaches the client at once.
@@ -335,127 +335,133 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	wg.Wait()
-	last := record{u: PointUpdate{Done: true, Errors: errs}}
-	_, _ = w.Write(last.line(&buf, enc))
-
 	s.mu.Lock()
 	s.jobsFinished++
-	s.failed += int64(errs - cancelled)
-	s.cancelled += int64(cancelled)
+	for st, c := range n {
+		s.records[st] += c
+	}
 	s.mu.Unlock()
+	u = PointUpdate{Done: true, Errors: int(n[bench.StatusFailed] + n[bench.StatusCancelled] + n[bench.StatusShutdown])}
+	_, _ = w.Write(line(&buf, enc, &u, nil))
 }
 
-// line renders rec as one NDJSON line in buf, which enc writes to. A
-// done record's envelope is encoded without its result, and the wire
-// bytes are spliced in before the closing brace. "result" is the last
-// non-empty field of a done record, so the line is byte for byte what
-// json.Encoder writes for the whole PointUpdate, without decoding and
-// re-encoding the stored bytes. The wire slice is only read.
-func (rec *record) line(buf *bytes.Buffer, enc *json.Encoder) []byte {
+// pointUpdate is point idx's stream record for outcome o. A done
+// record's result is not in it: line splices o.Wire in.
+func pointUpdate(idx int, name string, o *bench.Outcome) PointUpdate {
+	if o.Err != nil {
+		return PointUpdate{Index: idx, Name: name, Status: "error", Error: o.Err.Error()}
+	}
+	u := PointUpdate{Index: idx, Name: name, Status: "done", Cached: o.Status == bench.StatusHit, Coalesced: o.Coalesced}
+	if o.PutErr != nil {
+		u.PutError = o.PutErr.Error()
+	}
+	return u
+}
+
+// line renders u as one NDJSON line in buf, which enc writes to, with
+// wire, a done record's result as JSON, spliced in before the closing
+// brace. "result" is the last non-empty field of a done record, so the
+// line is byte for byte what json.Encoder writes for the whole
+// PointUpdate, without re-encoding the stored bytes. wire is only read.
+func line(buf *bytes.Buffer, enc *json.Encoder, u *PointUpdate, wire []byte) []byte {
 	buf.Reset()
-	_ = enc.Encode(&rec.u) // plain fields into a bytes.Buffer: cannot fail
-	if rec.wire != nil {
+	_ = enc.Encode(u) // plain fields into a bytes.Buffer: cannot fail
+	if wire != nil {
 		buf.Truncate(buf.Len() - len("}\n"))
 		buf.WriteString(`,"result":`)
-		buf.Write(rec.wire)
+		buf.Write(wire)
 		buf.WriteString("}\n")
 	}
 	return buf.Bytes()
 }
 
-// runOne executes one point with cross-request coalescing.
-func (s *Server) runOne(ctx context.Context, idx int, p *jobPoint) record {
-	rec := record{u: PointUpdate{Index: idx, Name: p.Name()}}
-	wire, cached, coalesced, err := s.execute(ctx, p.SweepPoint, p.canon)
+// execute holds p's flight: the first request for its key runs it on
+// its own goroutine, the others wait on done and are marked Coalesced.
+// A holder whose request ends leaves (the running one through
+// context.AfterFunc). config is p.Config's JSON (bench.PointKeyWith). A
+// delivered outcome's Wire is the point's ResultData as JSON.
+func (s *Server) execute(ctx context.Context, p bench.SweepPoint, config []byte) bench.Outcome {
+	key, err := bench.PointKeyWith(p, config)
 	if err != nil {
-		rec.u.Status = "error"
-		rec.u.Error = err.Error()
-		rec.cancelled = ctx.Err() != nil
-		return rec
-	}
-	rec.u.Status = "done"
-	rec.u.Cached = cached
-	rec.u.Coalesced = coalesced
-	rec.wire = wire
-	return rec
-}
-
-// execute runs p, or holds an identical in-flight execution when one
-// exists (coalescing, reported by coalesced). config is p.Config's JSON
-// (see bench.PointKeyWith). wire is the point's ResultData as JSON and
-// cached reports a store hit.
-//
-// Every request for a key holds its flight equally. The first runs it
-// on its own goroutine, under the flight's context; the others wait on
-// done. A holder whose request ends leaves (the running one through
-// context.AfterFunc), and the flight runs on while anyone holds it.
-func (s *Server) execute(ctx context.Context, p bench.SweepPoint, config []byte) (wire []byte, cached, coalesced bool, err error) {
-	key, kerr := bench.PointKeyWith(p, config)
-	if kerr != nil {
 		// Unkeyable points (unknown workload) can't coalesce; report the
 		// error directly rather than simulating something undefined.
-		return nil, false, false, kerr
+		return bench.Outcome{Status: bench.StatusFailed, Err: err}
 	}
 
+	var o bench.Outcome
 	s.mu.Lock()
 	if f := s.inflight[key]; f != nil {
 		f.refs++
 		s.coalesced++
 		s.mu.Unlock()
-		defer f.leave()
 		select {
 		case <-f.done:
-			return f.wire, f.cached, true, f.err
+			o = f.out
 		case <-ctx.Done():
-			return nil, false, true, ctx.Err()
+			o = bench.Outcome{Key: key, Status: bench.StatusCancelled, Err: ctx.Err()}
 		}
-	}
-	f := &flight{key: key, srv: s, refs: 1, done: make(chan struct{})}
-	f.ctx, f.cancel = context.WithCancel(s.ctx)
-	s.inflight[key] = f
-	s.mu.Unlock()
-
-	stop := context.AfterFunc(ctx, f.leave)
-	f.run(p)
-	if stop() {
 		f.leave()
+		o.Coalesced = true
+	} else {
+		f := &flight{key: key, srv: s, refs: 1, done: make(chan struct{})}
+		f.ctx, f.cancel = context.WithCancel(s.ctx)
+		s.inflight[key] = f
+		s.mu.Unlock()
+
+		stop := context.AfterFunc(ctx, f.leave)
+		f.run(p)
+		if stop() {
+			f.leave()
+		}
+		o = f.out
 	}
-	return f.wire, f.cached, false, f.err
+	if o.Status == bench.StatusFailed && ctx.Err() != nil {
+		o.Status = bench.StatusCancelled // this holder's request ended first
+	}
+	return o
 }
 
-// run executes the flight's point while holding a worker slot, then
-// publishes the result by closing done. The stop check comes first on
-// its own so a cancelled flight never starts, even when a slot happens
-// to be free; like a free slot, it leaves the flight's Done channel
-// unmade. A flight stopped before it ran fails with its context's
-// cause: errShutdown, or context.Canceled when its last holder left.
+// run executes the flight's point while holding a worker slot. A
+// flight stopped before or while it ran ends cancelled, or in shutdown
+// when its context's cause is errShutdown.
 func (f *flight) run(p bench.SweepPoint) {
-	s := f.srv
 	defer close(f.done)
-	if f.ctx.Err() != nil {
-		f.err = context.Cause(f.ctx)
-		return
+	if f.srv.acquire(f.ctx) {
+		f.out = f.srv.runPoint(f.ctx, p, f.key)
+		<-f.srv.sem
+	} else {
+		f.out = bench.Outcome{Key: f.key, Status: bench.StatusCancelled, Err: context.Cause(f.ctx)}
+	}
+	switch {
+	case f.out.Status == bench.StatusCancelled && context.Cause(f.ctx) == errShutdown:
+		f.out.Status = bench.StatusShutdown
+	case f.out.Err == nil && f.out.Wire == nil:
+		// Simulated without a store, or by a Config.Exec executor.
+		var err error
+		if f.out.Wire, err = json.Marshal(f.out.Result.Data()); err != nil {
+			f.out.Status, f.out.Err = bench.StatusFailed, err
+		}
+	}
+}
+
+// acquire takes a worker slot unless ctx ends first. The stop check
+// comes first on its own so a cancelled flight never starts, even when
+// a slot happens to be free; like a free slot, it leaves ctx's Done
+// channel unmade.
+func (s *Server) acquire(ctx context.Context) bool {
+	if ctx.Err() != nil {
+		return false
 	}
 	select {
 	case s.sem <- struct{}{}:
+		return true
 	default: // wait for a slot
-		select {
-		case s.sem <- struct{}{}:
-		case <-f.ctx.Done():
-			f.err = context.Cause(f.ctx)
-			return
-		}
 	}
-	var o bench.Outcome
-	if o, f.err = s.runPoint(f.ctx, p, f.key); f.err == nil {
-		f.wire, f.err = o.JSON()
-		f.cached = o.Result.Cached
-	}
-	<-s.sem
-	if f.err == nil {
-		s.mu.Lock()
-		s.executed++
-		s.mu.Unlock()
+	select {
+	case s.sem <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 
@@ -473,13 +479,14 @@ func (f *flight) leave() {
 	}
 }
 
-// runPoint calls the executor, turning a panic into an error for this
+// runPoint calls the executor, turning a panic into a failure of this
 // point alone. The error carries the point's content address and the
 // stack, so the failure reproduces with one command.
-func (s *Server) runPoint(ctx context.Context, p bench.SweepPoint, key resultstore.Key) (o bench.Outcome, err error) {
+func (s *Server) runPoint(ctx context.Context, p bench.SweepPoint, key resultstore.Key) (o bench.Outcome) {
 	defer func() {
 		if v := recover(); v != nil {
-			err = fmt.Errorf("panic executing point %s: %v\n%s", key, v, debug.Stack())
+			o = bench.Outcome{Key: key, Status: bench.StatusFailed,
+				Err: fmt.Errorf("panic executing point %s: %v\n%s", key, v, debug.Stack())}
 		}
 	}()
 	return s.exec(ctx, p, key)
@@ -492,15 +499,15 @@ func (s *Server) Stats() ServerStats {
 		Workers:         s.workers,
 		JobsStarted:     s.jobsStarted,
 		JobsFinished:    s.jobsFinished,
-		PointsExecuted:  s.executed,
+		PointsExecuted:  s.records[bench.StatusSimulated] + s.records[bench.StatusHit],
 		PointsCoalesced: s.coalesced,
-		PointsFailed:    s.failed,
-		PointsCancelled: s.cancelled,
+		PointsFailed:    s.records[bench.StatusFailed],
+		PointsCancelled: s.records[bench.StatusCancelled] + s.records[bench.StatusShutdown],
 		Inflight:        len(s.inflight),
 	}
 	s.mu.Unlock()
 	st.StoreCounts, st.StoreBySection = s.sess.StoreCounts()
-	st.StorePutErrors = s.sess.PutErrors()
+	st.StorePutErrors, _ = s.sess.PutErrors()
 	if rs := s.sess.Store(); rs != nil {
 		stats := rs.Stats()
 		st.Store = &stats

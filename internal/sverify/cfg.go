@@ -62,7 +62,9 @@ func (a *analyzer) pointerCandidates() []uint32 {
 	for off := 0; off+4 <= len(a.im.Data); off += 4 {
 		w := uint32(a.im.Data[off]) | uint32(a.im.Data[off+1])<<8 |
 			uint32(a.im.Data[off+2])<<16 | uint32(a.im.Data[off+3])<<24
-		if textSyms[w] {
+		// The range test first: most data words are not text addresses,
+		// and it is far cheaper than the map lookup.
+		if a.im.ContainsText(w) && textSyms[w] {
 			set[w] = true
 		}
 	}

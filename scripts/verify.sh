@@ -40,8 +40,9 @@ go test -race ./internal/ptrace/...
 go test -race ./internal/resultstore/...
 go test -race ./internal/served/...
 # The flight-lifecycle tests (equal holders, last-holder cancel,
-# shutdown) time their interleavings by hand: repeat them under -race.
-go test -race -count 10 -run 'TestOwnerLeaves|TestLastHolder|TestWaiter|TestCoalescing|TestShutdown' ./internal/served
+# shutdown) time their interleavings by hand: repeat them under -race,
+# with one 10,000-point job.
+go test -race -count 10 -run 'TestOwnerLeaves|TestLastHolder|TestWaiter|TestCoalescing|TestShutdown|TestTenThousandPointJob' ./internal/served
 # Layer benchmarks of the daemon's store-hit path, of one content
 # address, of the sampled fast-forward, of building each kernel's core,
 # of a sampled window's set-up and of the MiniC-to-image pipeline, once
