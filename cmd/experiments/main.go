@@ -289,6 +289,9 @@ func main() {
 				st.JobsFinished, st.PointsExecuted, st.PointsCoalesced,
 				st.StoreCounts.Hits, st.StoreCounts.Recomputes)
 		}
+		if n, first := daemon.PutErrors(); n > 0 {
+			fmt.Fprintf(os.Stderr, "experiments: %d results could not be stored (first: %v)\n", n, first)
+		}
 	}
 
 	if *tracePath != "" {

@@ -2,8 +2,10 @@
 // content-addressed result store open and serves sweep jobs to
 // concurrent clients over HTTP/JSON, coalescing identical in-flight
 // points so any simulation runs at most once no matter how many clients
-// ask for it. See internal/served for the protocol and DESIGN.md §14
-// for the store.
+// ask for it. Between jobs it keeps up to eight idle cycle cores
+// (cores.PoolIdle, under 6 MB at 4-way sizes), so later points on the
+// same configurations skip core construction. See internal/served for
+// the protocol and DESIGN.md §14 for the store.
 //
 // Usage:
 //

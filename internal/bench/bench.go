@@ -100,16 +100,18 @@ func (s *Session) BuildSTRAIGHT(w workloads.Workload, iters, maxDist int, mode C
 
 const simCycleCap = 2_000_000_000
 
-// Simulate runs an image to completion on the named cycle core, with an
-// optional pipeline tracer attached, and checks the resulting counters
-// for internal consistency.
+// Simulate runs an image to completion on a new core of the named
+// cycle machine, with an optional pipeline tracer attached, and checks
+// the resulting counters for internal consistency.
 func Simulate(core CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tracer) (*engine.Result, error) {
-	return simulate(core, cfg, im, tr, nil)
+	return simulate(core, cfg, im, tr, nil, nil)
 }
 
-// simulate is Simulate with an interrupt flag: raising stop cancels the
-// run within one advance.
-func simulate(core CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tracer, stop *atomic.Bool) (*engine.Result, error) {
+// simulate is Simulate with an interrupt flag, raising which cancels
+// the run within one advance, and a core pool: an untraced run takes
+// its core from pool when one is given, and returns it after a
+// successful run.
+func simulate(core CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tracer, stop *atomic.Bool, pool *cores.Pool) (*engine.Result, error) {
 	m, err := cores.Lookup(string(core))
 	if err != nil {
 		return nil, err
@@ -118,9 +120,21 @@ func simulate(core CoreKind, cfg uarch.Config, im *program.Image, tr *ptrace.Tra
 		return nil, err
 	}
 	opts := engine.Options{MaxCycles: simCycleCap, Tracer: tr, Interrupt: stop}
-	res, err := m.New(cfg, im, opts).Run(opts)
+	if tr != nil {
+		pool = nil // a tracer attaches at construction: traced cores are never pooled
+	}
+	var sim cores.Sim
+	if pool != nil {
+		sim = pool.Get(m, cfg, im)
+	} else {
+		sim = m.New(cfg, im, opts)
+	}
+	res, err := sim.Run(opts)
 	if err != nil {
 		return nil, err
+	}
+	if pool != nil {
+		pool.Put(m, cfg, sim)
 	}
 	if err := res.Stats.Check(cfg); err != nil {
 		return nil, err

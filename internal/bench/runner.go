@@ -165,7 +165,7 @@ func (s *Session) simulatePoint(ctx context.Context, p SweepPoint, tgt *TraceTar
 		defer unregister()
 		var r *engine.Result
 		run := func(tr *ptrace.Tracer) (err error) {
-			r, err = simulate(p.Core, p.Config, im, tr, stop)
+			r, err = simulate(p.Core, p.Config, im, tr, stop, &s.cores)
 			return err
 		}
 		if tgt != nil {

@@ -57,7 +57,7 @@ func (s *Session) SampledVsFull(sc Scale) ([]SampledRow, error) {
 		}
 
 		start := time.Now()
-		res, err := simulate(c.Core, c.Config, img, nil, stop)
+		res, err := simulate(c.Core, c.Config, img, nil, stop, &s.cores)
 		if err != nil {
 			return nil, err
 		}

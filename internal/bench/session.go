@@ -15,12 +15,12 @@ import (
 )
 
 // Session is one run of the experiment harness. It owns everything
-// point execution shares: the build cache, the result store and its
-// hit/miss/recompute counters, the failed store writes, the
-// journal, the worker count, the Remote and the trace target. Two
-// sessions share none of it, so each main builds its own and tests need
-// no resets. Construct with NewSession; the figure functions are its
-// methods.
+// point execution shares: the build cache, the idle cycle cores, the
+// result store and its hit/miss/recompute counters, the failed store
+// writes, the journal, the worker count, the Remote and the trace
+// target. Two sessions share none of it, so each main builds its own
+// and tests need no resets. Construct with NewSession; the figure
+// functions are its methods.
 type Session struct {
 	// Workers bounds the points Run executes at once; <= 0 means
 	// GOMAXPROCS. Set it, Remote and Trace before the first Run.
@@ -35,7 +35,8 @@ type Session struct {
 	cancel context.CancelFunc
 
 	store        atomic.Pointer[resultstore.Store]
-	builds       sync.Map // buildKey -> func() (*program.Image, error)
+	builds       sync.Map   // buildKey -> func() (*program.Image, error)
+	cores        cores.Pool // every untraced cycle point's core
 	buildCalls   atomic.Int64
 	buildMisses  atomic.Int64
 	traceClaimed atomic.Bool

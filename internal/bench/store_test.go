@@ -493,7 +493,8 @@ func TestExecuteConcurrentFirstReads(t *testing.T) {
 
 // TestInterruptAbortsRunningCores raises a run's interrupt flag before
 // it starts: both cores stop with ErrInterrupted, and a run without the
-// flag completes.
+// flag completes. The interrupted cores are not returned to the
+// session's pool: the run after them builds its own.
 func TestInterruptAbortsRunningCores(t *testing.T) {
 	s := NewSession()
 	ssIm, err := s.BuildRISCV(workloads.MicroFib, 1)
@@ -506,16 +507,21 @@ func TestInterruptAbortsRunningCores(t *testing.T) {
 	}
 	var stop atomic.Bool
 	stop.Store(true)
-	if _, err := simulate(CoreSS, uarch.SS2Way(), ssIm, nil, &stop); !errors.Is(err, uarch.ErrInterrupted) {
+	if _, err := simulate(CoreSS, uarch.SS2Way(), ssIm, nil, &stop, &s.cores); !errors.Is(err, uarch.ErrInterrupted) {
 		t.Fatalf("SS under interrupt: err = %v, want ErrInterrupted", err)
 	}
 	cfg := uarch.Straight2Way()
 	cfg.MaxDistance = 31
-	if _, err := simulate(CoreStraight, cfg, stIm, nil, &stop); !errors.Is(err, uarch.ErrInterrupted) {
+	if _, err := simulate(CoreStraight, cfg, stIm, nil, &stop, &s.cores); !errors.Is(err, uarch.ErrInterrupted) {
 		t.Fatalf("STRAIGHT under interrupt: err = %v, want ErrInterrupted", err)
 	}
-	if _, err := simulate(CoreSS, uarch.SS2Way(), ssIm, nil, nil); err != nil {
-		t.Fatalf("SS without interrupt: %v", err)
+	for range 2 {
+		if _, err := simulate(CoreSS, uarch.SS2Way(), ssIm, nil, nil, &s.cores); err != nil {
+			t.Fatalf("SS without interrupt: %v", err)
+		}
+	}
+	if n := s.cores.Built(); n != 3 {
+		t.Fatalf("built %d cores, want 3: one per interrupted run, one for both later runs", n)
 	}
 }
 

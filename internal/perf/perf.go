@@ -146,14 +146,14 @@ func RunWith(k Kernel, im *program.Image, o Options) (RunResult, error) {
 }
 
 // Runner multiplexes many runs through one reusable core: the first Run
-// constructs it, later Runs recycle it with Core.Reset, so batched
-// experiments pay construction cost once per configuration. Stats from a
-// recycled core are bit-identical to a fresh core's (the Reset contract,
-// DESIGN.md §12). Not safe for concurrent use.
+// constructs it, later Runs recycle it with Core.Reset (a cores.Pool),
+// so batched experiments pay construction cost once per configuration.
+// Stats from a recycled core are bit-identical to a fresh core's (the
+// Reset contract, DESIGN.md §12).
 type Runner struct {
-	k    Kernel
-	o    Options
-	core cores.Sim
+	k     Kernel
+	o     Options
+	cores cores.Pool
 }
 
 // NewRunner returns a batch runner for the kernel. No core is built
@@ -162,23 +162,20 @@ func NewRunner(k Kernel, o Options) *Runner {
 	return &Runner{k: k, o: o}
 }
 
-// Run simulates the image to completion, reusing the core from the
-// previous call when there was one.
+// Run simulates the image to completion, reusing the core of the
+// previous successful call when there was one.
 func (r *Runner) Run(im *program.Image) (RunResult, error) {
-	start := time.Now()
-	if r.core == nil {
-		c, err := newSim(r.k, im, engine.Options{})
-		if err != nil {
-			return RunResult{}, err
-		}
-		r.core = c
-	} else {
-		r.core.Reset(im)
+	m, err := cores.Lookup(string(r.k.Kind))
+	if err != nil {
+		return RunResult{}, fmt.Errorf("perf: %w", err)
 	}
-	res, err := r.core.Run(engine.Options{MaxCycles: runCycleCap, NoIdleSkip: r.o.NoIdleSkip})
+	start := time.Now()
+	c := r.cores.Get(m, r.k.Cfg, im)
+	res, err := c.Run(engine.Options{MaxCycles: runCycleCap, NoIdleSkip: r.o.NoIdleSkip})
 	if err != nil {
 		return RunResult{}, err
 	}
+	r.cores.Put(m, r.k.Cfg, c)
 	elapsed := time.Since(start)
 	if err := res.Stats.Check(r.k.Cfg); err != nil {
 		return RunResult{}, err

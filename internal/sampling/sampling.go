@@ -186,6 +186,11 @@ func (f riscvFF) SetWarm(w *uarch.WarmState) {
 }
 
 // Target binds a workload image to a core policy and configuration.
+// It also keeps what a Run built for the next Run on it: the window
+// cores and the warm states (the fast-forward's trainer and the
+// snapshots), so a re-run builds none of them (SMARTS: warm the replica
+// once and restore it per window). Runs on one Target may overlap; each
+// builds what the others hold.
 type Target struct {
 	// Policy is a core registry name ("straight", "ss", "cg").
 	Policy string
@@ -193,6 +198,36 @@ type Target struct {
 	Img    *program.Image
 
 	machine cores.Machine
+	cores   cores.Pool // window cores, PoolIdle at most
+	warm    warmPool
+}
+
+// warmPool keeps a Target's idle warm states: at most what the runs on
+// the target had out at once, a trainer and Workers+1 snapshots each.
+type warmPool struct {
+	mu    sync.Mutex
+	idle  []*uarch.WarmState
+	built int
+}
+
+// get returns an idle warm state, or a new one for cfg. Its contents
+// are whatever they were: a caller that reads before writing resets it.
+func (p *warmPool) get(cfg uarch.Config) *uarch.WarmState {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if n := len(p.idle); n > 0 {
+		w := p.idle[n-1]
+		p.idle = p.idle[:n-1]
+		return w
+	}
+	p.built++
+	return uarch.NewWarmState(cfg)
+}
+
+func (p *warmPool) put(w *uarch.WarmState) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.idle = append(p.idle, w)
 }
 
 // NewTarget builds a sampling target for a core registry name, core
@@ -342,7 +377,9 @@ func fastForward(t *Target, plan Plan, opts Options, limit uint64,
 	// whole interval, else a warming burst over the last WarmMem
 	// instructions before each checkpoint (a warmed instruction costs
 	// about three plain ones, DESIGN.md §16.3).
-	warm := uarch.NewWarmState(t.Cfg)
+	warm := t.warm.get(t.Cfg)
+	defer t.warm.put(warm)
+	warm.Reset()
 	warmAll := plan.WarmMem == 0 || plan.WarmMem >= plan.Interval
 	if warmAll {
 		ff.SetWarm(warm)
@@ -452,7 +489,9 @@ type job struct {
 // Warm-state snapshots are recycled through a pool of at most Workers+1:
 // a worker returns its snapshot as soon as AdoptWarm has copied it into
 // the core, and the fast-forward blocks for a free one only while every
-// worker is busy — the pool is the stream's back-pressure.
+// worker is busy — the pool is the stream's back-pressure. Cores and
+// snapshots come from the Target's idle ones before any is built, and
+// go back to it when the stream closes.
 type windowStream struct {
 	t    *Target
 	plan Plan
@@ -462,7 +501,7 @@ type windowStream struct {
 	// snapshot, so a submit that got one never blocks on the send.
 	queue  chan *job
 	free   chan *uarch.WarmState
-	made   int         // snapshots allocated so far, at most cap(free)
+	made   int         // snapshots taken so far, at most cap(free)
 	jobs   []*job      // every submitted job, in interval order
 	failed atomic.Bool // a window failed or the run was cancelled
 	closed bool
@@ -496,7 +535,7 @@ func (s *windowStream) submit(p point, ck checkpoint, warm *uarch.WarmState) {
 	default:
 		if s.made < cap(s.free) {
 			s.made++
-			snap = uarch.NewWarmState(s.t.Cfg)
+			snap = s.t.warm.get(s.t.Cfg)
 		} else {
 			snap = <-s.free
 		}
@@ -519,25 +558,34 @@ func (s *windowStream) recycle(w *job) {
 
 func (s *windowStream) work() {
 	defer s.wg.Done()
-	var core cores.Sim // built on first simulated window, reused via Restart
+	var core cores.Sim // taken on first simulated window, reused via Restart
 	for w := range s.queue {
 		if !s.failed.Load() {
 			w.res, w.err = s.runOne(&core, w)
 			if w.err != nil {
 				w.err = fmt.Errorf("sampling: window %d @%d: %w", w.idx, w.start, w.err)
 				s.failed.Store(true)
+				core = nil // a failed core is dropped, not pooled
 			}
 		}
 		s.recycle(w)
 	}
+	if core != nil {
+		s.t.cores.Put(s.t.machine, s.t.Cfg, core)
+	}
 }
 
-// close ends the stream and waits for the workers to drain it.
+// close ends the stream, waits for the workers to drain it and returns
+// its snapshots to the Target.
 func (s *windowStream) close() {
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-		s.wg.Wait()
+	if s.closed {
+		return
+	}
+	s.closed = true
+	close(s.queue)
+	s.wg.Wait()
+	for range len(s.free) {
+		s.t.warm.put(<-s.free)
 	}
 }
 
@@ -563,8 +611,8 @@ func (s *windowStream) results() ([]WindowResult, error) {
 
 // runOne measures one sample window: result-store lookup first, else
 // Restart-from-checkpoint, discarded warmup, measured window. *core is
-// the worker's reusable core, built lazily so fully-cached sweeps
-// construct no cores at all.
+// the worker's reusable core, taken from the Target lazily so
+// fully-cached sweeps use no cores at all.
 func (s *windowStream) runOne(core *cores.Sim, w *job) (WindowResult, error) {
 	t, plan, opts := s.t, s.plan, s.opts
 	key, err := windowKey(t, plan, w.enc)
@@ -586,7 +634,7 @@ func (s *windowStream) runOne(core *cores.Sim, w *job) (WindowResult, error) {
 	}
 
 	if *core == nil {
-		*core = t.machine.New(t.Cfg, t.Img, engine.Options{})
+		*core = t.cores.Get(t.machine, t.Cfg, t.Img)
 	}
 	c := *core
 	if err := c.Restart(t.Img, w.ck); err != nil {

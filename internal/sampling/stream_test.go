@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -92,6 +93,38 @@ func TestSnapshotPoolBound(t *testing.T) {
 			t.Errorf("workers=%d: %d windows allocated %d snapshots, want 1..%d",
 				workers, len(rep.Windows), rep.snapshots, workers+1)
 		}
+	}
+}
+
+// TestTargetReusesWindowCores: a second Run on the same Target takes
+// its window core, its fast-forward trainer and its snapshots from the
+// first Run's, and reports the same fingerprint. With one worker each
+// run has one core out. How many snapshots a run has out at once (1 or
+// 2) is timing's choice, so the second run may build one snapshot, and
+// only when it had out more than the first.
+func TestTargetReusesWindowCores(t *testing.T) {
+	tgt := loopTarget(t)
+	first, err := Run(tgt, densePlan, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores, warm := tgt.cores.Built(), tgt.warm.built
+	if cores != 1 || warm != 1+first.snapshots {
+		t.Fatalf("first run built %d cores and %d warm states, want 1 and %d", cores, warm, 1+first.snapshots)
+	}
+	second, err := Run(tgt, densePlan, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tgt.cores.Built() - cores; n != 0 {
+		t.Errorf("second run built %d cores, want 0", n)
+	}
+	if n, want := tgt.warm.built-warm, max(0, second.snapshots-first.snapshots); n != want {
+		t.Errorf("second run built %d warm states, want %d (it had out %d snapshots, the first %d)",
+			n, want, second.snapshots, first.snapshots)
+	}
+	if a, b := first.Fingerprint(), second.Fingerprint(); !bytes.Equal(a, b) {
+		t.Errorf("second run's fingerprint %x differs from the first's %x", b, a)
 	}
 }
 

@@ -5,10 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"straight/internal/bench"
 	"straight/internal/uarch"
@@ -16,7 +18,8 @@ import (
 
 // Client talks to a straightd daemon. It implements bench.Remote, so
 // setting one as a session's Remote redirects every Run batch to the
-// daemon, and interrupting the session ends the batch's request.
+// daemon, and interrupting the session ends the batch's request. A
+// Client must not be copied after first use.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://localhost:8372".
 	BaseURL string
@@ -27,6 +30,19 @@ type Client struct {
 	// OnUpdate, when set, observes every point update as it streams in
 	// (progress reporting).
 	OnUpdate func(PointUpdate)
+
+	mu          sync.Mutex // guards the put-error count
+	putErrors   int64
+	firstPutErr error
+}
+
+// PutErrors reports how many delivered results the daemon could not
+// store, over every job this client ran, and the first of those errors
+// (the put_error of the records).
+func (c *Client) PutErrors() (int64, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.putErrors, c.firstPutErr
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -77,7 +93,8 @@ func (c *Client) Run(points []bench.SweepPoint) ([]bench.PointResult, error) {
 // updates back into input-order results (the bench.Remote contract).
 // Points the daemon reports as failed surface as one error naming the
 // first failure; a stream that ends before every point reported is an
-// error. Cancelling ctx ends the request, so the daemon stops every
+// error. A delivered point the daemon could not store counts in
+// PutErrors. Cancelling ctx ends the request, so the daemon stops every
 // point no other request holds, and fails the job with
 // uarch.ErrInterrupted.
 func (c *Client) RunContext(ctx context.Context, points []bench.SweepPoint) (_ []bench.PointResult, err error) {
@@ -138,6 +155,13 @@ func (c *Client) RunContext(ctx context.Context, points []bench.SweepPoint) (_ [
 		}
 		if u.Result == nil {
 			return nil, fmt.Errorf("straightd: point %s reported done without a result", points[u.Index].Name())
+		}
+		if u.PutError != "" {
+			c.mu.Lock()
+			if c.putErrors++; c.firstPutErr == nil {
+				c.firstPutErr = errors.New(u.PutError)
+			}
+			c.mu.Unlock()
 		}
 		results[u.Index] = u.Result.Result(points[u.Index], u.Cached)
 		got[u.Index] = true

@@ -26,7 +26,10 @@
 // bench.Default()), whose store and counters /v1/stats reports. Each
 // point runs under its flight's context, derived from the server's
 // lifetime context: Shutdown cancels the server's, which stops running
-// simulations within one advance and fails queued points.
+// simulations within one advance and fails queued points. The session
+// keeps up to cores.PoolIdle idle cycle cores between points and jobs,
+// so a later point on the same configuration resets one instead of
+// building it.
 //
 // Coalescing extends the build-cache singleflight idea (bench.buildOnce)
 // across process boundaries: points are identified by their

@@ -351,6 +351,34 @@ func TestPutErrorOnTheWire(t *testing.T) {
 	}
 }
 
+// TestClientCountsPutErrors: when the daemon cannot store what it
+// computed, the client still returns every result, and counts each
+// put_error record and keeps the first, as a local session does.
+func TestClientCountsPutErrors(t *testing.T) {
+	srv, client := newTestDaemon(t, Config{Workers: 1})
+	if err := srv.sess.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "resultstore: append: invalid argument"
+	if n, first := client.PutErrors(); n != 0 || first != nil {
+		t.Fatalf("before any job: %d put errors (first %v), want none", n, first)
+	}
+	for range 2 {
+		res, err := client.Run(testPoints()[:2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if r.Stats == nil || r.Retired == 0 {
+				t.Fatalf("%s: delivered no result: %+v", r.Point.Name(), r)
+			}
+		}
+	}
+	if n, first := client.PutErrors(); n != 4 || first == nil || first.Error() != want {
+		t.Fatalf("put errors = %d (first %v), want 4 (first %q)", n, first, want)
+	}
+}
+
 // TestShutdownInterruptsRunningSimulation starts a point that would
 // simulate for minutes: Shutdown alone, with no call into bench, must
 // stop it, and the job reports the interrupt. It covers only the
@@ -402,7 +430,7 @@ func TestBadCacheGeometryFailsOnlyItsPoint(t *testing.T) {
 
 			var mu sync.Mutex
 			updates := map[int]PointUpdate{}
-			client := *client
+			client := &Client{BaseURL: client.BaseURL}
 			client.OnUpdate = func(u PointUpdate) {
 				mu.Lock()
 				updates[u.Index] = u
@@ -456,7 +484,7 @@ func TestPanicFailsOnlyItsPoint(t *testing.T) {
 
 	var mu sync.Mutex
 	status := map[int]string{}
-	jobA := *client
+	jobA := &Client{BaseURL: client.BaseURL}
 	jobA.OnUpdate = func(u PointUpdate) {
 		mu.Lock()
 		status[u.Index] = u.Status

@@ -38,7 +38,7 @@ type WarmState struct {
 	// one (0: none yet).
 	instLine uint32
 
-	cfg Config // construction config, for Clone
+	cfg Config //lint:resetless construction config, for Clone
 }
 
 // NewWarmState builds the replica structures for a model config.
@@ -53,6 +53,18 @@ func NewWarmState(cfg Config) *WarmState {
 		w.Dir = NewGshare(cfg.GshareHistBits, cfg.GshareEntries)
 	}
 	return w
+}
+
+// Reset returns w to the state NewWarmState builds, in place: every
+// cache level cold, predictor and BTB untrained, RAS empty.
+func (w *WarmState) Reset() {
+	w.Hier.Reset()
+	w.BTB.Reset()
+	w.RAS.Reset()
+	if w.Dir != nil {
+		w.Dir.Reset()
+	}
+	w.instLine = 0
 }
 
 // Clone snapshots the warm state into fresh structures.

@@ -55,6 +55,29 @@ func TestWarmStateCopyFrom(t *testing.T) {
 	}
 }
 
+// TestWarmStateReset: a trained warm state, reset, equals a new one,
+// for a gshare model and a TAGE model. The sampler reuses a Target's
+// fast-forward trainer this way across runs.
+func TestWarmStateReset(t *testing.T) {
+	tage := Straight4Way()
+	tage.Predictor = PredTAGE
+	for _, cfg := range []Config{SS4Way(), Straight2Way(), tage} {
+		w := NewWarmState(cfg)
+		trainWarm(w, 1)
+		if reflect.DeepEqual(w, NewWarmState(cfg)) {
+			t.Fatalf("%s: a trained state equals a new one; the test trains too little", cfg.Name)
+		}
+		w.Reset()
+		if len(w.RAS.stack) != 0 {
+			t.Fatalf("%s: Reset left %d RAS entries", cfg.Name, len(w.RAS.stack))
+		}
+		w.RAS.stack = nil // empty as a new stack is; Reset keeps its backing array
+		if !reflect.DeepEqual(w, NewWarmState(cfg)) {
+			t.Errorf("%s: a reset warm state differs from a new one", cfg.Name)
+		}
+	}
+}
+
 // TestWarmStateCopyFromGeometryMismatch: like the per-structure
 // CopyFroms, a snapshot of another geometry is a bug and panics.
 func TestWarmStateCopyFromGeometryMismatch(t *testing.T) {

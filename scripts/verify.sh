@@ -34,6 +34,10 @@ go test ./...
 # API change that breaks the benchmark fails tier-1.
 (cd benchmark && go vet ./... && go test ./...)
 go test -race ./internal/bench/...
+# The session's core pool is shared by the sweep workers (and by
+# straightd's flights): repeat the pooled-versus-fresh test under -race
+# so the Get/Put interleavings vary.
+go test -race -count 3 -run 'TestPooledCoresMatchFresh' ./internal/bench
 go test -race ./internal/ptrace/...
 # The result store and the straightd daemon are exercised by concurrent
 # clients and writers by design, so both must be race-clean.
@@ -60,9 +64,9 @@ go test ./internal/perf -run 'TestSteadyStateAllocs|TestCoreNewAllocs'
 # accuracy matrix is too slow under instrumentation; the determinism,
 # idle-skip-invariance, offset and streaming tests (worker-count
 # invariance, snapshot-pool bound, error paths, stored checkpoint
-# sequence, store-less heap bound) exercise the same pool, store, and
-# fully-cached fast path.
-go test -race ./internal/sampling -run 'TestSampledDeterminism|TestSampledNoIdleSkipInvariance|TestSampledOffset|TestSampledWorkerInvariance|TestSnapshotPoolBound|TestStreamErrorPaths|TestFFSeqBytesPinned|TestStorelessRunHeapBound'
+# sequence, store-less heap bound, window cores and warm states reused
+# across runs) exercise the same pool, store, and fully-cached fast path.
+go test -race ./internal/sampling -run 'TestSampledDeterminism|TestSampledNoIdleSkipInvariance|TestSampledOffset|TestSampledWorkerInvariance|TestSnapshotPoolBound|TestStreamErrorPaths|TestFFSeqBytesPinned|TestStorelessRunHeapBound|TestTargetReusesWindowCores'
 
 # Bounded differential co-simulation smoke: random programs through the
 # full oracle stack (sverify, strict emulators, cross-ISA observables,
