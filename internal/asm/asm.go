@@ -41,12 +41,18 @@ type ISA struct {
 	Format func(w uint32) string
 }
 
+// MaxOps is the most operands an instruction of either ISA takes.
+const MaxOps = 3
+
 // Item is one instruction line: the mnemonic and operands as written,
 // the source line, and the text address of its first word.
 type Item struct {
 	Line int
 	Mnem string
-	Ops  []string
+	// NOps counts the operands as written. Ops holds the first MaxOps
+	// of them, so an encoder checks NOps before it reads Ops.
+	NOps int
+	Ops  [MaxOps]string
 	Addr uint32
 }
 
@@ -69,6 +75,7 @@ type fixup struct {
 type assembler struct {
 	isa      *ISA
 	items    []Item
+	fields   []string // the current line's fields, reused line to line
 	data     []byte
 	symbols  map[string]uint32
 	fixups   []fixup
@@ -95,48 +102,60 @@ func (a *assembler) errorf(line int, format string, args ...any) error {
 // firstPass splits the source into labeled items, lays out both sections
 // and records symbol addresses.
 func (a *assembler) firstPass(src string) error {
-	for lineNo, raw := range strings.Split(src, "\n") {
-		lineNo++
-		line := stripComment(raw)
-		// Peel off any leading labels (several may share a line).
-		for {
-			trimmed := strings.TrimSpace(line)
-			i := indexLabel(trimmed)
-			if i < 0 {
-				line = trimmed
-				break
-			}
-			name := trimmed[:i]
-			if !ValidIdent(name) {
-				return a.errorf(lineNo, "invalid label %q", name)
-			}
-			if _, dup := a.symbols[name]; dup {
-				return a.errorf(lineNo, "duplicate label %q", name)
-			}
-			if a.inData {
-				a.symbols[name] = program.DefaultDataBase + uint32(len(a.data))
-			} else {
-				a.symbols[name] = a.textAddr
-			}
-			line = trimmed[i+1:]
+	// Every item is a line of its own, so the line count bounds them.
+	a.items = make([]Item, 0, strings.Count(src, "\n")+1)
+	for lineNo := 1; ; lineNo++ {
+		raw, rest, more := strings.Cut(src, "\n")
+		if err := a.line(lineNo, raw); err != nil {
+			return err
 		}
-		fields := splitOperands(line)
-		if len(fields) == 0 {
-			continue // blank, or nothing but separators
+		if !more {
+			return nil
 		}
-		mnem, ops := fields[0], fields[1:]
-		if strings.HasPrefix(mnem, ".") {
-			if err := a.directive(lineNo, strings.ToLower(mnem), ops, line); err != nil {
-				return err
-			}
-			continue
+		src = rest
+	}
+}
+
+// line assembles source line lineNo for the first pass.
+func (a *assembler) line(lineNo int, raw string) error {
+	line := stripComment(raw)
+	// Peel off any leading labels (several may share a line).
+	for {
+		trimmed := strings.TrimSpace(line)
+		i := indexLabel(trimmed)
+		if i < 0 {
+			line = trimmed
+			break
+		}
+		name := trimmed[:i]
+		if !ValidIdent(name) {
+			return a.errorf(lineNo, "invalid label %q", name)
+		}
+		if _, dup := a.symbols[name]; dup {
+			return a.errorf(lineNo, "duplicate label %q", name)
 		}
 		if a.inData {
-			return a.errorf(lineNo, "instruction %q in data section", mnem)
+			a.symbols[name] = program.DefaultDataBase + uint32(len(a.data))
+		} else {
+			a.symbols[name] = a.textAddr
 		}
-		a.items = append(a.items, Item{Line: lineNo, Mnem: mnem, Ops: ops, Addr: a.textAddr})
-		a.textAddr += uint32(a.isa.Size(mnem)) * program.InstructionBytes
+		line = trimmed[i+1:]
 	}
+	a.fields = splitOperands(a.fields[:0], line)
+	if len(a.fields) == 0 {
+		return nil // blank, or nothing but separators
+	}
+	mnem, ops := a.fields[0], a.fields[1:]
+	if strings.HasPrefix(mnem, ".") {
+		return a.directive(lineNo, strings.ToLower(mnem), ops, line)
+	}
+	if a.inData {
+		return a.errorf(lineNo, "instruction %q in data section", mnem)
+	}
+	it := Item{Line: lineNo, Mnem: mnem, NOps: len(ops), Addr: a.textAddr}
+	copy(it.Ops[:], ops)
+	a.items = append(a.items, it)
+	a.textAddr += uint32(a.isa.Size(mnem)) * program.InstructionBytes
 	return nil
 }
 
@@ -193,13 +212,23 @@ func (a *assembler) directive(line int, name string, ops []string, full string) 
 		}
 		a.data = append(a.data, make([]byte, n)...)
 	default: // .word, .half, .byte
-		width := map[string]int{".word": 4, ".half": 2, ".byte": 1}[name]
+		width := 1
+		switch name {
+		case ".word":
+			width = 4
+		case ".half":
+			width = 2
+		}
 		for _, op := range ops {
 			// Symbol references are patched in the second pass; reserve
 			// space now and remember the fixup.
-			n, err := ParseInt(op)
+			n, numeric := int64(0), false
+			if LooksNumeric(op) {
+				v, err := ParseInt(op)
+				n, numeric = v, err == nil
+			}
 			switch {
-			case err == nil:
+			case numeric:
 			case !ValidIdent(op):
 				return a.errorf(line, "bad %s operand %q", name, op)
 			case width != 4:
@@ -271,18 +300,30 @@ func (isa *ISA) Disassemble(im *program.Image) string {
 }
 
 // ParseInt parses an integer literal in any Go base prefix, ignoring
-// underscores. Unsigned 32-bit values such as 0xFFFFFFFF wrap to their
-// int32 value.
+// underscores, as a signed 64-bit value: 0xFFFFFFFF is 4294967295, and
+// an encoder keeps the low bits its field holds.
 func ParseInt(tok string) (int64, error) {
-	tok = strings.ReplaceAll(tok, "_", "")
-	n, err := strconv.ParseInt(tok, 0, 64)
-	if err != nil {
-		if u, uerr := strconv.ParseUint(tok, 0, 32); uerr == nil {
-			return int64(int32(uint32(u))), nil
-		}
-		return 0, err
+	return strconv.ParseInt(strings.ReplaceAll(tok, "_", ""), 0, 64)
+}
+
+// LooksNumeric reports whether tok starts the way every literal ParseInt
+// accepts does: underscores aside, an optional sign, then a decimal
+// digit. When it is false ParseInt fails, so an encoder probing whether
+// an operand is a literal or a symbol asks it first and spares the
+// errors ParseInt would build for a symbol.
+func LooksNumeric(tok string) bool {
+	i := skipUnderscores(tok, 0)
+	if i < len(tok) && (tok[i] == '+' || tok[i] == '-') {
+		i = skipUnderscores(tok, i+1)
 	}
-	return n, nil
+	return i < len(tok) && '0' <= tok[i] && tok[i] <= '9'
+}
+
+func skipUnderscores(s string, i int) int {
+	for i < len(s) && s[i] == '_' {
+		i++
+	}
+	return i
 }
 
 func identChar(c byte) bool {
@@ -339,11 +380,10 @@ func indexLabel(s string) int {
 	return -1
 }
 
-// splitOperands splits a line into mnemonic and operands. Commas and
-// whitespace both separate operands outside parentheses, so the paper's
-// "ADD [4] [3]" and RISC-V's "lw t0, 8(sp)" both tokenize.
-func splitOperands(line string) []string {
-	var out []string
+// splitOperands appends the line's mnemonic and operands to out. Commas
+// and whitespace both separate operands outside parentheses, so the
+// paper's "ADD [4] [3]" and RISC-V's "lw t0, 8(sp)" both tokenize.
+func splitOperands(out []string, line string) []string {
 	start, depth := -1, 0
 	for i := 0; i <= len(line); i++ {
 		sep := i == len(line)

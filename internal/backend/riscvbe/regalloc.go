@@ -3,6 +3,7 @@ package riscvbe
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"straight/internal/isa/riscv"
 )
@@ -28,7 +29,7 @@ type regAlloc struct {
 	usedCS  map[int]bool
 	spillSz int
 
-	lines []string
+	out *strings.Builder // the function's assembly, written by rewrite
 }
 
 type interval struct {
@@ -37,9 +38,10 @@ type interval struct {
 	crossCall  bool
 }
 
-func newRegAlloc(fe *fnEmitter) *regAlloc {
+func newRegAlloc(fe *fnEmitter, out *strings.Builder) *regAlloc {
 	return &regAlloc{
 		fe:        fe,
+		out:       out,
 		intervals: make(map[int]*interval),
 		regOf:     make(map[int]int),
 		slotOf:    make(map[int]int),
@@ -47,10 +49,10 @@ func newRegAlloc(fe *fnEmitter) *regAlloc {
 	}
 }
 
-func (ra *regAlloc) run() ([]string, error) {
+func (ra *regAlloc) run() error {
 	ra.buildIntervals()
 	if err := ra.allocate(); err != nil {
-		return nil, err
+		return err
 	}
 	return ra.rewrite()
 }
@@ -293,7 +295,9 @@ func (ra *regAlloc) defLoc(vr int, scratch int) (int, func()) {
 func regName(r int) string { return riscv.RegNames[r] }
 
 func (ra *regAlloc) emitf(format string, args ...any) {
-	ra.lines = append(ra.lines, "    "+fmt.Sprintf(format, args...))
+	ra.out.WriteString("    ")
+	fmt.Fprintf(ra.out, format, args...)
+	ra.out.WriteByte('\n')
 }
 
 func (ra *regAlloc) frameSize() int {
@@ -311,10 +315,10 @@ func (ra *regAlloc) savedRegs() []int {
 	return rs
 }
 
-func (ra *regAlloc) rewrite() ([]string, error) {
+func (ra *regAlloc) rewrite() error {
 	frame := ra.frameSize()
 	if frame > 2040 {
-		return nil, fmt.Errorf("riscvbe: frame size %d exceeds the 12-bit offset range", frame)
+		return fmt.Errorf("riscvbe: frame size %d exceeds the 12-bit offset range", frame)
 	}
 	raSlot := ra.fe.allocaSz + ra.spillSz
 	csBase := raSlot + 4
@@ -339,7 +343,8 @@ func (ra *regAlloc) rewrite() ([]string, error) {
 	for _, in := range ra.fe.code {
 		switch in.op {
 		case "label":
-			ra.lines = append(ra.lines, in.sym+":")
+			ra.out.WriteString(in.sym)
+			ra.out.WriteString(":\n")
 		case "li":
 			rd, post := ra.defLoc(in.rd, pT0)
 			ra.emitf("li %s, %d", regName(rd), in.imm)
@@ -429,7 +434,7 @@ func (ra *regAlloc) rewrite() ([]string, error) {
 			}
 		}
 	}
-	return ra.lines, nil
+	return nil
 }
 
 // emitCallMoves stages argument values into a0..a(n-1) as a parallel copy

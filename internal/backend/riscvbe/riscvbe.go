@@ -22,6 +22,7 @@ import (
 // Compile lowers a module to RV32IM assembly (rasm syntax).
 func Compile(mod *ir.Module) (string, error) {
 	var b strings.Builder
+	b.Grow(asmBytesPerInsn * mod.NumInsns())
 	b.WriteString("# Generated by riscvbe\n    .entry _start\n")
 	emitData(&b, mod)
 	b.WriteString("    .text\n_start:\n")
@@ -36,6 +37,10 @@ func Compile(mod *ir.Module) (string, error) {
 	}
 	return b.String(), nil
 }
+
+// asmBytesPerInsn sizes the output buffer: the workloads' assembly runs
+// to 26–38 bytes per optimized IR instruction.
+const asmBytesPerInsn = 40
 
 func emitData(b *strings.Builder, mod *ir.Module) {
 	if len(mod.Globals) == 0 {
@@ -151,8 +156,15 @@ type fnEmitter struct {
 }
 
 func newFnEmitter(f *ir.Func) *fnEmitter {
+	// The workloads lower to at most 1.5 virtual instructions per IR
+	// instruction and block label.
+	n := len(f.Blocks)
+	for _, b := range f.Blocks {
+		n += len(b.Insns)
+	}
 	return &fnEmitter{
 		f:         f,
+		code:      make([]vinst, 0, n+n/2),
 		vregOf:    make(map[*ir.Value]int),
 		labelOf:   make(map[*ir.Block]string),
 		allocaOff: make(map[*ir.Value]int),
@@ -218,17 +230,9 @@ func (fe *fnEmitter) emit(out *strings.Builder) error {
 			return err
 		}
 	}
-	ra := newRegAlloc(fe)
-	lines, err := ra.run()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "%s:\n", fe.f.Name)
-	for _, l := range lines {
-		out.WriteString(l)
-		out.WriteByte('\n')
-	}
-	return nil
+	out.WriteString(fe.f.Name)
+	out.WriteString(":\n")
+	return newRegAlloc(fe, out).run()
 }
 
 func (fe *fnEmitter) lowerBlock(b *ir.Block) error {

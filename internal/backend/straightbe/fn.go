@@ -34,7 +34,7 @@ type fnEmitter struct {
 	hasFrame  bool
 	hasCalls  bool
 
-	lines       []string
+	out         *strings.Builder // the assembly being written
 	labelOf     map[*ir.Block]string
 	pendingOut  []outOfLine // taken-edge sequences emitted at function end
 	blockNeeded map[*ir.Block][]*ir.Value
@@ -121,12 +121,17 @@ var DebugDumpOnError = false
 // emitted assembly (test diagnostics; comments are stripped by sasm).
 var DebugAnnotate = false
 
+// emit writes the function's assembly to out. On error, out holds a
+// partial function.
 func (fe *fnEmitter) emit(out *strings.Builder) error {
 	fe.analyze()
-	fmt.Fprintf(out, "%s:\n", fe.f.Name)
+	fe.out = out
+	out.WriteString(fe.f.Name)
+	out.WriteString(":\n")
+	start := out.Len()
 	if err := fe.emitBlocks(); err != nil {
 		if DebugDumpOnError {
-			tail := fe.lines
+			tail := strings.Split(strings.TrimSuffix(out.String()[start:], "\n"), "\n")
 			if len(tail) > 80 {
 				tail = tail[len(tail)-80:]
 			}
@@ -134,20 +139,18 @@ func (fe *fnEmitter) emit(out *strings.Builder) error {
 		}
 		return err
 	}
-	for _, l := range fe.lines {
-		out.WriteString(l)
-		out.WriteByte('\n')
-	}
 	return nil
 }
 
 func (fe *fnEmitter) line(format string, args ...any) {
-	fe.lines = append(fe.lines, fmt.Sprintf(format, args...))
+	fmt.Fprintf(fe.out, format, args...)
+	fe.out.WriteByte('\n')
 }
 
 // op emits one instruction line and advances the position counter.
 func (fe *fnEmitter) op(c *blockCtx, format string, args ...any) {
-	fe.lines = append(fe.lines, "    "+fmt.Sprintf(format, args...))
+	fe.out.WriteString("    ")
+	fe.line(format, args...)
 	c.pos++
 }
 
@@ -183,7 +186,7 @@ func (fe *fnEmitter) analyze() {
 	// Values live across a call must relay through the stack frame.
 	for _, b := range fe.blocks {
 		live := make(map[*ir.Value]bool)
-		for v := range fe.lv.Out[b] {
+		for _, v := range fe.lv.Out(b) {
 			live[v] = true
 		}
 		for i := len(b.Insns) - 1; i >= 0; i-- {
@@ -219,7 +222,7 @@ func (fe *fnEmitter) analyze() {
 	// it are spilled rather than RMOV-relayed around every iteration.
 	if fe.opts.RedundancyElim {
 		for header, body := range loops.Loops {
-			for v := range fe.lv.In[header] {
+			for _, v := range fe.lv.In(header) {
 				if fe.remat[v] || fe.slotBacked[v] || v.Op == ir.OpPhi && v.Block == header {
 					continue
 				}
@@ -453,7 +456,7 @@ func (fe *fnEmitter) analyzeDeferred() {
 			}
 			// Used only through frames / same-block phi edges: live-out
 			// of its own block but not consumed by an instruction in it.
-			if fe.lv.Out[b][v] || u != nil {
+			if fe.lv.LiveOut(b, v) || u != nil {
 				fe.deferred[v] = true
 			}
 		}
@@ -510,7 +513,7 @@ func (fe *fnEmitter) buildFrames() {
 			for _, phi := range b.Phis() {
 				members[phi] = true
 			}
-			for v := range fe.lv.In[b] {
+			for _, v := range fe.lv.In(b) {
 				if fe.remat[v] || fe.slotBacked[v] || fe.foldAddr[v] {
 					continue
 				}

@@ -59,7 +59,8 @@ type Program struct {
 
 // CompileC compiles MiniC source for the chosen target at -O2-equivalent
 // optimization. It is the one MiniC-to-image pipeline: parse, irgen,
-// optimize, backend, assemble, each once. For STRAIGHT the backend
+// optimize, backend, assemble, each once; the IR is verified after
+// construction and again after optimization. For STRAIGHT the backend
 // assembles and verifies its own output (its post-compile assertion)
 // and hands over that image; RISC-V text is assembled here.
 func CompileC(src string, target Target, opts CompileOptions) (*Program, error) {
@@ -72,6 +73,9 @@ func CompileC(src string, target Target, opts CompileOptions) (*Program, error) 
 		return nil, err
 	}
 	ir.OptimizeModule(mod)
+	if err := ir.VerifyModule(mod); err != nil {
+		return nil, fmt.Errorf("core: optimized IR: %w", err)
+	}
 	switch target {
 	case TargetStraight:
 		asm, im, err := straightbe.CompileImage(mod, straightbe.Options{

@@ -5,73 +5,72 @@ package ir
 // the backends use it for sanity checks on value lifetimes.
 
 // DomTree holds immediate dominators for the reachable blocks of a
-// function.
+// function, indexed by Block.ID.
 type DomTree struct {
-	idom  map[*Block]*Block
-	order map[*Block]int // RPO number
+	idom  []*Block // nil for unreachable blocks; the entry's is itself
+	order []int    // RPO number
 }
 
 // BuildDomTree computes the dominator tree of f's reachable blocks.
 func BuildDomTree(f *Func) *DomTree {
 	rpo := f.RPO()
-	order := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		order[b] = i
-	}
-	idom := make(map[*Block]*Block, len(rpo))
+	d := &DomTree{idom: make([]*Block, f.nextBlockID+1), order: make([]int, f.nextBlockID+1)}
 	if len(rpo) == 0 {
-		return &DomTree{idom: idom, order: order}
+		return d
+	}
+	for i, b := range rpo {
+		d.order[b.ID] = i
 	}
 	entry := rpo[0]
-	idom[entry] = entry
+	d.idom[entry.ID] = entry
 	for changed := true; changed; {
 		changed = false
 		for _, b := range rpo[1:] {
 			var newIdom *Block
 			for _, p := range b.Preds {
-				if _, ok := idom[p]; !ok {
+				if d.idom[p.ID] == nil {
 					continue // unreachable or not yet processed
 				}
 				if newIdom == nil {
 					newIdom = p
 				} else {
-					newIdom = intersect(idom, order, p, newIdom)
+					newIdom = d.intersect(p, newIdom)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom != nil && d.idom[b.ID] != newIdom {
+				d.idom[b.ID] = newIdom
 				changed = true
 			}
 		}
 	}
-	return &DomTree{idom: idom, order: order}
+	return d
 }
 
-func intersect(idom map[*Block]*Block, order map[*Block]int, a, b *Block) *Block {
+func (d *DomTree) intersect(a, b *Block) *Block {
 	for a != b {
-		for order[a] > order[b] {
-			a = idom[a]
+		for d.order[a.ID] > d.order[b.ID] {
+			a = d.idom[a.ID]
 		}
-		for order[b] > order[a] {
-			b = idom[b]
+		for d.order[b.ID] > d.order[a.ID] {
+			b = d.idom[b.ID]
 		}
 	}
 	return a
 }
 
 // IDom returns the immediate dominator of b (entry returns itself).
-func (d *DomTree) IDom(b *Block) *Block { return d.idom[b] }
+func (d *DomTree) IDom(b *Block) *Block { return d.idom[b.ID] }
 
 // Dominates reports whether a dominates b (reflexively).
 func (d *DomTree) Dominates(a, b *Block) bool {
-	if _, ok := d.order[b]; !ok {
+	if !d.Reachable(b) {
 		return false
 	}
 	for {
 		if a == b {
 			return true
 		}
-		next := d.idom[b]
+		next := d.idom[b.ID]
 		if next == nil || next == b {
 			return false
 		}
@@ -80,7 +79,4 @@ func (d *DomTree) Dominates(a, b *Block) bool {
 }
 
 // Reachable reports whether b is reachable from the entry.
-func (d *DomTree) Reachable(b *Block) bool {
-	_, ok := d.order[b]
-	return ok
-}
+func (d *DomTree) Reachable(b *Block) bool { return d.idom[b.ID] != nil }

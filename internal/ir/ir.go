@@ -246,6 +246,8 @@ func (v *Value) Name() string { return fmt.Sprintf("v%d", v.ID) }
 // Block is a basic block: a name, ordered instructions (phis first), and
 // explicit CFG edges. Phi argument order parallels Preds.
 type Block struct {
+	// ID numbers the block within its function, from 1 (see NewBlock).
+	ID    int
 	Name  string
 	Insns []*Value
 	Preds []*Block
@@ -293,7 +295,11 @@ type Func struct {
 	// RetVoid records whether the function returns no value.
 	RetVoid bool
 	Blocks  []*Block
-	nextID  int
+	// nextID and nextBlockID are the last IDs NewValue and NewBlock
+	// handed out: the IDs of f's values and blocks are dense, so the
+	// passes keep per-value and per-block facts in slices they index.
+	nextID      int
+	nextBlockID int
 }
 
 // Module is a compilation unit.
@@ -311,6 +317,17 @@ type Global struct {
 	// Relocs patch symbol addresses into Init at link time (offset →
 	// symbol name), for pointer-valued initializers.
 	Relocs map[int]string
+}
+
+// NumInsns returns the number of instructions in the module's blocks.
+func (m *Module) NumInsns() int {
+	n := 0
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			n += len(b.Insns)
+		}
+	}
+	return n
 }
 
 // Func returns the function with the given name, or nil.
@@ -333,7 +350,8 @@ func (f *Func) Entry() *Block { return f.Blocks[0] }
 
 // NewBlock appends a new empty block.
 func (f *Func) NewBlock(name string) *Block {
-	b := &Block{Name: name, Func: f}
+	f.nextBlockID++
+	b := &Block{ID: f.nextBlockID, Name: name, Func: f}
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
@@ -399,25 +417,24 @@ func (f *Func) ReplaceUses(old, new *Value) {
 // RPO returns the blocks in reverse postorder from the entry.
 // Unreachable blocks are excluded.
 func (f *Func) RPO() []*Block {
-	seen := make(map[*Block]bool, len(f.Blocks))
-	var post []*Block
+	if len(f.Blocks) == 0 {
+		return nil
+	}
+	seen := make([]bool, f.nextBlockID+1)
+	post := make([]*Block, 0, len(f.Blocks))
 	var visit func(b *Block)
 	visit = func(b *Block) {
-		seen[b] = true
+		seen[b.ID] = true
 		for _, s := range b.Succs {
-			if !seen[s] {
+			if !seen[s.ID] {
 				visit(s)
 			}
 		}
 		post = append(post, b)
 	}
-	if len(f.Blocks) == 0 {
-		return nil
-	}
 	visit(f.Blocks[0])
-	out := make([]*Block, len(post))
-	for i, b := range post {
-		out[len(post)-1-i] = b
+	for i, j := 0, len(post)-1; i < j; i, j = i+1, j-1 {
+		post[i], post[j] = post[j], post[i]
 	}
-	return out
+	return post
 }

@@ -1,5 +1,7 @@
 package ir
 
+import "math/bits"
+
 // Liveness computes per-block live-in/live-out sets of SSA values with
 // the usual phi convention: a phi's i-th argument is live-out of the i-th
 // predecessor (not live-in of the phi's block); the phi itself is treated
@@ -9,76 +11,97 @@ package ir
 // live values at block entry that makes operand distances path-invariant,
 // paper §IV-C2) directly from these sets.
 type Liveness struct {
-	In  map[*Block]map[*Value]bool
-	Out map[*Block]map[*Value]bool
+	words int      // words per set
+	in    []uint64 // the live-in set of block ID i at [i*words:(i+1)*words]
+	out   []uint64
+	vals  []*Value // by ID: the values the sets hold
+}
+
+// In returns the values live into b, in ID order.
+func (lv *Liveness) In(b *Block) []*Value { return lv.values(lv.in, b) }
+
+// Out returns the values live out of b, in ID order.
+func (lv *Liveness) Out(b *Block) []*Value { return lv.values(lv.out, b) }
+
+// LiveOut reports whether v is live out of b.
+func (lv *Liveness) LiveOut(b *Block, v *Value) bool { return lv.set(lv.out, b).has(v.ID) }
+
+func (lv *Liveness) set(sets []uint64, b *Block) bitset {
+	return sets[b.ID*lv.words : (b.ID+1)*lv.words]
+}
+
+func (lv *Liveness) values(sets []uint64, b *Block) []*Value {
+	var out []*Value
+	for w, word := range lv.set(sets, b) {
+		for word != 0 {
+			out = append(out, lv.vals[w<<6+bits.TrailingZeros64(word)])
+			word &= word - 1
+		}
+	}
+	return out
 }
 
 // ComputeLiveness runs backward dataflow to a fixpoint.
 func ComputeLiveness(f *Func) *Liveness {
-	lv := &Liveness{
-		In:  make(map[*Block]map[*Value]bool, len(f.Blocks)),
-		Out: make(map[*Block]map[*Value]bool, len(f.Blocks)),
-	}
-	for _, b := range f.Blocks {
-		lv.In[b] = make(map[*Value]bool)
-		lv.Out[b] = make(map[*Value]bool)
-	}
+	words := valueWords(f)
+	sets := make([]uint64, 4*(f.nextBlockID+1)*words)
+	per := len(sets) / 4
+	lv := &Liveness{words: words, in: sets[:per], out: sets[per : 2*per], vals: make([]*Value, f.nextID+1)}
 	// use[b]: values used in b before any def in b (phis excluded —
 	// their args belong to predecessors). def[b]: values defined in b
 	// (including phis).
-	use := make(map[*Block]map[*Value]bool, len(f.Blocks))
-	def := make(map[*Block]map[*Value]bool, len(f.Blocks))
+	use, def := sets[2*per:3*per], sets[3*per:]
 	for _, b := range f.Blocks {
-		u := make(map[*Value]bool)
-		d := make(map[*Value]bool)
+		u, d := lv.set(use, b), lv.set(def, b)
 		for _, v := range b.Insns {
 			if v.Op != OpPhi {
 				for _, a := range v.Args {
-					if !d[a] && producesValue(a) {
-						u[a] = true
+					if !d.has(a.ID) && producesValue(a) {
+						u.add(a.ID)
+						lv.vals[a.ID] = a
 					}
 				}
 			}
-			d[v] = true
+			d.add(v.ID)
+			lv.vals[v.ID] = v
 		}
-		use[b], def[b] = u, d
 	}
 	// Iterate to fixpoint over the reverse postorder reversed (postorder)
-	// for fast convergence.
+	// for fast convergence. The sets only grow, so each is updated in
+	// place.
 	rpo := f.RPO()
 	for changed := true; changed; {
 		changed = false
 		for i := len(rpo) - 1; i >= 0; i-- {
 			b := rpo[i]
-			out := make(map[*Value]bool)
+			out := lv.set(lv.out, b)
 			for _, s := range b.Succs {
 				// A successor's live-in never contains its own phis
 				// (they are defs of s), so no filtering is needed; and a
 				// phi ARG may legitimately be a phi — including the phi
 				// itself on a loop back edge — so args are added as-is.
-				for v := range lv.In[s] {
-					out[v] = true
+				for w, word := range lv.set(lv.in, s) {
+					if out[w]|word != out[w] {
+						out[w] |= word
+						changed = true
+					}
 				}
 				idx := s.PredIndex(b)
 				for _, phi := range s.Phis() {
 					a := phi.Args[idx]
-					if producesValue(a) {
-						out[a] = true
+					if producesValue(a) && !out.has(a.ID) {
+						out.add(a.ID)
+						lv.vals[a.ID] = a
+						changed = true
 					}
 				}
 			}
-			in := make(map[*Value]bool)
-			for v := range use[b] {
-				in[v] = true
-			}
-			for v := range out {
-				if !def[b][v] {
-					in[v] = true
+			in, u, d := lv.set(lv.in, b), lv.set(use, b), lv.set(def, b)
+			for w := range in {
+				if word := u[w] | out[w]&^d[w]; word != in[w] {
+					in[w] = word
+					changed = true
 				}
-			}
-			if !sameSet(out, lv.Out[b]) || !sameSet(in, lv.In[b]) {
-				lv.Out[b], lv.In[b] = out, in
-				changed = true
 			}
 		}
 	}
@@ -93,18 +116,6 @@ func producesValue(v *Value) bool {
 		return false
 	case OpCall:
 		return v.Type != TypeVoid
-	}
-	return true
-}
-
-func sameSet(a, b map[*Value]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v := range a {
-		if !b[v] {
-			return false
-		}
 	}
 	return true
 }

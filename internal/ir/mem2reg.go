@@ -10,15 +10,16 @@ func Mem2Reg(f *Func) {
 	if len(vars) == 0 {
 		return
 	}
+	nb := f.nextBlockID + 1
 	p := &promoter{
 		f:        f,
-		promote:  vars,
-		lastDef:  make(map[*Value]map[*Block]*Value),
-		entryVal: make(map[*Value]map[*Block]*Value),
+		nb:       nb,
+		varOf:    make([]int, f.nextID+1),
+		lastDef:  make([]*Value, len(vars)*nb),
+		entryVal: make([]*Value, len(vars)*nb),
 	}
-	for _, v := range vars {
-		p.lastDef[v] = make(map[*Block]*Value)
-		p.entryVal[v] = make(map[*Block]*Value)
+	for i, v := range vars {
+		p.varOf[v.ID] = i + 1
 	}
 
 	// Phase A: resolve loads locally where a store precedes them in the
@@ -26,16 +27,17 @@ func Mem2Reg(f *Func) {
 	// loads that need the value at block entry.
 	type pendingLoad struct {
 		load *Value
-		avar *Value
+		avar int
 	}
 	var pending []pendingLoad
+	cur := make([]*Value, len(vars)) // by variable: its value so far in the block
 	for _, b := range f.Blocks {
-		cur := make(map[*Value]*Value)
+		clear(cur)
 		for _, v := range b.Insns {
 			switch v.Op {
 			case OpLoad:
 				if avar, ok := p.promoted(v.Args[0]); ok {
-					if def, has := cur[avar]; has {
+					if def := cur[avar]; def != nil {
 						f.ReplaceUses(v, def)
 					} else {
 						pending = append(pending, pendingLoad{v, avar})
@@ -48,22 +50,22 @@ func Mem2Reg(f *Func) {
 			}
 		}
 		for avar, def := range cur {
-			p.lastDef[avar][b] = def
+			if def != nil {
+				p.lastDef[p.slot(avar, b)] = def
+			}
 		}
 	}
 
 	// Phase B: resolve entry values, inserting phis as needed. A pending
 	// load may itself be recorded as a block's last def (a store of a
-	// loaded value), so the maps are substituted along with the IR uses.
+	// loaded value), so the tables are substituted along with the IR uses.
 	for _, pl := range pending {
 		def := p.readAtEntry(pl.avar, pl.load.Block)
 		f.ReplaceUses(pl.load, def)
-		for _, m := range []map[*Value]map[*Block]*Value{p.lastDef, p.entryVal} {
-			for _, byBlock := range m {
-				for blk, val := range byBlock {
-					if val == pl.load {
-						byBlock[blk] = def
-					}
+		for _, table := range [2][]*Value{p.lastDef, p.entryVal} {
+			for i, val := range table {
+				if val == pl.load {
+					table[i] = def
 				}
 			}
 		}
@@ -95,28 +97,31 @@ func Mem2Reg(f *Func) {
 	removeTrivialPhis(f)
 }
 
+// promoter holds, per promoted variable and block, the variable's value
+// at the block's end and entry: tables indexed by slot, nil where not
+// yet known.
 type promoter struct {
 	f        *Func
-	promote  []*Value
-	lastDef  map[*Value]map[*Block]*Value // value of var at end of block
-	entryVal map[*Value]map[*Block]*Value // value of var at entry of block
+	nb       int      // block IDs per variable
+	varOf    []int    // by value ID: 1 + the variable an alloca promotes to, or 0
+	lastDef  []*Value // value of var at end of block
+	entryVal []*Value // value of var at entry of block
 }
 
-func (p *promoter) promoted(v *Value) (*Value, bool) {
-	if v.Op != OpAlloca {
-		return nil, false
+func (p *promoter) slot(avar int, b *Block) int { return avar*p.nb + b.ID }
+
+// promoted returns the variable an alloca promotes to. Mem2Reg makes no
+// allocas, so every alloca's ID is inside varOf.
+func (p *promoter) promoted(v *Value) (int, bool) {
+	if v.Op != OpAlloca || p.varOf[v.ID] == 0 {
+		return 0, false
 	}
-	for _, a := range p.promote {
-		if a == v {
-			return a, true
-		}
-	}
-	return nil, false
+	return p.varOf[v.ID] - 1, true
 }
 
 // readAtEnd returns the variable's value at the end of block b.
-func (p *promoter) readAtEnd(avar *Value, b *Block) *Value {
-	if def, ok := p.lastDef[avar][b]; ok {
+func (p *promoter) readAtEnd(avar int, b *Block) *Value {
+	if def := p.lastDef[p.slot(avar, b)]; def != nil {
 		return def
 	}
 	return p.readAtEntry(avar, b)
@@ -125,8 +130,9 @@ func (p *promoter) readAtEnd(avar *Value, b *Block) *Value {
 // readAtEntry returns the variable's value at the entry of block b,
 // inserting a phi (memoized before recursion, to break cycles) when b has
 // multiple predecessors.
-func (p *promoter) readAtEntry(avar *Value, b *Block) *Value {
-	if v, ok := p.entryVal[avar][b]; ok {
+func (p *promoter) readAtEntry(avar int, b *Block) *Value {
+	s := p.slot(avar, b)
+	if v := p.entryVal[s]; v != nil {
 		return v
 	}
 	switch len(b.Preds) {
@@ -135,16 +141,16 @@ func (p *promoter) readAtEntry(avar *Value, b *Block) *Value {
 		// define it as zero at the top of the block.
 		undef := p.f.NewValue(OpConst, TypeI32)
 		b.InsertPhi(undef) // before non-phis; constants are position-safe here
-		p.entryVal[avar][b] = undef
+		p.entryVal[s] = undef
 		return undef
 	case 1:
 		v := p.readAtEnd(avar, b.Preds[0])
-		p.entryVal[avar][b] = v
+		p.entryVal[s] = v
 		return v
 	default:
 		phi := p.f.NewValue(OpPhi, TypeI32)
 		b.InsertPhi(phi)
-		p.entryVal[avar][b] = phi
+		p.entryVal[s] = phi
 		for _, pred := range b.Preds {
 			phi.Args = append(phi.Args, p.readAtEnd(avar, pred))
 		}
@@ -191,7 +197,7 @@ func removeTrivialPhis(f *Func) {
 // loads and stores (never as a stored value, call argument, or in pointer
 // arithmetic — those must stay in memory).
 func promotableAllocas(f *Func) []*Value {
-	escaped := make(map[*Value]bool)
+	escaped := newValueSet(f)
 	var allocas []*Value
 	for _, b := range f.Blocks {
 		for _, v := range b.Insns {
@@ -205,14 +211,14 @@ func promotableAllocas(f *Func) []*Value {
 				ok := (v.Op == OpLoad && i == 0 && MemKind(v.Aux) == MemW) ||
 					(v.Op == OpStore && i == 0 && MemKind(v.Aux) == MemW)
 				if !ok {
-					escaped[a] = true
+					escaped.add(a.ID)
 				}
 			}
 		}
 	}
 	var out []*Value
 	for _, a := range allocas {
-		if !escaped[a] {
+		if !escaped.has(a.ID) {
 			out = append(out, a)
 		}
 	}

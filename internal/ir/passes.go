@@ -231,13 +231,13 @@ func simplifyValue(v *Value) *Value {
 // DCE removes instructions with no side effects whose results are unused.
 // It reports whether anything changed.
 func DCE(f *Func) bool {
-	used := make(map[*Value]bool)
+	used := newValueSet(f)
 	var mark func(v *Value)
 	mark = func(v *Value) {
-		if used[v] {
+		if used.has(v.ID) {
 			return
 		}
-		used[v] = true
+		used.add(v.ID)
 		for _, a := range v.Args {
 			mark(a)
 		}
@@ -253,7 +253,7 @@ func DCE(f *Func) bool {
 	for _, b := range f.Blocks {
 		insns := b.Insns[:0]
 		for _, v := range b.Insns {
-			if used[v] || hasSideEffects(v) {
+			if used.has(v.ID) || hasSideEffects(v) {
 				insns = append(insns, v)
 			} else {
 				changed = true
@@ -299,9 +299,9 @@ func SimplifyCFG(f *Func) bool {
 	}
 
 	// Remove unreachable blocks (and their pred edges into live blocks).
-	reach := make(map[*Block]bool)
+	reach := make([]bool, f.nextBlockID+1)
 	for _, b := range f.RPO() {
-		reach[b] = true
+		reach[b.ID] = true
 	}
 	if pruneUnreachable(f, reach) {
 		changed = true
@@ -351,17 +351,17 @@ func SimplifyCFG(f *Func) bool {
 	return changed
 }
 
-func pruneUnreachable(f *Func, reach map[*Block]bool) bool {
+func pruneUnreachable(f *Func, reach []bool) bool {
 	changed := false
 	var live []*Block
 	for _, b := range f.Blocks {
-		if reach[b] {
+		if reach[b.ID] {
 			live = append(live, b)
 			continue
 		}
 		changed = true
 		for _, s := range b.Succs {
-			if reach[s] {
+			if reach[s.ID] {
 				// Remove the phi args corresponding to this dead pred.
 				idx := s.PredIndex(b)
 				if idx >= 0 {

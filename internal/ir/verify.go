@@ -7,12 +7,16 @@ import "fmt"
 //   - every block ends in exactly one terminator, with Succs matching;
 //   - Preds/Succs edges are mutually consistent;
 //   - phis appear only at block heads with one argument per predecessor;
+//   - block and value IDs are those NewBlock and NewValue handed out,
+//     each used once, which the passes' ID-indexed sets rely on;
 //   - every non-phi use is dominated by its definition;
 //   - phi arguments are defined on (dominate the end of) the matching
 //     predecessor.
 //
-// The compiler runs Verify after construction and after every pass, so a
-// pass bug fails loudly instead of miscompiling a benchmark.
+// The compiler runs Verify on each function after construction
+// (irgen.Build) and on the module after optimization (core.CompileC),
+// so a front-end or pass bug fails loudly instead of miscompiling a
+// benchmark.
 func Verify(f *Func) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("ir: %s: no blocks", f.Name)
@@ -20,18 +24,43 @@ func Verify(f *Func) error {
 	if len(f.Entry().Preds) != 0 {
 		return fmt.Errorf("ir: %s: entry block has predecessors", f.Name)
 	}
+	// member[id] is the block of f.Blocks with that ID.
+	member := make([]*Block, f.nextBlockID+1)
+	for _, b := range f.Blocks {
+		if b.ID <= 0 || b.ID > f.nextBlockID || member[b.ID] != nil {
+			return fmt.Errorf("ir: %s: block %s has ID %d, not a unique one of 1..%d", f.Name, b.Name, b.ID, f.nextBlockID)
+		}
+		member[b.ID] = b
+	}
 	for _, b := range f.Blocks {
 		if err := verifyBlockShape(f, b); err != nil {
 			return err
 		}
+		for _, e := range [2][]*Block{b.Preds, b.Succs} {
+			for _, x := range e {
+				if x.ID <= 0 || x.ID > f.nextBlockID || member[x.ID] != x {
+					return fmt.Errorf("ir: %s: block %s has an edge to %s, which is not in the function", f.Name, b.Name, x.Name)
+				}
+			}
+		}
 	}
 	dom := BuildDomTree(f)
-	defBlock := make(map[*Value]*Block)
-	defIndex := make(map[*Value]int)
+	// defs[id] is the value defined under ID id and its index in its
+	// block (the block is v.Block, which verifyBlockShape checked).
+	type def struct {
+		v     *Value
+		index int
+	}
+	defs := make([]def, f.nextID+1)
 	for _, b := range f.Blocks {
 		for i, v := range b.Insns {
-			defBlock[v] = b
-			defIndex[v] = i
+			if v.ID <= 0 || v.ID > f.nextID {
+				return fmt.Errorf("ir: %s: %s in %s has an ID outside 1..%d", f.Name, v.Name(), b.Name, f.nextID)
+			}
+			if defs[v.ID].v != nil {
+				return fmt.Errorf("ir: %s: two values in %s and %s share ID %d", f.Name, defs[v.ID].v.Block.Name, b.Name, v.ID)
+			}
+			defs[v.ID] = def{v, i}
 		}
 	}
 	for _, b := range f.Blocks {
@@ -40,10 +69,10 @@ func Verify(f *Func) error {
 		}
 		for i, v := range b.Insns {
 			for ai, a := range v.Args {
-				db, ok := defBlock[a]
-				if !ok {
+				if a.ID <= 0 || a.ID > f.nextID || defs[a.ID].v != a {
 					return fmt.Errorf("ir: %s: %s in %s uses %s which is not in any block", f.Name, v.Name(), b.Name, a.Name())
 				}
+				db := a.Block
 				if v.Op == OpPhi {
 					pred := b.Preds[ai]
 					if !dom.Reachable(pred) {
@@ -56,7 +85,7 @@ func Verify(f *Func) error {
 					continue
 				}
 				if db == b {
-					if defIndex[a] >= i {
+					if defs[a.ID].index >= i {
 						return fmt.Errorf("ir: %s: %s in %s uses %s before its definition", f.Name, v.Name(), b.Name, a.Name())
 					}
 				} else if !dom.Dominates(db, b) {

@@ -27,7 +27,8 @@ const (
 )
 
 // Build lowers a parsed file to an IR module (unoptimized; callers run
-// ir.OptimizeModule for -O2-equivalent output).
+// ir.OptimizeModule for -O2-equivalent output). Each function passes
+// ir.Verify once it is built.
 func Build(file *minic.File) (*ir.Module, error) {
 	g := &generator{
 		file:    file,
@@ -62,9 +63,6 @@ func Build(file *minic.File) (*ir.Module, error) {
 			return nil, err
 		}
 		g.mod.Funcs = append(g.mod.Funcs, f)
-	}
-	if err := ir.VerifyModule(g.mod); err != nil {
-		return nil, err
 	}
 	return g.mod, nil
 }

@@ -67,125 +67,146 @@ var punct2 = []string{
 	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
 }
 
-// Lex scans the whole source into tokens. Comments (// and /* */) and
-// preprocessor-style lines beginning with '#' are skipped (the workloads
-// use no macros; #-lines are tolerated so headers can be pasted).
+// punct1 lists the single-character operators and punctuation.
+const punct1 = "+-*/%&|^~!<>=?:;,.(){}[]"
+
+// Lex scans the whole source into tokens, ending with TokEOF. Comments
+// (// and /* */) and preprocessor-style lines beginning with '#' are
+// skipped (the workloads use no macros; #-lines are tolerated so
+// headers can be pasted).
 func Lex(src string) ([]Token, error) {
+	lx := newLexer(src)
 	var toks []Token
-	line, col := 1, 1
-	i := 0
-	n := len(src)
-	adv := func(k int) {
-		for j := 0; j < k; j++ {
-			if src[i+j] == '\n' {
-				line++
-				col = 1
-			} else {
-				col++
-			}
+	for {
+		t, err := lx.scan()
+		if err != nil {
+			return nil, err
 		}
-		i += k
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks, nil
+		}
 	}
-	for i < n {
-		c := src[i]
+}
+
+// lexer scans source one token at a time, so the parser holds only the
+// tokens it looks at.
+type lexer struct {
+	src       string
+	i         int
+	line, col int
+}
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1, col: 1} }
+
+// adv consumes k bytes, tracking the line and column.
+func (lx *lexer) adv(k int) {
+	for j := 0; j < k; j++ {
+		if lx.src[lx.i+j] == '\n' {
+			lx.line++
+			lx.col = 1
+		} else {
+			lx.col++
+		}
+	}
+	lx.i += k
+}
+
+// scan returns the next token, skipping blanks and comments; at the end
+// of the source it returns TokEOF.
+func (lx *lexer) scan() (Token, error) {
+	src, n := lx.src, len(lx.src)
+	for lx.i < n {
+		c := src[lx.i]
+		startLine, startCol := lx.line, lx.col
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			adv(1)
-		case c == '#':
-			for i < n && src[i] != '\n' {
-				adv(1)
+			lx.adv(1)
+		case c == '#' || c == '/' && lx.i+1 < n && src[lx.i+1] == '/':
+			for lx.i < n && src[lx.i] != '\n' {
+				lx.adv(1)
 			}
-		case c == '/' && i+1 < n && src[i+1] == '/':
-			for i < n && src[i] != '\n' {
-				adv(1)
-			}
-		case c == '/' && i+1 < n && src[i+1] == '*':
-			startLine, startCol := line, col
-			adv(2)
+		case c == '/' && lx.i+1 < n && src[lx.i+1] == '*':
+			lx.adv(2)
 			closed := false
-			for i+1 < n {
-				if src[i] == '*' && src[i+1] == '/' {
-					adv(2)
+			for lx.i+1 < n {
+				if src[lx.i] == '*' && src[lx.i+1] == '/' {
+					lx.adv(2)
 					closed = true
 					break
 				}
-				adv(1)
+				lx.adv(1)
 			}
 			if !closed {
-				return nil, &Error{startLine, startCol, "unterminated block comment"}
+				return Token{}, &Error{startLine, startCol, "unterminated block comment"}
 			}
 		case isIdentStart(c):
-			start := i
-			startLine, startCol := line, col
-			for i < n && isIdentChar(src[i]) {
-				adv(1)
+			start := lx.i
+			for lx.i < n && isIdentChar(src[lx.i]) {
+				lx.adv(1)
 			}
-			text := src[start:i]
+			text := src[start:lx.i]
 			kind := TokIdent
 			if keywords[text] {
 				kind = TokKeyword
 			}
-			toks = append(toks, Token{Kind: kind, Text: text, Line: startLine, Col: startCol})
+			return Token{Kind: kind, Text: text, Line: startLine, Col: startCol}, nil
 		case c >= '0' && c <= '9':
-			start := i
-			startLine, startCol := line, col
-			for i < n && (isIdentChar(src[i])) {
-				adv(1)
+			start := lx.i
+			for lx.i < n && isIdentChar(src[lx.i]) {
+				lx.adv(1)
 			}
-			text := src[start:i]
+			text := src[start:lx.i]
 			v, err := parseNumber(text)
 			if err != nil {
-				return nil, &Error{startLine, startCol, err.Error()}
+				return Token{}, &Error{startLine, startCol, err.Error()}
 			}
-			toks = append(toks, Token{Kind: TokNumber, Text: text, Val: v, Line: startLine, Col: startCol})
+			return Token{Kind: TokNumber, Text: text, Val: v, Line: startLine, Col: startCol}, nil
 		case c == '"':
-			startLine, startCol := line, col
-			s, consumed, err := scanString(src[i:], '"')
+			s, consumed, err := scanString(src[lx.i:], '"')
 			if err != nil {
-				return nil, &Error{startLine, startCol, err.Error()}
+				return Token{}, &Error{startLine, startCol, err.Error()}
 			}
-			adv(consumed)
-			toks = append(toks, Token{Kind: TokString, Text: src[i-consumed : i], Str: s, Line: startLine, Col: startCol})
+			lx.adv(consumed)
+			return Token{Kind: TokString, Text: src[lx.i-consumed : lx.i], Str: s, Line: startLine, Col: startCol}, nil
 		case c == '\'':
-			startLine, startCol := line, col
-			s, consumed, err := scanString(src[i:], '\'')
+			s, consumed, err := scanString(src[lx.i:], '\'')
 			if err != nil {
-				return nil, &Error{startLine, startCol, err.Error()}
+				return Token{}, &Error{startLine, startCol, err.Error()}
 			}
 			if len(s) != 1 {
-				return nil, &Error{startLine, startCol, "char literal must be one character"}
+				return Token{}, &Error{startLine, startCol, "char literal must be one character"}
 			}
-			adv(consumed)
-			toks = append(toks, Token{Kind: TokChar, Text: s, Val: int32(s[0]), Line: startLine, Col: startCol})
+			lx.adv(consumed)
+			return Token{Kind: TokChar, Text: s, Val: int32(s[0]), Line: startLine, Col: startCol}, nil
 		default:
-			startLine, startCol := line, col
 			matched := ""
 			for _, p := range punct3 {
-				if strings.HasPrefix(src[i:], p) {
+				if strings.HasPrefix(src[lx.i:], p) {
 					matched = p
 					break
 				}
 			}
 			if matched == "" {
 				for _, p := range punct2 {
-					if strings.HasPrefix(src[i:], p) {
+					if strings.HasPrefix(src[lx.i:], p) {
 						matched = p
 						break
 					}
 				}
 			}
 			if matched == "" {
-				if strings.IndexByte("+-*/%&|^~!<>=?:;,.(){}[]", c) < 0 {
-					return nil, &Error{startLine, startCol, fmt.Sprintf("unexpected character %q", c)}
+				k := strings.IndexByte(punct1, c)
+				if k < 0 {
+					return Token{}, &Error{startLine, startCol, fmt.Sprintf("unexpected character %q", c)}
 				}
-				matched = string(c)
+				matched = punct1[k : k+1]
 			}
-			adv(len(matched))
-			toks = append(toks, Token{Kind: TokPunct, Text: matched, Line: startLine, Col: startCol})
+			lx.adv(len(matched))
+			return Token{Kind: TokPunct, Text: matched, Line: startLine, Col: startCol}, nil
 		}
 	}
-	toks = append(toks, Token{Kind: TokEOF, Line: line, Col: col})
-	return toks, nil
+	return Token{Kind: TokEOF, Line: lx.line, Col: lx.col}, nil
 }
 
 func isIdentStart(c byte) bool {

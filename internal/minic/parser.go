@@ -2,39 +2,61 @@ package minic
 
 import "fmt"
 
-// Parse lexes and parses a MiniC translation unit.
+// Parse lexes and parses a MiniC translation unit. A lexical error is
+// reported before any syntax error, wherever each lies in the source.
 func Parse(src string) (*File, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
 	p := &parser{
-		toks: toks,
+		lx: newLexer(src),
 		file: &File{
 			Structs:    make(map[string]*StructType),
 			EnumConsts: make(map[string]int32),
 		},
 	}
-	if err := p.parseFile(); err != nil {
+	p.cur, p.ahead = p.scan(), p.scan()
+	err := p.parseFile()
+	for p.lexErr == nil && p.ahead.Kind != TokEOF {
+		p.ahead = p.scan()
+	}
+	if p.lexErr != nil {
+		return nil, p.lexErr
+	}
+	if err != nil {
 		return nil, err
 	}
 	return p.file, nil
 }
 
+// parser reads the token stream with one token of lookahead.
 type parser struct {
-	toks []Token
-	pos  int
-	file *File
+	lx     lexer
+	cur    Token // the current token
+	ahead  Token // the token after it
+	lexErr error // the first lexical error; the stream ends there
+	file   *File
 }
 
-func (p *parser) tok() Token { return p.toks[p.pos] }
-func (p *parser) peek(n int) Token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
+// scan returns the lexer's next token, or TokEOF once it has failed.
+func (p *parser) scan() Token {
+	if p.lexErr == nil {
+		t, err := p.lx.scan()
+		if err == nil {
+			return t
+		}
+		p.lexErr = err
 	}
-	return p.toks[p.pos+n]
+	return Token{Kind: TokEOF, Line: p.lx.line, Col: p.lx.col}
 }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
+
+func (p *parser) tok() Token { return p.cur }
+
+// peek returns the token after the current one.
+func (p *parser) peek() Token { return p.ahead }
+
+func (p *parser) next() Token {
+	t := p.cur
+	p.cur, p.ahead = p.ahead, p.scan()
+	return t
+}
 
 func (p *parser) errf(t Token, format string, args ...any) error {
 	return &Error{t.Line, t.Col, fmt.Sprintf(format, args...)}
@@ -47,7 +69,7 @@ func (p *parser) at(kind TokenKind, text string) bool {
 
 func (p *parser) accept(kind TokenKind, text string) bool {
 	if p.at(kind, text) {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -58,7 +80,7 @@ func (p *parser) expect(kind TokenKind, text string) (Token, error) {
 	if t.Kind != kind || t.Text != text {
 		return t, p.errf(t, "expected %q, found %q", text, t.Text)
 	}
-	p.pos++
+	p.next()
 	return t, nil
 }
 
@@ -321,7 +343,7 @@ func (p *parser) parseDeclarator(base *Type) (name string, typ *Type, isFunc boo
 		typ = PtrTo(typ)
 	}
 	// Function pointer: ( * name ) ( params )
-	if p.at(TokPunct, "(") && p.peek(1).Kind == TokPunct && p.peek(1).Text == "*" {
+	if p.at(TokPunct, "(") && p.peek().Kind == TokPunct && p.peek().Text == "*" {
 		p.next() // (
 		p.next() // *
 		nameTok := p.tok()
@@ -398,7 +420,7 @@ func (p *parser) parseParams() ([]Param, error) {
 	if p.accept(TokPunct, ")") {
 		return params, nil
 	}
-	if p.at(TokKeyword, "void") && p.peek(1).Kind == TokPunct && p.peek(1).Text == ")" {
+	if p.at(TokKeyword, "void") && p.peek().Kind == TokPunct && p.peek().Text == ")" {
 		p.next()
 		p.next()
 		return params, nil
@@ -429,7 +451,7 @@ func (p *parser) parseParams() ([]Param, error) {
 				}
 				typ = PtrTo(typ)
 			}
-		} else if p.at(TokPunct, "(") && p.peek(1).Text == "*" {
+		} else if p.at(TokPunct, "(") && p.peek().Text == "*" {
 			// Function-pointer parameter; typ already includes any leading
 			// '*'s of the return type.
 			n2, t2, _, _, err := p.parseDeclarator(typ)
@@ -886,7 +908,7 @@ func (p *parser) parseUnary() (Expr, error) {
 			return &Unary{Pos: p.posOf(t), Op: t.Text, X: x}, nil
 		case "(":
 			// Cast or parenthesized expression.
-			if p.peekIsType(1) {
+			if p.peekIsType() {
 				p.next() // (
 				base, err := p.parseTypeSpec()
 				if err != nil {
@@ -909,7 +931,7 @@ func (p *parser) parseUnary() (Expr, error) {
 	}
 	if t.Kind == TokKeyword && t.Text == "sizeof" {
 		p.next()
-		if p.at(TokPunct, "(") && p.peekIsType(1) {
+		if p.at(TokPunct, "(") && p.peekIsType() {
 			p.next()
 			base, err := p.parseTypeSpec()
 			if err != nil {
@@ -933,9 +955,10 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePostfix()
 }
 
-// peekIsType reports whether the token at offset n begins a type.
-func (p *parser) peekIsType(n int) bool {
-	t := p.peek(n)
+// peekIsType reports whether the token after the current one begins a
+// type.
+func (p *parser) peekIsType() bool {
+	t := p.peek()
 	if t.Kind != TokKeyword {
 		return false
 	}

@@ -81,8 +81,8 @@ func (p *parser) fail(format string, args ...any) {
 
 // want checks the operand count.
 func (p *parser) want(n int) bool {
-	if len(p.it.Ops) != n {
-		p.fail("%s expects %d operands, got %d", p.mnem, n, len(p.it.Ops))
+	if p.it.NOps != n {
+		p.fail("%s expects %d operands, got %d", p.mnem, n, p.it.NOps)
 	}
 	return p.err == nil
 }
@@ -204,8 +204,10 @@ func (p *parser) reg(i int) uint8 {
 // symbol within ±limit bytes.
 func (p *parser) branch(i int, limit int32) int32 {
 	tok := p.it.Ops[i]
-	if n, err := asm.ParseInt(tok); err == nil {
-		return int32(n)
+	if asm.LooksNumeric(tok) {
+		if n, err := asm.ParseInt(tok); err == nil {
+			return int32(n)
+		}
 	}
 	addr, ok := p.symbols[tok]
 	if !ok {

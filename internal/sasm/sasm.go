@@ -68,7 +68,7 @@ func encodeItem(it *asm.Item, symbols map[string]uint32) (straight.Inst, error) 
 		return straight.Inst{}, fmt.Errorf("unknown mnemonic %q", it.Mnem)
 	}
 	inst := straight.Inst{Op: op}
-	want, got := operandSpec(op), len(it.Ops)
+	want, got := operandSpec(op), it.NOps
 	if got < want.min || got > want.max {
 		return straight.Inst{}, fmt.Errorf("%s expects %s operands, got %d", op, want, got)
 	}
@@ -139,8 +139,10 @@ func encodeItem(it *asm.Item, symbols map[string]uint32) (straight.Inst, error) 
 // resolveImm resolves an immediate operand, which may be a literal, a
 // label (PC-relative for control flow), or hi(sym)/lo(sym).
 func resolveImm(it *asm.Item, tok string, op straight.Op, symbols map[string]uint32) (int32, error) {
-	if n, err := asm.ParseInt(tok); err == nil {
-		return int32(n), nil
+	if asm.LooksNumeric(tok) {
+		if n, err := asm.ParseInt(tok); err == nil {
+			return int32(n), nil
+		}
 	}
 	if fn, sym, ok := splitFunc(tok); ok {
 		addr, found := symbols[sym]

@@ -58,6 +58,12 @@ type analyzer struct {
 	solidRoots map[uint32]bool
 	visited    []bool // per text index, across all function walks
 	seen       map[diagKey]bool
+
+	// discover's scratch, kept between functions: per text index, and
+	// the walked indexes and work list of the current function.
+	walk   []explored
+	walked []int
+	work   []uint32
 }
 
 func newAnalyzer(im *program.Image, cfg Config) *analyzer {
@@ -68,6 +74,7 @@ func newAnalyzer(im *program.Image, cfg Config) *analyzer {
 		reach:   cfg.callReach(),
 		report:  &Report{im: im},
 		visited: make([]bool, len(im.Text)),
+		walk:    make([]explored, len(im.Text)),
 		seen:    map[diagKey]bool{},
 	}
 	a.sat = a.bound + 1

@@ -147,19 +147,21 @@ func (a *analyzer) instructions(b *block) []insn {
 // target, fall-off) are emitted here.
 func (a *analyzer) discover(entry uint32) *fn {
 	f := &fn{entry: entry, blocks: map[uint32]*block{}}
-
-	type explored struct {
-		succs []uint32
-		stop  bool // ends a block regardless of leaders (control/terminator)
+	insns := a.walk
+	walked := a.walked[:0] // text indexes with an explored entry, in walk order
+	leader := func(pc uint32) {
+		if i, ok := a.textIndex(pc); ok {
+			insns[i].leader = true
+		}
 	}
-	insns := map[uint32]explored{}
-	leaders := map[uint32]bool{entry: true}
+	leader(entry)
 
-	work := []uint32{entry}
+	work := append(a.work[:0], entry)
 	for len(work) > 0 {
 		pc := work[len(work)-1]
 		work = work[:len(work)-1]
-		if _, done := insns[pc]; done {
+		idx, inText := a.textIndex(pc)
+		if inText && insns[idx].done {
 			continue
 		}
 		w, err := a.im.FetchWord(pc)
@@ -173,12 +175,13 @@ func (a *analyzer) discover(entry uint32) *fn {
 		inst, err := straight.Decode(w)
 		if err != nil {
 			a.diag(Diagnostic{Kind: BadDecode, PC: pc, Func: entry, Msg: err.Error()})
-			insns[pc] = explored{stop: true}
+			insns[idx].done, insns[idx].stop = true, true
+			walked = append(walked, idx)
 			continue
 		}
 		a.markVisited(pc)
 
-		e := explored{}
+		e := &insns[idx]
 		branchTarget := func() (uint32, bool) {
 			t := pc + uint32(inst.Imm)*program.InstructionBytes
 			if !a.im.ContainsText(t) {
@@ -214,20 +217,20 @@ func (a *analyzer) discover(entry uint32) *fn {
 		case straight.ClassBranch:
 			e.stop = true
 			if t, ok := branchTarget(); ok {
-				e.succs = append(e.succs, t)
-				leaders[t] = true
+				e.addSucc(t)
+				leader(t)
 			}
 			if nxt, ok := fallThrough(); ok {
-				e.succs = append(e.succs, nxt)
-				leaders[nxt] = true
+				e.addSucc(nxt)
+				leader(nxt)
 			}
 		case straight.ClassJump:
 			e.stop = true
 			switch inst.Op {
 			case straight.J:
 				if t, ok := branchTarget(); ok {
-					e.succs = append(e.succs, t)
-					leaders[t] = true
+					e.addSucc(t)
+					leader(t)
 				}
 			case straight.JAL:
 				// Direct call: validate the target (it is a root by
@@ -238,15 +241,15 @@ func (a *analyzer) discover(entry uint32) *fn {
 						Msg: fmt.Sprintf("JAL target %#08x outside text", t)})
 				}
 				if nxt, ok := fallThrough(); ok {
-					e.succs = append(e.succs, nxt)
-					leaders[nxt] = true
+					e.addSucc(nxt)
+					leader(nxt)
 				}
 			case straight.JALR:
 				// Indirect call: the target is a runtime value; continue at
 				// the return address.
 				if nxt, ok := fallThrough(); ok {
-					e.succs = append(e.succs, nxt)
-					leaders[nxt] = true
+					e.addSucc(nxt)
+					leader(nxt)
 				}
 			case straight.JR:
 				// Return: the walk ends here.
@@ -257,47 +260,72 @@ func (a *analyzer) discover(entry uint32) *fn {
 				break
 			}
 			if nxt, ok := fallThrough(); ok {
-				e.succs = append(e.succs, nxt)
+				e.addSucc(nxt)
 			}
 		default:
 			if nxt, ok := fallThrough(); ok {
-				e.succs = append(e.succs, nxt)
+				e.addSucc(nxt)
 			}
 		}
-		insns[pc] = e
-		work = append(work, e.succs...)
+		e.done = true
+		walked = append(walked, idx)
+		work = append(work, e.succs[:e.nsuccs]...)
 	}
 
 	// Form basic blocks: maximal straight runs from each reachable leader.
-	for lead := range leaders {
-		if _, ok := insns[lead]; !ok {
+	for _, li := range walked {
+		if !insns[li].leader {
 			continue
 		}
+		lead := a.im.TextBase + uint32(li)*program.InstructionBytes
 		b := &block{start: lead}
-		pc := lead
+		i, pc := li, lead
 		for {
-			e := insns[pc]
+			e := &insns[i]
 			nxt := pc + program.InstructionBytes
-			if e.stop || len(e.succs) == 0 {
-				b.end = nxt
-				b.succs = e.succs
-				break
-			}
-			// Straight-line instruction: its sole successor is nxt unless
-			// a structural diagnostic removed it.
-			if len(e.succs) == 1 && e.succs[0] == nxt && !leaders[nxt] {
-				if _, ok := insns[nxt]; ok {
-					pc = nxt
-					continue
-				}
+			// A straight-line instruction's sole successor is nxt unless a
+			// structural diagnostic removed it.
+			if !e.stop && e.nsuccs == 1 && e.succs[0] == nxt && !insns[i+1].leader && insns[i+1].done {
+				i, pc = i+1, nxt
+				continue
 			}
 			b.end = nxt
-			b.succs = e.succs
+			b.succs = append([]uint32(nil), e.succs[:e.nsuccs]...)
 			break
 		}
 		f.blocks[lead] = b
 	}
+	// Every leader is in the text and was pushed, so walked lists every
+	// entry this walk set: clear them for the next function.
+	for _, i := range walked {
+		insns[i] = explored{}
+	}
+	a.walked, a.work = walked, work
 	return f
+}
+
+// explored is what discover learned of one instruction.
+type explored struct {
+	succs  [2]uint32 // intra-function successors: branch target, fall-through
+	nsuccs uint8
+	done   bool // walked
+	stop   bool // ends a block regardless of leaders (control/terminator)
+	leader bool // starts a block
+}
+
+func (e *explored) addSucc(pc uint32) {
+	e.succs[e.nsuccs] = pc
+	e.nsuccs++
+}
+
+// textIndex returns the index of the instruction at pc in the text
+// segment; ok is false when pc is misaligned or outside it.
+func (a *analyzer) textIndex(pc uint32) (int, bool) {
+	off := pc - a.im.TextBase
+	if !a.im.ContainsText(pc) || off%program.InstructionBytes != 0 {
+		return 0, false
+	}
+	return int(off / program.InstructionBytes), true
 }
 
 // symbolAt formats the symbol name at addr for diagnostics (" <name>" or

@@ -118,6 +118,17 @@ func TestAllWorkloadsAgreeAcrossEngines(t *testing.T) {
 	}
 }
 
+// TestOptimizedIRVerifies runs ir.VerifyModule on the optimized IR of
+// every workload, as core.CompileC does before code generation: a pass
+// that breaks an SSA invariant fails here.
+func TestOptimizedIRVerifies(t *testing.T) {
+	for _, w := range append(append([]Workload{DhrystoneLong}, All...), Micro...) {
+		if err := ir.VerifyModule(buildModule(t, w, 2)); err != nil {
+			t.Errorf("%s: %v", w, err)
+		}
+	}
+}
+
 // TestSourceMatchesSprintf pins the pre-rendered templates to the
 // formats they came from: every workload's source, at every iteration
 // count tried, is the text fmt.Sprintf renders (CoreMark's %% escapes

@@ -56,9 +56,10 @@ go test -run '^$' -bench 'BenchmarkWarmJob|BenchmarkPointKey|BenchmarkFastForwar
 # the concurrent sweep machinery, so it must be race-clean; the
 # allocation-budget tests skip themselves under -race (instrumentation
 # allocates) and are re-run uninstrumented to enforce the 0-alloc
-# budget on the non-traced step path and the core construction budget.
+# budget on the non-traced step path, the core construction budget and
+# the compile budget of one MiniC-to-image build.
 go test -race ./internal/perf/...
-go test ./internal/perf -run 'TestSteadyStateAllocs|TestCoreNewAllocs'
+go test ./internal/perf ./internal/core -run 'TestSteadyStateAllocs|TestCoreNewAllocs|TestCompileAllocs'
 # Sampled simulation (DESIGN.md §16): windows fan out over a worker
 # pool sharing one result store, so the runner must be race-clean. The
 # accuracy matrix is too slow under instrumentation; the determinism,
